@@ -10,7 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,28 +28,22 @@ from .atlas import (
 from .cam16 import Cam16ViewingConditions, d65_white_tristimulus
 from .chart import BT709_TRANSFER, LINEAR_TRANSFER, ChartLayout, export_metadata, render_chart
 from .optimal import (
+    AUTO_GENUS,
     BAND_PASS,
     BAND_STOP,
-    DEFAULT_INITIAL_CUTS,
     TABLE1_COLUMNS,
-    pick_genus,
     solve_optimal,
     scale_to_luminance,
     table1_suite,
 )
 from .spectral import (
-    GRID_COUNT,
-    GRID_START_NM,
-    GRID_STEP_NM,
     OBSERVER_10DEG,
     OBSERVER_2DEG,
     Chromaticity,
-    SpectralDistribution,
     load_illuminant,
     load_observer,
     read_spectrum_csv,
     spd_to_xyz,
-    xyz_to_chromaticity,
 )
 from .spectradb import (
     LONG_CSV,
@@ -146,22 +141,12 @@ def _cmd_solve_optimal(cfg: RunConfig, args) -> int:
     target = Chromaticity.from_xy(x, y)
     illuminant = cfg.resolve_illuminant()
     obs = cfg.resolve_observer()
-    genus = args.genus
-    if genus == "auto":
-        flat = SpectralDistribution(GRID_START_NM, GRID_STEP_NM, np.ones(GRID_COUNT))
-        session_white = xyz_to_chromaticity(spd_to_xyz(flat, illuminant, obs))
-        genus = pick_genus(target, session_white, obs)
-    init = _parse_pair(args.init, "--init") if args.init else DEFAULT_INITIAL_CUTS
+    init = _parse_pair(args.init, "--init") if args.init else None
     report = solve_optimal(
-        target, genus, tolerance=args.tolerance, init=init, illuminant=illuminant, obs=obs
+        target, args.genus, tolerance=args.tolerance, init=init, illuminant=illuminant, obs=obs
     )
     if args.lc is not None:
-        report = type(report)(
-            scale_to_luminance(report.params, args.lc, illuminant, obs),
-            report.achieved_delta_e,
-            report.iterations,
-            report.converged,
-        )
+        report = replace(report, params=scale_to_luminance(report.params, args.lc, illuminant, obs))
     payload = _report_dict("target", report)
     if args.json:
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out, cfg)
@@ -334,9 +319,19 @@ def build_parser() -> argparse.ArgumentParser:
         "solve-optimal", help="solve rectangle cuts for a chromaticity target", **common
     )
     p.add_argument("--target", required=True, metavar="x,y")
-    p.add_argument("--genus", choices=[BAND_PASS, BAND_STOP, "auto"], default="auto")
+    p.add_argument(
+        "--genus",
+        choices=[BAND_PASS, BAND_STOP, AUTO_GENUS],
+        default=AUTO_GENUS,
+        help="rectangle genus; auto solves the genus whose 1 nm cut lattice comes closer "
+        "to the target, then the other one if the first misses the tolerance",
+    )
     p.add_argument("--tolerance", type=float, default=1e-5)
-    p.add_argument("--init", metavar="l1,l2", help="initial cut wavelengths (default 490,545)")
+    p.add_argument(
+        "--init",
+        metavar="l1,l2",
+        help="initial cut wavelengths (default: the nearest rectangle on the 1 nm cut lattice)",
+    )
     p.add_argument("--lc", type=float, help="scale K to this relative luminance in [0, 1]")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")
@@ -388,17 +383,52 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_NUMBER = (int, float)
+_NULL = type(None)
+# the session settings a config file may set, with the JSON values each
+# accepts (null only where the setting has no default) and their name
+_CONFIG_KEYS = {
+    "illuminant": ((str,), "a string"),
+    "observer": ((str,), "a string"),
+    "la": (_NUMBER, "a finite number"),
+    "yb": (_NUMBER, "a finite number"),
+    "surround": ((str,), "a string"),
+    "d": ((*_NUMBER, _NULL), "a finite number or null"),
+    "primaries": ((str, _NULL), "a string or null"),
+    "out_dir": ((str,), "a string"),
+}
+
+
+def _check_config(path: Path, data) -> dict:
+    """Reject a config that is not an object, has an unknown key, or holds
+    a value of the wrong kind."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: config must be a JSON object")
+    for key, value in data.items():
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"{path}: unknown config key {key!r}")
+        types, expected = _CONFIG_KEYS[key]
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, types)
+            or (isinstance(value, float) and not math.isfinite(value))
+        ):
+            raise ValueError(
+                f"{path}: config key {key!r} must be {expected}, got {json.dumps(value)[:40]}"
+            )
+    return data
+
+
 def _load_config(args) -> RunConfig:
     cfg = RunConfig()
     if args.config:
         path = Path(args.config)
         if not path.exists():
             raise FileNotFoundError(f"config file not found: {path}")
-        data = json.loads(path.read_text(encoding="utf-8"))
-        for key in ("illuminant", "observer", "la", "yb", "surround", "d", "primaries", "out_dir"):
-            if key in data:
-                setattr(cfg, key, data[key])
-    for key in ("illuminant", "observer", "la", "yb", "surround", "d", "primaries", "out_dir"):
+        data = _check_config(path, json.loads(path.read_text(encoding="utf-8")))
+        for key, value in data.items():
+            setattr(cfg, key, value)
+    for key in _CONFIG_KEYS:
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)

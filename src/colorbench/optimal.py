@@ -9,11 +9,20 @@ solver objective continuous.
 
 The cut solver is a Nelder-Mead simplex search over (lambda1, lambda2)
 minimizing the xyz chromaticity distance to a target; amplitude K does not
-affect chromaticity and is held at 1 during the search.
+affect chromaticity and is held at 1 during the search.  The search starts
+at the nearest rectangle with whole-nanometre cuts, found by one scan of a
+lattice that holds every such rectangle.  The lattice comes from prefix
+sums F of the tristimulus weight table: a band pass integrates to
+F(lambda2) - F(lambda1) and a band stop to the total minus that.  The
+rectangles include MacAdam's (1935) optimal colors, one of which has each
+chromaticity inside the spectral locus, so the scan gives a global start.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize
@@ -23,30 +32,36 @@ from .spectral import (
     GRID_START_NM,
     GRID_STEP_NM,
     GRID_STOP_NM,
+    OBSERVER_2DEG,
     Chromaticity,
     ObserverTables,
     SpectralDistribution,
     delta_e_xyz,
-    dominant_wavelength,
     load_illuminant,
     load_observer,
     raw_tristimulus,
     spd_to_xyz,
+    tristimulus_weights,
     xyz_to_chromaticity,
 )
 from .targets import target_from_weights
 
 BAND_PASS = "band_pass"
 BAND_STOP = "band_stop"
+AUTO_GENUS = "auto"
 _GENERA = (BAND_PASS, BAND_STOP)
 
 DEFAULT_TOLERANCE = 1e-5
-DEFAULT_INITIAL_CUTS = (490.0, 545.0)
 MAX_ITERATIONS = 500
 
 # keeps the simplex from flattening out in the clamped region beyond the
 # spectrum boundaries; zero on [360, 720] so in-range results are unbiased
 _OUT_OF_RANGE_SLOPE = 1e-4
+
+# The lattice lists the rectangles with cuts at 360 + p <= 360 + q nm row
+# by row: row p holds q = p .. GRID_COUNT - 1 and starts at _ROW_STARTS[p].
+_ROW_STARTS = np.concatenate(([0], np.cumsum(np.arange(GRID_COUNT, 0, -1))))
+_SCAN_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -74,43 +89,60 @@ class OptimalSpectrumParams:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of a cut-wavelength solve."""
+    """Outcome of a cut-wavelength solve.
+
+    ``iterations``, ``evaluations`` (objective calls) and ``restarts`` count
+    every Nelder-Mead run of the solve, for both genera when an automatic
+    genus choice fell back to the second one.  ``lattice_delta_e`` is the
+    smallest distance to the target over the whole-nanometre rectangles of
+    the reported genus: a value well above the tolerance shows the target
+    is out of that genus's reach.
+    """
 
     params: OptimalSpectrumParams
     achieved_delta_e: float
     iterations: int
     converged: bool
+    evaluations: int
+    restarts: int
+    lattice_delta_e: float
 
 
-def _interval_coverage(starts: np.ndarray, step: float, a: float, b: float) -> np.ndarray:
-    """Per-bin coverage of the closed interval [a, b]; bin i spans
-    [start_i, start_i + step), and the final bin additionally ramps to full
-    coverage as b approaches the grid end so that a cut at the end of the
-    spectrum covers the last sample completely."""
-    lo = np.maximum(a, starts)
-    hi = np.minimum(b, starts + step)
-    cov = np.clip((hi - lo) / step, 0.0, 1.0)
-    last = starts[-1]
-    cov[-1] = np.clip((min(b + step, last + 2 * step) - max(a, last)) / step, 0.0, 1.0)
+class _Seed(NamedTuple):
+    """The whole-nanometre rectangle of a genus nearest to a target."""
+
+    delta_e: float
+    lambda1_nm: float
+    lambda2_nm: float
+
+
+def _coverage(a: float, b: float) -> np.ndarray:
+    """Per-bin coverage of the closed interval [a, b] on the working grid.
+
+    Bin i spans [360 + i, 361 + i) and has coverage
+    clip(min(b, s_i + 1) - max(a, s_i), 0, 1): zero below the bin holding a
+    and above the one holding b, one between them.  The final bin instead
+    ramps to full coverage as b approaches the grid end, so that a cut at
+    the end of the spectrum covers the last sample completely.
+    """
+    cov = np.zeros(GRID_COUNT)
+    ia, ib = math.floor(a) - GRID_START_NM, math.floor(b) - GRID_START_NM
+    cov[ia + 1 : ib] = 1.0
+    for i in (ia, ib):
+        s = GRID_START_NM + i
+        cov[i] = min(max(min(b, s + 1) - max(a, s), 0.0), 1.0)
+    cov[-1] = min(max(min(b + 1, GRID_STOP_NM + 2) - max(a, GRID_STOP_NM), 0.0), 1.0)
     return cov
 
 
-def synthesize(
-    params: OptimalSpectrumParams,
-    start_nm: int = GRID_START_NM,
-    step_nm: int = GRID_STEP_NM,
-    count: int = GRID_COUNT,
-) -> SpectralDistribution:
-    """Sample a rectangular spectrum onto a uniform grid."""
-    starts = start_nm + step_nm * np.arange(count, dtype=float)
+def synthesize(params: OptimalSpectrumParams) -> SpectralDistribution:
+    """Sample a rectangular spectrum onto the working grid."""
     l1, l2 = params.lambda1_nm, params.lambda2_nm
     if params.genus == BAND_PASS:
-        cov = _interval_coverage(starts, step_nm, l1, l2)
+        cov = _coverage(l1, l2)
     else:
-        cov = _interval_coverage(starts, step_nm, GRID_START_NM, l1) + _interval_coverage(
-            starts, step_nm, l2, GRID_STOP_NM
-        )
-    return SpectralDistribution(start_nm, step_nm, params.K * np.clip(cov, 0.0, 1.0))
+        cov = _coverage(GRID_START_NM, l1) + _coverage(l2, GRID_STOP_NM)
+    return SpectralDistribution(GRID_START_NM, GRID_STEP_NM, params.K * np.clip(cov, 0.0, 1.0))
 
 
 def rectangle_chromaticity(
@@ -123,67 +155,210 @@ def rectangle_chromaticity(
     return xyz_to_chromaticity(spd_to_xyz(spd, illuminant, obs))
 
 
+def _prefix_sums(illuminant: SpectralDistribution, obs: ObserverTables) -> np.ndarray:
+    """F[k], the sum of the first k rows of the tristimulus weight table,
+    for k = 0 .. GRID_COUNT."""
+    prefix = np.zeros((GRID_COUNT + 1, 3))
+    np.cumsum(tristimulus_weights(illuminant, obs), axis=0, out=prefix[1:])
+    return prefix
+
+
+def _lattice_xyz(genus: str, p, q, prefix: np.ndarray) -> np.ndarray:
+    """Raw XYZ of the rectangles with cuts at 360 + p and 360 + q nm, p <= q.
+
+    Equals ``raw_tristimulus(synthesize(...))`` up to rounding.  A band that
+    reaches 720 nm also fills the last bin (the ramp of ``_coverage``); the
+    right flank of a band stop always does.
+    """
+    if genus == BAND_PASS:
+        return prefix[q + (q == GRID_COUNT - 1)] - prefix[p]
+    return prefix[-1] - (prefix[q] - prefix[p])
+
+
+@lru_cache(maxsize=8)
+def _rectangle_lattice(
+    genus: str, illuminant: SpectralDistribution, obs: ObserverTables
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only chromaticity x and y (float32, in ``_ROW_STARTS`` order) of
+    every rectangle of a genus with whole-nanometre cuts; inf for black ones.
+
+    Built a row at a time so the float64 temporaries stay small.
+    """
+    prefix = _prefix_sums(illuminant, obs)
+    x = np.empty(_ROW_STARTS[-1], dtype=np.float32)
+    y = np.empty_like(x)
+    for p in range(GRID_COUNT):
+        xyz = _lattice_xyz(genus, p, np.arange(p, GRID_COUNT), prefix)
+        total = xyz.sum(axis=1)
+        black = total <= 0.0
+        total[black] = 1.0
+        row = slice(_ROW_STARTS[p], _ROW_STARTS[p + 1])
+        x[row] = np.where(black, np.inf, xyz[:, 0] / total)
+        y[row] = np.where(black, np.inf, xyz[:, 1] / total)
+    x.flags.writeable = y.flags.writeable = False
+    return x, y
+
+
+def _delta_e(xyz, tgt: tuple[float, float, float]) -> float:
+    """xyz chromaticity distance from a tristimulus with a positive sum."""
+    X, Y, Z = xyz
+    s = X + Y + Z
+    return math.sqrt((X / s - tgt[0]) ** 2 + (Y / s - tgt[1]) ** 2 + (Z / s - tgt[2]) ** 2)
+
+
+def _lattice_seed(
+    genus: str,
+    target: Chromaticity,
+    illuminant: SpectralDistribution,
+    obs: ObserverTables,
+) -> _Seed:
+    """Scan the lattice of a genus for the rectangle nearest to ``target``."""
+    x, y = _rectangle_lattice(genus, illuminant, obs)
+    tx, ty = np.float32(target.x), np.float32(target.y)
+    best, k = np.inf, 0
+    for start in range(0, x.size, _SCAN_CHUNK):  # chunks keep the temporaries small
+        dx = x[start : start + _SCAN_CHUNK] - tx
+        dy = y[start : start + _SCAN_CHUNK] - ty
+        dz = dx + dy  # z = 1 - x - y, so the z offset is -(dx + dy)
+        dx *= dx
+        dy *= dy
+        dz *= dz
+        dx += dy
+        dx += dz
+        i = int(np.argmin(dx))
+        if dx[i] < best:
+            best, k = dx[i], start + i
+    p = int(np.searchsorted(_ROW_STARTS, k, side="right")) - 1
+    q = p + k - int(_ROW_STARTS[p])
+    xyz = _lattice_xyz(genus, p, q, _prefix_sums(illuminant, obs))
+    return _Seed(
+        _delta_e(xyz, (target.x, target.y, target.z)),
+        float(GRID_START_NM + p),
+        float(GRID_START_NM + q),
+    )
+
+
+def _genus_seeds(
+    target: Chromaticity, illuminant: SpectralDistribution, obs: ObserverTables
+) -> list[tuple[str, _Seed]]:
+    """Both genera with their lattice seeds, the lower lattice minimum
+    first (band_pass on a tie)."""
+    seeds = [(genus, _lattice_seed(genus, target, illuminant, obs)) for genus in _GENERA]
+    return sorted(seeds, key=lambda item: item[1].delta_e)
+
+
 def pick_genus(
     target: Chromaticity,
-    white: Chromaticity,
-    obs: ObserverTables | None = None,
-) -> str:
-    """Heuristic genus choice: band_stop for purples and the red/violet
-    sector, band_pass otherwise (near-white targets are full-band passes)."""
-    if np.hypot(target.x - white.x, target.y - white.y) < 1e-6:
-        return BAND_PASS
-    wl = dominant_wavelength(target, white, obs)
-    if wl is None or wl >= 595.0 or wl <= 475.0:
-        return BAND_STOP
-    return BAND_PASS
-
-
-def solve_optimal(
-    target: Chromaticity,
-    genus: str = BAND_PASS,
-    tolerance: float = DEFAULT_TOLERANCE,
-    init: tuple[float, float] = DEFAULT_INITIAL_CUTS,
     illuminant: SpectralDistribution | None = None,
     obs: ObserverTables | None = None,
-    max_iterations: int = MAX_ITERATIONS,
-) -> SolveReport:
-    """Search cut wavelengths whose rectangular spectrum matches ``target``.
-
-    Runs a bounded Nelder-Mead search from ``init``, restarting once from
-    the best point before declaring non-convergence.  Convergence means the
-    achieved chromaticity distance does not exceed ``tolerance``.
-    """
-    if genus not in _GENERA:
-        raise ValueError(f"genus must be one of {_GENERA}, got {genus!r}")
+) -> str:
+    """The genus whose whole-nanometre rectangles come closest to ``target``."""
     illuminant = illuminant if illuminant is not None else load_illuminant("D65")
-    obs = obs if obs is not None else load_observer()
-    tgt = target.as_array()
+    obs = obs if obs is not None else load_observer(OBSERVER_2DEG)
+    return _genus_seeds(target, illuminant, obs)[0][0]
+
+
+def _seed_simplex(l1: float, l2: float) -> np.ndarray:
+    """A 1 nm simplex at the seed that widens the band where the grid allows."""
+    d1 = -1.0 if l1 > GRID_START_NM else 1.0
+    d2 = 1.0 if l2 < GRID_STOP_NM else -1.0
+    return np.array([[l1, l2], [l1 + d1, l2], [l1, l2 + d2]])
+
+
+def _solve_genus(
+    genus: str,
+    seed: _Seed,
+    target: Chromaticity,
+    tolerance: float,
+    init: tuple[float, float] | None,
+    illuminant: SpectralDistribution,
+    obs: ObserverTables,
+    max_iterations: int,
+) -> SolveReport:
+    tgt = (target.x, target.y, target.z)
 
     def objective(lam: np.ndarray) -> float:
         l1 = min(max(lam[0], GRID_START_NM), GRID_STOP_NM)
         l2 = min(max(lam[1], GRID_START_NM), GRID_STOP_NM)
         if l1 > l2:
             return np.inf
-        spd = synthesize(OptimalSpectrumParams(genus, l1, l2, 1.0))
-        xyz = spd_to_xyz(spd, illuminant, obs)
+        xyz = spd_to_xyz(synthesize(OptimalSpectrumParams(genus, l1, l2, 1.0)), illuminant, obs)
         if xyz.X + xyz.Y + xyz.Z <= 0:
             return np.inf
-        de = delta_e_xyz(Chromaticity(*(v / (xyz.X + xyz.Y + xyz.Z) for v in xyz.as_array())), Chromaticity(*tgt))
+        de = _delta_e((xyz.X, xyz.Y, xyz.Z), tgt)
         return de + _OUT_OF_RANGE_SLOPE * (abs(lam[0] - l1) + abs(lam[1] - l2))
 
-    options = dict(maxiter=max_iterations, xatol=1e-6, fatol=1e-14)
-    first = minimize(objective, np.asarray(init, dtype=float), method="Nelder-Mead", options=options)
-    iterations = int(first.nit)
-    best_x = np.clip(first.x, GRID_START_NM, GRID_STOP_NM)
-    second = minimize(objective, best_x, method="Nelder-Mead", options=options)
-    iterations += int(second.nit)
-    if second.fun <= first.fun:
-        best_x = np.clip(second.x, GRID_START_NM, GRID_STOP_NM)
+    def polish(x0, simplex=None):
+        options = dict(maxiter=max_iterations, xatol=1e-6, fatol=1e-14, initial_simplex=simplex)
+        res = minimize(objective, x0, method="Nelder-Mead", options=options)
+        l1, l2 = sorted(float(v) for v in np.clip(res.x, GRID_START_NM, GRID_STOP_NM))
+        params = OptimalSpectrumParams(genus, l1, l2, 1.0)
+        return res, params, delta_e_xyz(rectangle_chromaticity(params, illuminant, obs), target)
 
-    l1, l2 = sorted(float(v) for v in best_x)
-    params = OptimalSpectrumParams(genus, l1, l2, 1.0)
-    achieved = delta_e_xyz(rectangle_chromaticity(params, illuminant, obs), target)
-    return SolveReport(params, achieved, iterations, achieved <= tolerance)
+    if init is None:
+        cuts = (seed.lambda1_nm, seed.lambda2_nm)
+        runs = [polish(np.array(cuts), _seed_simplex(*cuts))]
+    else:
+        runs = [polish(np.asarray(init, dtype=float))]
+    first, _, first_delta_e = runs[0]
+    if first_delta_e > tolerance:
+        runs.append(polish(np.clip(first.x, GRID_START_NM, GRID_STOP_NM)))
+    _, params, achieved = min(runs, key=lambda run: run[2])
+    return SolveReport(
+        params,
+        achieved,
+        iterations=sum(int(r.nit) for r, _, _ in runs),
+        converged=achieved <= tolerance,
+        evaluations=sum(int(r.nfev) for r, _, _ in runs),
+        restarts=len(runs) - 1,
+        lattice_delta_e=seed.delta_e,
+    )
+
+
+def solve_optimal(
+    target: Chromaticity,
+    genus: str = BAND_PASS,
+    tolerance: float = DEFAULT_TOLERANCE,
+    init: tuple[float, float] | None = None,
+    illuminant: SpectralDistribution | None = None,
+    obs: ObserverTables | None = None,
+    max_iterations: int = MAX_ITERATIONS,
+) -> SolveReport:
+    """Search cut wavelengths whose rectangular spectrum matches ``target``.
+
+    The bounded Nelder-Mead search starts from the whole-nanometre
+    rectangle nearest to the target, with a 1 nm initial simplex; an
+    explicit ``init`` starts it there instead, with scipy's default
+    simplex.  If the result misses ``tolerance`` the search restarts once
+    from its best point.  Convergence means the achieved chromaticity
+    distance does not exceed ``tolerance``.
+
+    ``genus="auto"`` solves the genus with the lower lattice minimum first
+    (see ``pick_genus``); if that misses the tolerance it solves the other
+    genus too and reports the closer result.
+    """
+    if genus not in (*_GENERA, AUTO_GENUS):
+        raise ValueError(f"genus must be one of {(*_GENERA, AUTO_GENUS)}, got {genus!r}")
+    illuminant = illuminant if illuminant is not None else load_illuminant("D65")
+    obs = obs if obs is not None else load_observer(OBSERVER_2DEG)
+
+    def solve(g: str, seed: _Seed) -> SolveReport:
+        return _solve_genus(g, seed, target, tolerance, init, illuminant, obs, max_iterations)
+
+    if genus != AUTO_GENUS:
+        return solve(genus, _lattice_seed(genus, target, illuminant, obs))
+    (first_genus, first_seed), (second_genus, second_seed) = _genus_seeds(target, illuminant, obs)
+    first = solve(first_genus, first_seed)
+    if first.converged:
+        return first
+    second = solve(second_genus, second_seed)
+    best = second if second.achieved_delta_e < first.achieved_delta_e else first
+    return replace(
+        best,
+        iterations=first.iterations + second.iterations,
+        evaluations=first.evaluations + second.evaluations,
+        restarts=first.restarts + second.restarts,
+    )
 
 
 def scale_to_luminance(
@@ -201,7 +376,7 @@ def scale_to_luminance(
     if not 0.0 <= target_L_C <= 1.0:
         raise ValueError("target_L_C must lie in [0, 1]")
     illuminant = illuminant if illuminant is not None else load_illuminant("D65")
-    obs = obs if obs is not None else load_observer()
+    obs = obs if obs is not None else load_observer(OBSERVER_2DEG)
     _, y_raw, _ = raw_tristimulus(synthesize(params.with_k(1.0)), illuminant, obs)
     if y_raw <= 0:
         raise ValueError("spectrum has zero luminance; cannot scale")
@@ -240,5 +415,5 @@ def table1_suite(
             target.chromaticity, genus, tolerance=tolerance, illuminant=illuminant, obs=obs
         )
         scaled = scale_to_luminance(report.params, target.L_C, illuminant, obs)
-        reports.append(SolveReport(scaled, report.achieved_delta_e, report.iterations, report.converged))
+        reports.append(replace(report, params=scaled))
     return reports

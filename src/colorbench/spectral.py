@@ -244,19 +244,29 @@ def _require_working_grid(*spds: SpectralDistribution):
             )
 
 
+@lru_cache(maxsize=8)
+def tristimulus_weights(illuminant: SpectralDistribution, obs: ObserverTables) -> np.ndarray:
+    """Read-only (GRID_COUNT, 3) table of S * {x_bar, y_bar, z_bar}.
+
+    ``raw_tristimulus(spd)`` is ``spd.values @ table``.  Cached per
+    (illuminant, observer) pair of objects.
+    """
+    _require_working_grid(illuminant)
+    cmf = np.stack([obs.cmf_x.values, obs.cmf_y.values, obs.cmf_z.values], axis=1)
+    table = illuminant.values[:, None] * cmf
+    table.flags.writeable = False
+    return table
+
+
 def raw_tristimulus(
     spd: SpectralDistribution,
     illuminant: SpectralDistribution,
     obs: ObserverTables,
 ) -> tuple[float, float, float]:
     """Unnormalized weighted sums of S * P * {x_bar, y_bar, z_bar}."""
-    _require_working_grid(spd, illuminant)
-    sp = spd.values * illuminant.values
-    return (
-        float(np.sum(sp * obs.cmf_x.values)),
-        float(np.sum(sp * obs.cmf_y.values)),
-        float(np.sum(sp * obs.cmf_z.values)),
-    )
+    _require_working_grid(spd)
+    X, Y, Z = spd.values @ tristimulus_weights(illuminant, obs)
+    return float(X), float(Y), float(Z)
 
 
 def spd_to_xyz(
@@ -268,7 +278,7 @@ def spd_to_xyz(
     illuminant = illuminant if illuminant is not None else load_illuminant("D65")
     obs = obs if obs is not None else load_observer(OBSERVER_2DEG)
     X, Y, Z = raw_tristimulus(spd, illuminant, obs)
-    k = 100.0 / float(np.sum(illuminant.values * obs.cmf_y.values))
+    k = 100.0 / float(np.sum(tristimulus_weights(illuminant, obs)[:, 1]))
     return Tristimulus(max(k * X, 0.0), max(k * Y, 0.0), max(k * Z, 0.0))
 
 

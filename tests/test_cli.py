@@ -71,6 +71,30 @@ def test_solve_optimal_auto_genus(capsys):
     assert json.loads(capsys.readouterr().out)["genus"] == "band_stop"
 
 
+def test_solve_optimal_json_keys_unchanged(capsys):
+    # the solver's observability fields stay out of the CLI output
+    assert run(["solve-optimal", "--target", "0.30,0.60", "--json"]) == 0
+    assert set(json.loads(capsys.readouterr().out)) == {
+        "name", "genus", "lambda1_nm", "lambda2_nm", "K", "delta_e", "iterations", "converged"
+    }
+
+
+def test_solve_optimal_auto_genus_falls_back(capsys):
+    # the band-stop lattice comes closer to this near-white target, but only
+    # a band pass reaches it
+    code = run(["solve-optimal", "--target", "0.31562650669408016,0.3362552415462823", "--json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["genus"] == "band_pass"
+
+
+def test_solve_optimal_explicit_init(capsys):
+    code = run(["solve-optimal", "--target", "0.64,0.33", "--genus", "band_stop",
+                "--init", "420,580", "--json"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["lambda1_nm"] == pytest.approx(413.8, abs=0.1)
+
+
 def test_solve_optimal_bad_target_is_domain_error(capsys):
     assert run(["solve-optimal", "--target", "0.64"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -187,6 +211,41 @@ def test_config_file_with_flag_override(tmp_path, capsys):
 def test_missing_config_is_domain_error(capsys):
     assert run(["targets", "--config", "nope.json"]) == 1
     assert "config file not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"la": "abc"}, "'la' must be a finite number, got \"abc\""),
+        ({"illuminant": 5}, "'illuminant' must be a string, got 5"),
+        ({"la": True}, "'la' must be a finite number, got true"),
+        ({"la": None}, "'la' must be a finite number, got null"),
+        ({"d": "0.5"}, "'d' must be a finite number or null"),
+        ({"primaries": ["0.64"]}, "'primaries' must be a string or null"),
+        ({"luminance": 80}, "unknown config key 'luminance'"),
+        ([1, 2], "config must be a JSON object"),
+    ],
+)
+def test_malformed_config_is_domain_error(tmp_path, capsys, config, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert run(["targets", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_non_finite_config_number_is_domain_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"yb": NaN}')
+    assert run(["targets", "--config", str(path)]) == 1
+    assert "'yb' must be a finite number, got NaN" in capsys.readouterr().err
+
+
+def test_config_accepts_null_for_settings_without_default(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"d": None, "primaries": None, "la": 80}))
+    assert run(["targets", "--config", str(path), "--out-dir", str(tmp_path), "--out", "t.csv"]) == 0
 
 
 def test_out_dir_prefixes_relative_outputs(tmp_path):

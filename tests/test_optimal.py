@@ -17,8 +17,15 @@ from colorbench import (
     table1_suite,
     target_from_weights,
 )
-from colorbench.optimal import TABLE1_COLUMNS
-from colorbench.spectral import GRID_COUNT, GRID_START_NM
+from colorbench.optimal import TABLE1_COLUMNS, _lattice_xyz, _prefix_sums
+from colorbench.spectral import (
+    GRID_COUNT,
+    GRID_START_NM,
+    GRID_STOP_NM,
+    load_illuminant,
+    load_observer,
+    raw_tristimulus,
+)
 
 # printed reference values: lambda1, lambda2, K (displayed row divided by 100,
 # except the white column whose printed entry is already on the K scale)
@@ -43,6 +50,38 @@ REPRODUCIBLE = ("R", "G", "B", "M", "R05", "G05", "B05", "WW")
 
 def bin_index(nm):
     return int(nm - GRID_START_NM)
+
+
+def _interval_coverage(starts, step, a, b):
+    """Reference per-bin coverage of the closed interval [a, b]; bin i spans
+    [start_i, start_i + step), and the final bin additionally ramps to full
+    coverage as b approaches the grid end so that a cut at the end of the
+    spectrum covers the last sample completely."""
+    lo = np.maximum(a, starts)
+    hi = np.minimum(b, starts + step)
+    cov = np.clip((hi - lo) / step, 0.0, 1.0)
+    last = starts[-1]
+    cov[-1] = np.clip((min(b + step, last + 2 * step) - max(a, last)) / step, 0.0, 1.0)
+    return cov
+
+
+def reference_synthesize(genus, l1, l2, k):
+    starts = GRID_START_NM + np.arange(GRID_COUNT, dtype=float)
+    if genus == BAND_PASS:
+        cov = _interval_coverage(starts, 1, l1, l2)
+    else:
+        cov = _interval_coverage(starts, 1, GRID_START_NM, l1) + _interval_coverage(
+            starts, 1, l2, GRID_STOP_NM
+        )
+    return k * np.clip(cov, 0.0, 1.0)
+
+
+# cut wavelengths that hit the grid ends and bin edges as well as bin interiors
+cut_nm = st.one_of(
+    st.floats(360.0, 720.0),
+    st.integers(360, 720).map(float),
+    st.sampled_from([360.0, 360.5, 719.0, 719.5, 720.0]),
+)
 
 
 class TestParams:
@@ -108,12 +147,48 @@ class TestSynthesize:
         total = spd_to_xyz(p).as_array() + spd_to_xyz(s).as_array()
         np.testing.assert_allclose(total, flat.as_array(), rtol=1e-6)
 
+    @given(st.sampled_from([BAND_PASS, BAND_STOP]), cut_nm, cut_nm, st.floats(0.0, 3.0))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_coverage_bit_for_bit(self, genus, a, b, k):
+        l1, l2 = sorted((a, b))
+        got = synthesize(OptimalSpectrumParams(genus, l1, l2, k)).values
+        assert got.tobytes() == reference_synthesize(genus, l1, l2, k).tobytes()
+
     @given(st.floats(400.0, 500.0), st.floats(550.0, 650.0), st.floats(0.01, 4.0))
     @settings(max_examples=40, deadline=None)
     def test_chromaticity_is_k_invariant(self, l1, l2, k):
         base = rectangle_chromaticity(OptimalSpectrumParams(BAND_PASS, l1, l2, 1.0))
         scaled = rectangle_chromaticity(OptimalSpectrumParams(BAND_PASS, l1, l2, k))
         assert base.as_array() == pytest.approx(scaled.as_array(), abs=1e-14)
+
+
+class TestLattice:
+    @given(
+        st.sampled_from([BAND_PASS, BAND_STOP]),
+        st.sampled_from(["D65", "E"]),
+        st.sampled_from(["degree2", "degree10"]),
+        st.one_of(st.integers(0, GRID_COUNT - 1), st.sampled_from([0, GRID_COUNT - 1])),
+        st.one_of(st.integers(0, GRID_COUNT - 1), st.sampled_from([0, GRID_COUNT - 1])),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_prefix_sums_match_synthesized_spectra(self, genus, ill_name, obs_id, i, j):
+        p, q = sorted((i, j))
+        ill, obs = load_illuminant(ill_name), load_observer(obs_id)
+        params = OptimalSpectrumParams(genus, float(GRID_START_NM + p), float(GRID_START_NM + q))
+        ref = np.array(raw_tristimulus(synthesize(params), ill, obs))
+        got = _lattice_xyz(genus, p, q, _prefix_sums(ill, obs))
+        assert np.linalg.norm(got - ref) <= 1e-11 * np.linalg.norm(ref)
+
+    def test_both_grid_ends(self, d65, obs2):
+        prefix = _prefix_sums(d65, obs2)
+        last = GRID_COUNT - 1
+        for genus in (BAND_PASS, BAND_STOP):
+            for p, q in ((0, 0), (0, last), (last, last), (5, last), (0, 5)):
+                params = OptimalSpectrumParams(genus, float(GRID_START_NM + p), float(GRID_START_NM + q))
+                ref = np.array(raw_tristimulus(synthesize(params), d65, obs2))
+                np.testing.assert_allclose(
+                    _lattice_xyz(genus, p, q, prefix), ref, rtol=1e-11, atol=0.0
+                )
 
 
 class TestSolve:
@@ -164,6 +239,45 @@ class TestSolve:
         assert again.params.lambda1_nm == pytest.approx(first.params.lambda1_nm, abs=0.01)
         assert again.params.lambda2_nm == pytest.approx(first.params.lambda2_nm, abs=0.01)
 
+    @pytest.mark.parametrize("name, lattice_delta_e", [("Ye", 1.0e-2), ("C", 9.5e-4)])
+    def test_unreachable_columns_report_their_lattice_minimum(self, name, lattice_delta_e):
+        weights = {n: w for n, w, _ in TABLE1_COLUMNS}[name]
+        report = solve_optimal(target_from_weights(weights).chromaticity, BAND_PASS)
+        assert report.lattice_delta_e == pytest.approx(lattice_delta_e, rel=0.05)
+        assert not report.converged
+        assert report.restarts == 1
+        assert report.evaluations >= report.iterations > 0
+
+    def test_reachable_target_needs_no_restart(self):
+        report = solve_optimal(Chromaticity.from_xy(0.64, 0.33), BAND_STOP)
+        assert report.converged and report.restarts == 0
+        # the polish refines the best whole-nanometre rectangle
+        assert report.achieved_delta_e < report.lattice_delta_e < 2e-3
+
+    def test_auto_genus_falls_back_to_the_other_genus(self):
+        # near white: the band-stop lattice comes closer, but only a band
+        # pass reaches the target
+        target = Chromaticity.from_xy(0.31562650669408016, 0.3362552415462823)
+        assert pick_genus(target) == BAND_STOP
+        stop = solve_optimal(target, BAND_STOP)
+        assert not stop.converged
+        report = solve_optimal(target, "auto")
+        assert report.converged and report.params.genus == BAND_PASS
+        assert report.iterations > stop.iterations
+
+    def test_auto_genus_keeps_the_first_genus_when_it_converges(self):
+        report = solve_optimal(Chromaticity.from_xy(0.30, 0.60), "auto")
+        assert report.converged and report.params.genus == BAND_PASS
+        assert report == solve_optimal(Chromaticity.from_xy(0.30, 0.60), BAND_PASS)
+
+    def test_unknown_genus_rejected(self):
+        with pytest.raises(ValueError, match="genus"):
+            solve_optimal(Chromaticity.from_xy(0.30, 0.60), "notch")
+
+    def test_repeated_solves_are_identical(self):
+        target = Chromaticity.from_xy(0.35, 0.2)
+        assert solve_optimal(target, "auto") == solve_optimal(target, "auto")
+
     def test_result_is_clamped_and_ordered(self):
         report = solve_optimal(Chromaticity.from_xy(0.3127, 0.3290), BAND_PASS)
         p = report.params
@@ -172,14 +286,17 @@ class TestSolve:
 
 class TestPickGenus:
     def test_band_stop_for_purples_and_red(self):
-        white = illuminant_white("D65")
-        assert pick_genus(Chromaticity.from_xy(0.3209, 0.1542), white) == BAND_STOP
-        assert pick_genus(Chromaticity.from_xy(0.64, 0.33), white) == BAND_STOP
-        assert pick_genus(Chromaticity.from_xy(0.15, 0.06), white) == BAND_STOP
+        assert pick_genus(Chromaticity.from_xy(0.3209, 0.1542)) == BAND_STOP
+        assert pick_genus(Chromaticity.from_xy(0.64, 0.33)) == BAND_STOP
+        assert pick_genus(Chromaticity.from_xy(0.15, 0.06)) == BAND_STOP
 
     def test_band_pass_for_green(self):
+        assert pick_genus(Chromaticity.from_xy(0.30, 0.60)) == BAND_PASS
+
+    def test_white_tie_goes_to_band_pass(self):
+        # both genera hold the full spectrum, so both lattice minima are zero
         white = illuminant_white("D65")
-        assert pick_genus(Chromaticity.from_xy(0.30, 0.60), white) == BAND_PASS
+        assert pick_genus(white) == BAND_PASS
 
 
 class TestScaleToLuminance:

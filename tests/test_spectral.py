@@ -1,6 +1,9 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from colorbench import (
     Chromaticity,
@@ -18,7 +21,15 @@ from colorbench import (
     xyz_to_chromaticity,
     y100_to_lc,
 )
-from colorbench.spectral import GRID_COUNT, GRID_START_NM, GRID_STEP_NM
+from colorbench.spectral import (
+    GRID_COUNT,
+    GRID_START_NM,
+    GRID_STEP_NM,
+    raw_tristimulus,
+    tristimulus_weights,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def grid_spd(values):
@@ -119,6 +130,44 @@ class TestSpdToXyz:
             + spd_to_xyz(grid_spd(s2), d65, obs2).as_array()
         )
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+
+
+class TestTristimulusWeights:
+    def test_cached_per_table_pair_and_read_only(self, d65, obs2, obs10):
+        table = tristimulus_weights(d65, obs2)
+        assert table.shape == (GRID_COUNT, 3)
+        assert tristimulus_weights(d65, obs2) is table
+        assert tristimulus_weights(d65, obs10) is not table
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+
+    def test_off_grid_illuminant_rejected(self, obs2):
+        with pytest.raises(ValueError, match="grid mismatch"):
+            tristimulus_weights(SpectralDistribution(360, 5, np.ones(73)), obs2)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.floats(-300.0, 300.0),
+        st.floats(0.0, 1.0),
+        st.sampled_from(["D65", "E"]),
+        st.sampled_from(["degree2", "degree10"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_channel_sums(self, seed, exponent, zero_share, ill_name, obs_id):
+        rng = np.random.default_rng(seed)
+        values = rng.random(GRID_COUNT) * 10.0**exponent
+        values[rng.random(GRID_COUNT) < zero_share] = 0.0
+        spd = grid_spd(values)
+        ill, obs = load_illuminant(ill_name), load_observer(obs_id)
+        sp = spd.values * ill.values
+        raw = np.array([np.sum(sp * t.values) for t in (obs.cmf_x, obs.cmf_y, obs.cmf_z)])
+        k = 100.0 / np.sum(ill.values * obs.cmf_y.values)
+        # the largest component sets the scale: a norm would underflow
+        scale = np.abs(raw).max()
+        np.testing.assert_allclose(raw_tristimulus(spd, ill, obs), raw, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(
+            spd_to_xyz(spd, ill, obs).as_array(), k * raw, rtol=0, atol=1e-12 * k * scale
+        )
 
 
 class TestChromaticity:
@@ -238,6 +287,21 @@ class TestObserverTables:
     def test_unknown_observer_rejected(self):
         with pytest.raises(ValueError):
             load_observer("degree4")
+
+
+class TestBundledTables:
+    def test_generator_reproduces_the_bundled_csvs(self, tmp_path, monkeypatch, capsys):
+        path = ROOT / "tools" / "generate_cie_tables.py"
+        spec = importlib.util.spec_from_file_location("generate_cie_tables", path)
+        generator = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(generator)
+        monkeypatch.setattr(generator, "OUT_DIR", tmp_path)
+        generator.main()
+        bundled = ROOT / "src" / "colorbench" / "data"
+        names = sorted(f.name for f in bundled.glob("*.csv"))
+        assert sorted(f.name for f in tmp_path.iterdir()) == names
+        for name in names:
+            assert (tmp_path / name).read_bytes() == (bundled / name).read_bytes(), name
 
 
 class TestSpectrumCsv:
