@@ -27,6 +27,7 @@ from .spectral import (
     read_spectrum_csv,
     resample,
     spd_to_xyz,
+    to_working_grid,
     xyz_to_chromaticity,
     y100_to_lc,
 )
@@ -59,6 +60,7 @@ from .cam16 import (
     cam16_inverse,
     d65_white_tristimulus,
     delta_e_ucs,
+    j_to_ucs_lightness,
     to_ucs,
     ucs_colorfulness_to_m,
     ucs_lightness_to_j,
@@ -73,6 +75,7 @@ from .atlas import (
     atlas_to_xy,
     gamut_contains,
     generate_atlas,
+    read_atlas_rgb,
     scatter_svg,
     write_atlas_csv,
 )

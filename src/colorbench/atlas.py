@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -20,15 +21,19 @@ from .cam16 import (
     UcsPoint,
     cam16_forward,
     cam16_inverse,
-    to_ucs,
+    j_to_ucs_lightness,
     ucs_colorfulness_to_m,
 )
 from .spectral import Chromaticity, Tristimulus, illuminant_white, xyz_to_chromaticity
-from .targets import REC709_PRIMARIES
+from .targets import REC709_PRIMARIES, rgb_to_xyz_matrix
 
 ATLAS_CSV_HEADER = "J,a_m_prime,b_m_prime,X,Y,Z,x,y,R_lin,G_lin,B_lin"
 
 _GAMUT_TOL = 1e-9
+
+# scatter plots are square; the margin is a fraction of the data span
+_SVG_SIZE_PX = 640
+_SVG_MARGIN = 0.08
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,18 +47,7 @@ class DisplayGamut:
     def __post_init__(self):
         if self.white_luminance <= 0:
             raise ValueError("white luminance must be positive")
-        cols = np.empty((3, 3))
-        for i, p in enumerate(self.primaries):
-            if p.y <= 0:
-                raise ValueError("primary with zero y is degenerate")
-            cols[:, i] = (p.x / p.y, 1.0, p.z / p.y)
-        if abs(np.linalg.det(cols)) < 1e-12:
-            raise ValueError("primaries form a degenerate triangle")
-        white_xyz = np.array([self.white.x / self.white.y, 1.0, self.white.z / self.white.y])
-        scale = np.linalg.solve(cols, white_xyz)
-        if np.any(scale <= 0):
-            raise ValueError("white point lies outside the primary triangle")
-        m = cols * scale * self.white_luminance
+        m = rgb_to_xyz_matrix(self.primaries, self.white) * self.white_luminance
         object.__setattr__(self, "rgb_to_xyz", m)
         object.__setattr__(self, "xyz_to_rgb", np.linalg.inv(m))
 
@@ -117,7 +111,7 @@ def generate_atlas(spec: AtlasSpec) -> AtlasResult:
     Deterministic: candidates are scanned in a fixed order and the output is
     sorted by (b'_M, a'_M).
     """
-    j_prime = 1.7 * spec.J / (1.0 + 0.007 * spec.J)
+    j_prime = j_to_ucs_lightness(spec.J)
     steps = int(math.floor(spec.chroma_bound / spec.spacing))
     failures = 0
     candidates = 0
@@ -187,14 +181,33 @@ def write_atlas_csv(points, path) -> None:
         fh.write(atlas_csv(points))
 
 
-def scatter_svg(
-    xy_pairs,
-    width: int = 640,
-    height: int = 640,
-    margin: float = 0.08,
-    labels: tuple[str, str] = ("a'_M", "b'_M"),
-) -> str:
+def read_atlas_rgb(path) -> list[tuple[float, float, float]]:
+    """Linear RGB (R_lin, G_lin, B_lin) of every row of an atlas CSV."""
+    path = Path(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if not lines or lines[0] != ATLAS_CSV_HEADER:
+        raise ValueError(f"{path}: line 1: expected header {ATLAS_CSV_HEADER!r}")
+    if len(lines) == 1:
+        raise ValueError(f"{path}: line 2: expected at least one atlas row")
+    fields = ATLAS_CSV_HEADER.count(",") + 1
+    rgb = []
+    for i, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != fields:
+            raise ValueError(f"{path}: line {i}: expected {fields} fields, got {len(parts)}")
+        try:
+            values = [float(v) for v in parts]
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {i}: {exc}") from None
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{path}: line {i}: values must be finite")
+        rgb.append(tuple(values[-3:]))
+    return rgb
+
+
+def scatter_svg(xy_pairs, labels: tuple[str, str] = ("a'_M", "b'_M")) -> str:
     """Minimal deterministic scatter plot as an SVG document."""
+    width = height = _SVG_SIZE_PX
     pairs = list(xy_pairs)
     if not pairs:
         raise ValueError("nothing to plot")
@@ -204,7 +217,7 @@ def scatter_svg(
     y0, y1 = min(ys), max(ys)
     span_x = (x1 - x0) or 1.0
     span_y = (y1 - y0) or 1.0
-    pad_x, pad_y = span_x * margin, span_y * margin
+    pad_x, pad_y = span_x * _SVG_MARGIN, span_y * _SVG_MARGIN
     x0, x1 = x0 - pad_x, x1 + pad_x
     y0, y1 = y0 - pad_y, y1 + pad_y
 

@@ -240,10 +240,14 @@ def cam16_inverse(
 
 def to_ucs(app: Cam16Appearance) -> UcsPoint:
     """Project appearance correlates into CAM16-UCS."""
-    J_prime = 1.7 * app.J / (1.0 + 0.007 * app.J)
     M_prime = math.log1p(0.0228 * app.M) / 0.0228
     h_rad = math.radians(app.h)
-    return UcsPoint(J_prime, M_prime * math.cos(h_rad), M_prime * math.sin(h_rad))
+    return UcsPoint(j_to_ucs_lightness(app.J), M_prime * math.cos(h_rad), M_prime * math.sin(h_rad))
+
+
+def j_to_ucs_lightness(J: float) -> float:
+    """The UCS lightness compression J' of CAM16 lightness J."""
+    return 1.7 * J / (1.0 + 0.007 * J)
 
 
 def ucs_lightness_to_j(J_prime: float) -> float:

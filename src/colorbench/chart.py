@@ -112,18 +112,32 @@ def encode_png_rgb16(image: np.ndarray, chrm: tuple | None = None) -> bytes:
 
 
 def decode_png_rgb16(data: bytes) -> np.ndarray:
-    """Decode PNGs produced by :func:`encode_png_rgb16` (filter 0 only)."""
+    """Decode PNGs produced by :func:`encode_png_rgb16` (filter 0 only).
+
+    Every chunk CRC is checked; IHDR must come first and only once, and the
+    stream must end with an IEND chunk.
+    """
     if not data.startswith(_PNG_SIGNATURE):
         raise ValueError("not a PNG stream")
     pos = len(_PNG_SIGNATURE)
     width = height = None
     idat = b""
-    while pos < len(data):
-        (length,) = struct.unpack(">I", data[pos : pos + 4])
-        kind = data[pos + 4 : pos + 8]
-        chunk = data[pos + 8 : pos + 8 + length]
-        pos += 12 + length
+    while True:
+        if pos + 12 > len(data):
+            raise ValueError("truncated PNG stream: no IEND chunk")
+        length, kind = struct.unpack(">I4s", data[pos : pos + 8])
+        end = pos + 12 + length
+        if end > len(data):
+            raise ValueError(f"truncated PNG chunk {kind!r}")
+        chunk = data[pos + 8 : end - 4]
+        if zlib.crc32(kind + chunk) != struct.unpack(">I", data[end - 4 : end])[0]:
+            raise ValueError(f"PNG chunk {kind!r} fails its CRC check")
+        if (kind == b"IHDR") != (width is None):
+            raise ValueError("PNG stream needs exactly one IHDR chunk, first")
+        pos = end
         if kind == b"IHDR":
+            if length != 13:
+                raise ValueError("PNG IHDR chunk must hold 13 bytes")
             width, height, depth, color_type = struct.unpack(">IIBB", chunk[:10])
             if depth != 16 or color_type != 2:
                 raise ValueError("only 16-bit truecolor PNGs are supported")
@@ -131,8 +145,13 @@ def decode_png_rgb16(data: bytes) -> np.ndarray:
             idat += chunk
         elif kind == b"IEND":
             break
-    raw = zlib.decompress(idat)
     stride = 1 + width * 6
+    try:
+        raw = zlib.decompress(idat)
+    except zlib.error as exc:
+        raise ValueError(f"PNG image data: {exc}") from None
+    if len(raw) != height * stride:
+        raise ValueError("PNG image data does not match the IHDR size")
     rows = []
     for r in range(height):
         line = raw[r * stride : (r + 1) * stride]
@@ -179,8 +198,7 @@ def render_chart(
         if rgb.shape != (3,) or np.any(rgb < 0) or np.any(rgb > 1):
             raise ValueError(f"patch {name!r}: linear RGB must be three values in [0, 1]")
         row, col = divmod(idx, layout.cols)
-        y0 = layout.gap_px + row * (layout.patch_px + layout.gap_px)
-        x0 = layout.gap_px + col * (layout.patch_px + layout.gap_px)
+        x0, y0 = patch_pixel_origin(layout, row, col)
         image[y0 : y0 + layout.patch_px, x0 : x0 + layout.patch_px] = encode(rgb)
         xyz = Tristimulus(*(gamut.rgb_to_xyz @ rgb))
         xy = xyz_to_chromaticity(xyz)

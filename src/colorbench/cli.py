@@ -12,6 +12,7 @@ import json
 import sys
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from .atlas import (
     DisplayGamut,
     atlas_to_xy,
     generate_atlas,
+    read_atlas_rgb,
     scatter_svg,
     write_atlas_csv,
 )
@@ -53,7 +55,6 @@ from .spectradb import (
     match_csv,
     match_nearest,
 )
-from .targets import target_from_weights
 
 
 @dataclass
@@ -76,8 +77,6 @@ class RunConfig:
         return read_spectrum_csv(self.illuminant)
 
     def resolve_observer(self):
-        if self.observer not in (OBSERVER_2DEG, OBSERVER_10DEG):
-            raise ValueError(f"unknown observer {self.observer!r}")
         return load_observer(self.observer)
 
     def viewing_conditions(self) -> Cam16ViewingConditions:
@@ -114,10 +113,9 @@ def _parse_pair(text: str, what: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
-def _emit(text: str, out: str | None, cfg: RunConfig | None = None) -> None:
+def _emit(text: str, out: str | None, cfg: RunConfig) -> None:
     if out:
-        target = cfg.out_path(out) if cfg else Path(out)
-        target.write_text(text, encoding="utf-8")
+        cfg.out_path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -141,9 +139,8 @@ def _cmd_solve_optimal(cfg: RunConfig, args) -> int:
     target = Chromaticity.from_xy(x, y)
     illuminant = cfg.resolve_illuminant()
     obs = cfg.resolve_observer()
-    init = _parse_pair(args.init, "--init") if args.init else None
     report = solve_optimal(
-        target, args.genus, tolerance=args.tolerance, init=init, illuminant=illuminant, obs=obs
+        target, args.genus, tolerance=args.tolerance, illuminant=illuminant, obs=obs
     )
     if args.lc is not None:
         report = replace(report, params=scale_to_luminance(report.params, args.lc, illuminant, obs))
@@ -206,13 +203,9 @@ def _cmd_targets(cfg: RunConfig, args) -> int:
 
 
 def _cmd_match(cfg: RunConfig, args) -> int:
-    db_path = Path(args.db)
-    if not db_path.exists():
-        print(f"error: database not found: {db_path}", file=sys.stderr)
-        return 1
     illuminant = cfg.resolve_illuminant()
     obs = cfg.resolve_observer()
-    db = load_database(db_path, fmt=args.format, illuminant=illuminant, obs=obs)
+    db = load_database(args.db, fmt=args.format, illuminant=illuminant, obs=obs)
     results = match_nearest(build_target_set(), db)
     _emit(match_csv(results), args.out, cfg)
     return 0
@@ -247,12 +240,7 @@ def _cmd_chart(cfg: RunConfig, args) -> int:
     gamut = cfg.display_gamut()
     if args.from_atlas:
         source = "atlas"
-        colors = []
-        lines = Path(args.from_atlas).read_text(encoding="utf-8").splitlines()
-        header = lines[0].split(",")
-        for i, line in enumerate(lines[1:]):
-            vals = dict(zip(header, (float(v) for v in line.split(","))))
-            colors.append((f"atlas_{i}", (vals["R_lin"], vals["G_lin"], vals["B_lin"])))
+        colors = [(f"atlas_{i}", rgb) for i, rgb in enumerate(read_atlas_rgb(args.from_atlas))]
     elif args.db:
         source = "matched"
         illuminant = cfg.resolve_illuminant()
@@ -292,7 +280,9 @@ def _cmd_chart(cfg: RunConfig, args) -> int:
     return 0
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="colorbench",
         description="Colorimetric test materials for video path assessment.",
@@ -327,11 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
         "to the target, then the other one if the first misses the tolerance",
     )
     p.add_argument("--tolerance", type=float, default=1e-5)
-    p.add_argument(
-        "--init",
-        metavar="l1,l2",
-        help="initial cut wavelengths (default: the nearest rectangle on the 1 nm cut lattice)",
-    )
     p.add_argument("--lc", type=float, help="scale K to this relative luminance in [0, 1]")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")

@@ -270,10 +270,8 @@ def _solve_genus(
     seed: _Seed,
     target: Chromaticity,
     tolerance: float,
-    init: tuple[float, float] | None,
     illuminant: SpectralDistribution,
     obs: ObserverTables,
-    max_iterations: int,
 ) -> SolveReport:
     tgt = (target.x, target.y, target.z)
 
@@ -289,17 +287,14 @@ def _solve_genus(
         return de + _OUT_OF_RANGE_SLOPE * (abs(lam[0] - l1) + abs(lam[1] - l2))
 
     def polish(x0, simplex=None):
-        options = dict(maxiter=max_iterations, xatol=1e-6, fatol=1e-14, initial_simplex=simplex)
+        options = dict(maxiter=MAX_ITERATIONS, xatol=1e-6, fatol=1e-14, initial_simplex=simplex)
         res = minimize(objective, x0, method="Nelder-Mead", options=options)
         l1, l2 = sorted(float(v) for v in np.clip(res.x, GRID_START_NM, GRID_STOP_NM))
         params = OptimalSpectrumParams(genus, l1, l2, 1.0)
         return res, params, delta_e_xyz(rectangle_chromaticity(params, illuminant, obs), target)
 
-    if init is None:
-        cuts = (seed.lambda1_nm, seed.lambda2_nm)
-        runs = [polish(np.array(cuts), _seed_simplex(*cuts))]
-    else:
-        runs = [polish(np.asarray(init, dtype=float))]
+    cuts = (seed.lambda1_nm, seed.lambda2_nm)
+    runs = [polish(np.array(cuts), _seed_simplex(*cuts))]
     first, _, first_delta_e = runs[0]
     if first_delta_e > tolerance:
         runs.append(polish(np.clip(first.x, GRID_START_NM, GRID_STOP_NM)))
@@ -319,18 +314,15 @@ def solve_optimal(
     target: Chromaticity,
     genus: str = BAND_PASS,
     tolerance: float = DEFAULT_TOLERANCE,
-    init: tuple[float, float] | None = None,
     illuminant: SpectralDistribution | None = None,
     obs: ObserverTables | None = None,
-    max_iterations: int = MAX_ITERATIONS,
 ) -> SolveReport:
     """Search cut wavelengths whose rectangular spectrum matches ``target``.
 
     The bounded Nelder-Mead search starts from the whole-nanometre
-    rectangle nearest to the target, with a 1 nm initial simplex; an
-    explicit ``init`` starts it there instead, with scipy's default
-    simplex.  If the result misses ``tolerance`` the search restarts once
-    from its best point.  Convergence means the achieved chromaticity
+    rectangle nearest to the target, with a 1 nm initial simplex.  If the
+    result misses ``tolerance`` the search restarts once from its best
+    point, with scipy's default simplex.  Convergence means the achieved chromaticity
     distance does not exceed ``tolerance``.
 
     ``genus="auto"`` solves the genus with the lower lattice minimum first
@@ -343,7 +335,7 @@ def solve_optimal(
     obs = obs if obs is not None else load_observer(OBSERVER_2DEG)
 
     def solve(g: str, seed: _Seed) -> SolveReport:
-        return _solve_genus(g, seed, target, tolerance, init, illuminant, obs, max_iterations)
+        return _solve_genus(g, seed, target, tolerance, illuminant, obs)
 
     if genus != AUTO_GENUS:
         return solve(genus, _lattice_seed(genus, target, illuminant, obs))

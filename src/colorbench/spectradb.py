@@ -21,11 +21,9 @@ from .spectral import (
     ObserverTables,
     SpectralDistribution,
     delta_e_xyz,
-    grid_wavelengths,
     spd_to_xyz,
+    to_working_grid,
     xyz_to_chromaticity,
-    GRID_START_NM,
-    GRID_STEP_NM,
 )
 from .targets import TargetColor, target_from_weights
 
@@ -56,11 +54,7 @@ class MatchResult:
 def _record(rid, wavelengths, values, illuminant, obs, line_no) -> SpectraRecord:
     if np.any(np.asarray(values) < 0):
         raise ValueError(f"line {line_no}: record {rid!r} has a negative reflectance value")
-    grid_vals = np.interp(
-        grid_wavelengths(), np.asarray(wavelengths, float), np.asarray(values, float),
-        left=0.0, right=0.0,
-    )
-    spd = SpectralDistribution(GRID_START_NM, GRID_STEP_NM, grid_vals)
+    spd = to_working_grid(wavelengths, values)
     xy = xyz_to_chromaticity(spd_to_xyz(spd, illuminant, obs))
     return SpectraRecord(str(rid), spd, xy)
 

@@ -58,10 +58,6 @@ class SpectralDistribution:
             raise ValueError("spectral samples must be non-negative")
 
     @property
-    def stop_nm(self) -> float:
-        return self.start_nm + self.step_nm * (self.values.size - 1)
-
-    @property
     def wavelengths(self) -> np.ndarray:
         return self.start_nm + self.step_nm * np.arange(self.values.size, dtype=float)
 
@@ -78,21 +74,19 @@ class SpectralDistribution:
         return SpectralDistribution(self.start_nm, self.step_nm, self.values * factor)
 
 
-def resample(
-    spd: SpectralDistribution,
-    start_nm: int = GRID_START_NM,
-    step_nm: int = GRID_STEP_NM,
-    count: int = GRID_COUNT,
-) -> SpectralDistribution:
-    """Resample onto a new uniform grid.
+def to_working_grid(wavelengths, values) -> SpectralDistribution:
+    """Interpolate samples taken at increasing ``wavelengths`` (nm) onto the
+    working grid: linear inside the source support, zero outside it."""
+    vals = np.interp(
+        grid_wavelengths(), np.asarray(wavelengths, float), np.asarray(values, float),
+        left=0.0, right=0.0,
+    )
+    return SpectralDistribution(GRID_START_NM, GRID_STEP_NM, vals)
 
-    Linear interpolation inside the source support, zero outside it.
-    """
-    if step_nm <= 0 or count < 1:
-        raise ValueError("target grid must be increasing and non-empty")
-    new_wl = start_nm + step_nm * np.arange(count, dtype=float)
-    vals = np.interp(new_wl, spd.wavelengths, spd.values, left=0.0, right=0.0)
-    return SpectralDistribution(start_nm, step_nm, vals)
+
+def resample(spd: SpectralDistribution) -> SpectralDistribution:
+    """Resample a spectrum onto the working grid (see ``to_working_grid``)."""
+    return to_working_grid(spd.wavelengths, spd.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,9 +224,7 @@ def read_spectrum_csv(path) -> SpectralDistribution:
         vals.append(v)
     if not wl:
         raise ValueError(f"{path}: no spectral samples")
-    new_wl = grid_wavelengths()
-    grid_vals = np.interp(new_wl, np.asarray(wl), np.asarray(vals), left=0.0, right=0.0)
-    return SpectralDistribution(GRID_START_NM, GRID_STEP_NM, grid_vals)
+    return to_working_grid(wl, vals)
 
 
 def _require_working_grid(*spds: SpectralDistribution):

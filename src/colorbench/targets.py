@@ -38,8 +38,10 @@ def rgb_to_xyz_matrix(
     cols = np.empty((3, 3))
     for i, p in enumerate(primaries):
         if p.y <= 0:
-            raise ValueError("primary with zero y has no finite XYZ direction")
+            raise ValueError("primary with zero y is degenerate")
         cols[:, i] = (p.x / p.y, 1.0, p.z / p.y)
+    if abs(np.linalg.det(cols)) < 1e-12:
+        raise ValueError("primaries form a degenerate triangle")
     white_xyz = np.array([white.x / white.y, 1.0, white.z / white.y])
     scale = np.linalg.solve(cols, white_xyz)
     if np.any(scale <= 0):
@@ -100,11 +102,7 @@ class TargetColor:
         return Chromaticity.from_xy(self.x, self.y)
 
 
-def target_from_weights(
-    rgb_weights,
-    name: str = "",
-    matrix: np.ndarray | None = None,
-) -> TargetColor:
+def target_from_weights(rgb_weights, name: str = "") -> TargetColor:
     """Build a TargetColor from linear RGB weights via the BT.709 matrix."""
     w = np.asarray(rgb_weights, dtype=float)
     if w.shape != (3,):
@@ -113,14 +111,12 @@ def target_from_weights(
         raise ValueError("rgb weights must be non-negative")
     if not np.any(w):
         raise ValueError("rgb weights must not all be zero")
-    m = matrix if matrix is not None else _default_matrix()
-    xyz = m @ w
+    xyz = _default_matrix() @ w
     chroma = xyz_to_chromaticity(Tristimulus(*xyz))
     return TargetColor(name, tuple(w), chroma.x, chroma.y, float(xyz[1]))
 
 
-def target_tristimulus(target: TargetColor, matrix: np.ndarray | None = None) -> Tristimulus:
+def target_tristimulus(target: TargetColor) -> Tristimulus:
     """XYZ of a target color on the 0-100 scale."""
-    m = matrix if matrix is not None else _default_matrix()
-    xyz = m @ np.asarray(target.rgb_weights)
+    xyz = _default_matrix() @ np.asarray(target.rgb_weights)
     return Tristimulus(*(100.0 * xyz))

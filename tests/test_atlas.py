@@ -19,7 +19,7 @@ from colorbench import (
     scatter_svg,
     to_ucs,
 )
-from colorbench.targets import REC709_PRIMARIES, point_in_triangle
+from colorbench.targets import REC709_PRIMARIES, point_in_triangle, rgb_to_xyz_matrix
 
 
 @pytest.fixture(scope="module")
@@ -51,8 +51,12 @@ class TestGamut:
 
     def test_degenerate_primaries_rejected(self):
         p = Chromaticity.from_xy(0.3, 0.3)
-        with pytest.raises(ValueError, match="degenerate"):
-            DisplayGamut(primaries=(p, p, p))
+        cases = [(p, p, p), (Chromaticity.from_xy(0.7, 0.0), *REC709_PRIMARIES[1:])]
+        builders = [rgb_to_xyz_matrix, lambda prim: DisplayGamut(primaries=prim)]
+        for build in builders:
+            for primaries in cases:
+                with pytest.raises(ValueError, match="degenerate"):
+                    build(primaries)
 
 
 class TestAtlasSpec:

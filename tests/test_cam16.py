@@ -13,6 +13,7 @@ from colorbench import (
     cam16_inverse,
     d65_white_tristimulus,
     delta_e_ucs,
+    j_to_ucs_lightness,
     to_ucs,
     ucs_colorfulness_to_m,
     ucs_lightness_to_j,
@@ -181,8 +182,7 @@ class TestUcs:
 
     def test_compression_inverses(self):
         for j in (5.0, 41.7, 88.8):
-            j_prime = 1.7 * j / (1 + 0.007 * j)
-            assert ucs_lightness_to_j(j_prime) == pytest.approx(j, rel=1e-12)
+            assert ucs_lightness_to_j(j_to_ucs_lightness(j)) == pytest.approx(j, rel=1e-12)
         for m in (0.0, 0.5, 30.0, 90.0):
             m_prime = math.log1p(0.0228 * m) / 0.0228
             assert ucs_colorfulness_to_m(m_prime) == pytest.approx(m, rel=1e-12, abs=1e-12)

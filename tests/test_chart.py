@@ -61,6 +61,30 @@ class TestPngCodec:
         img = rng.randint(0, 65536, size=(17, 23, 3)).astype(np.uint16)
         assert np.array_equal(decode_png_rgb16(encode_png_rgb16(img)), img)
 
+    @pytest.fixture
+    def png(self):
+        img = np.arange(2 * 3 * 3, dtype=np.uint16).reshape(2, 3, 3) * 1000
+        return encode_png_rgb16(img)
+
+    def test_flipped_idat_byte_fails_crc(self, png):
+        pos = png.index(b"IDAT") + 6
+        bad = png[:pos] + bytes([png[pos] ^ 0x01]) + png[pos + 1 :]
+        with pytest.raises(ValueError, match="CRC"):
+            decode_png_rgb16(bad)
+
+    def test_missing_ihdr_rejected(self, png):
+        with pytest.raises(ValueError, match="IHDR"):
+            decode_png_rgb16(png[:8] + png[8 + 25 :])
+
+    def test_repeated_ihdr_rejected(self, png):
+        with pytest.raises(ValueError, match="IHDR"):
+            decode_png_rgb16(png[: 8 + 25] + png[8 : 8 + 25] + png[8 + 25 :])
+
+    @pytest.mark.parametrize("cut", [1, 12, 13, 20])
+    def test_truncated_stream_rejected(self, png, cut):
+        with pytest.raises(ValueError, match="truncated"):
+            decode_png_rgb16(png[:-cut])
+
     def test_opencv_reads_our_png(self):
         cv2 = pytest.importorskip("cv2")
         rng = np.random.RandomState(4)

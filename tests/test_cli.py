@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from colorbench import (
+    ATLAS_CSV_HEADER,
     AtlasSpec,
     Cam16ViewingConditions,
     ChartLayout,
@@ -87,12 +88,18 @@ def test_solve_optimal_auto_genus_falls_back(capsys):
     assert json.loads(capsys.readouterr().out)["genus"] == "band_pass"
 
 
-def test_solve_optimal_explicit_init(capsys):
-    code = run(["solve-optimal", "--target", "0.64,0.33", "--genus", "band_stop",
-                "--init", "420,580", "--json"])
-    assert code == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["lambda1_nm"] == pytest.approx(413.8, abs=0.1)
+def test_solve_optimal_init_is_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        run(["solve-optimal", "--target", "0.64,0.33", "--init", "1,2"])
+    assert exc.value.code == 2
+
+
+def test_flags_do_not_carry_over_between_runs(tmp_path, capsys):
+    out = tmp_path / "t.json"
+    assert run(["targets", "--json", "--out", str(out)]) == 0
+    assert run(["targets"]) == 0
+    assert capsys.readouterr().out.startswith("name,R,G,B,x,y,L_C\n")
+    assert json.loads(out.read_text())[0]["name"] == "R"
 
 
 def test_solve_optimal_bad_target_is_domain_error(capsys):
@@ -186,6 +193,32 @@ def test_chart_from_atlas(tmp_path):
         ["chart", "--from-atlas", str(acsv), "--cols", "8", "--patch-px", "8", "--out", str(out)]
     ) == 0
     assert out.exists()
+
+
+_ATLAS_ROW = ",".join(["0.5"] * 11)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("", 1),
+        ("J,a_m_prime,b_m_prime,X,Y,Z,x,y,R,G,B\n" + _ATLAS_ROW + "\n", 1),
+        (ATLAS_CSV_HEADER + "\n", 2),
+        (ATLAS_CSV_HEADER + "\n" + _ATLAS_ROW + ",0.5\n", 2),
+        (ATLAS_CSV_HEADER + "\n" + _ATLAS_ROW + "\n0.5,0.5\n", 3),
+        (ATLAS_CSV_HEADER + "\n" + _ATLAS_ROW[:-3] + "abc\n", 2),
+        (ATLAS_CSV_HEADER + "\n" + _ATLAS_ROW[:-3] + "nan\n", 2),
+    ],
+    ids=["empty", "no_R_lin", "header_only", "extra_field", "short_row", "text", "nan"],
+)
+def test_chart_from_malformed_atlas_is_domain_error(tmp_path, capsys, text, line):
+    acsv = tmp_path / "a.csv"
+    acsv.write_text(text)
+    assert run(["chart", "--from-atlas", str(acsv), "--out", str(tmp_path / "c.png")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {acsv}: line {line}: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "c.png").exists()
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

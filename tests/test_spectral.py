@@ -70,14 +70,8 @@ class TestResample:
 
     def test_linear_midpoint(self):
         src = SpectralDistribution(500, 10, [0.0, 1.0])
-        out = resample(src, start_nm=505, step_nm=1, count=1)
-        assert out.values[0] == pytest.approx(0.5)
-
-    def test_rejects_bad_target_grid(self, flat_spd):
-        with pytest.raises(ValueError):
-            resample(flat_spd, step_nm=-1)
-        with pytest.raises(ValueError):
-            resample(flat_spd, count=0)
+        out = resample(src)
+        assert out.values[505 - GRID_START_NM] == pytest.approx(0.5)
 
 
 class TestSpdToXyz:
