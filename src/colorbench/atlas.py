@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -24,12 +23,22 @@ from .cam16 import (
     j_to_ucs_lightness,
     ucs_colorfulness_to_m,
 )
-from .spectral import Chromaticity, Tristimulus, illuminant_white, xyz_to_chromaticity
+from .spectral import (
+    Chromaticity,
+    Tristimulus,
+    illuminant_white,
+    line_error,
+    read_csv,
+    xyz_to_chromaticity,
+)
 from .targets import REC709_PRIMARIES, rgb_to_xyz_matrix
 
 ATLAS_CSV_HEADER = "J,a_m_prime,b_m_prime,X,Y,Z,x,y,R_lin,G_lin,B_lin"
 
 _GAMUT_TOL = 1e-9
+
+# the work budget of one slice: about ten seconds of CAM16 inversions
+MAX_ATLAS_CANDIDATES = 250_000
 
 # scatter plots are square; the margin is a fraction of the data span
 _SVG_SIZE_PX = 640
@@ -45,8 +54,8 @@ class DisplayGamut:
     white_luminance: float = 100.0
 
     def __post_init__(self):
-        if self.white_luminance <= 0:
-            raise ValueError("white luminance must be positive")
+        if not 0.0 < self.white_luminance < math.inf:
+            raise ValueError("white luminance must be finite and positive")
         m = rgb_to_xyz_matrix(self.primaries, self.white) * self.white_luminance
         object.__setattr__(self, "rgb_to_xyz", m)
         object.__setattr__(self, "xyz_to_rgb", np.linalg.inv(m))
@@ -75,10 +84,17 @@ class AtlasSpec:
     def __post_init__(self):
         if not 0.0 < self.J < 100.0:
             raise ValueError("lightness J must lie in (0, 100)")
-        if self.spacing <= 0:
-            raise ValueError("spacing must be positive")
-        if self.chroma_bound <= 0:
-            raise ValueError("chroma bound must be positive")
+        if not 0.0 < self.spacing < math.inf:
+            raise ValueError("spacing must be finite and positive")
+        if not 0.0 < self.chroma_bound < math.inf:
+            raise ValueError("chroma bound must be finite and positive")
+        # clamped before the floor, which overflows on a huge ratio
+        steps = math.floor(min(self.chroma_bound / self.spacing, MAX_ATLAS_CANDIDATES))
+        if (2 * steps + 1) ** 2 > MAX_ATLAS_CANDIDATES:
+            raise ValueError(
+                f"the lattice has more than {MAX_ATLAS_CANDIDATES} candidates: "
+                "raise the spacing or lower the chroma bound"
+            )
 
 
 @dataclass(frozen=True)
@@ -182,27 +198,15 @@ def write_atlas_csv(points, path) -> None:
 
 
 def read_atlas_rgb(path) -> list[tuple[float, float, float]]:
-    """Linear RGB (R_lin, G_lin, B_lin) of every row of an atlas CSV."""
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != ATLAS_CSV_HEADER:
-        raise ValueError(f"{path}: line 1: expected header {ATLAS_CSV_HEADER!r}")
-    if len(lines) == 1:
-        raise ValueError(f"{path}: line 2: expected at least one atlas row")
-    fields = ATLAS_CSV_HEADER.count(",") + 1
-    rgb = []
-    for i, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != fields:
-            raise ValueError(f"{path}: line {i}: expected {fields} fields, got {len(parts)}")
-        try:
-            values = [float(v) for v in parts]
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {i}: {exc}") from None
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"{path}: line {i}: values must be finite")
-        rgb.append(tuple(values[-3:]))
-    return rgb
+    """Linear RGB (R_lin, G_lin, B_lin) of every row of an atlas CSV (see
+    ``spectral.read_csv``); each must lie in [0, 1]."""
+    table = read_csv(path, ATLAS_CSV_HEADER)
+    rgb = table.values[:, -3:]
+    outside = ((rgb < 0) | (rgb > 1)).any(axis=1)
+    if outside.any():
+        line = table.lines[int(np.argmax(outside))]
+        raise line_error(table.path, line, "R_lin, G_lin and B_lin must lie in [0, 1]")
+    return [tuple(row) for row in rgb.tolist()]
 
 
 def scatter_svg(xy_pairs, labels: tuple[str, str] = ("a'_M", "b'_M")) -> str:

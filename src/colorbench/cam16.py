@@ -70,8 +70,8 @@ class Cam16ViewingConditions:
     def __post_init__(self):
         if self.surround not in SURROUNDS:
             raise ValueError(f"surround must be one of {tuple(SURROUNDS)}, got {self.surround!r}")
-        if self.L_A <= 0:
-            raise ValueError("adapting luminance L_A must be positive")
+        if not 0.0 < self.L_A < math.inf:
+            raise ValueError("adapting luminance L_A must be finite and positive")
         if not 0.0 <= self.Y_b <= 100.0:
             raise ValueError("background luminance Y_b must lie in [0, 100]")
         if abs(self.white.Y - 100.0) > 1e-6:

@@ -27,6 +27,9 @@ LINEAR_TRANSFER = "linear"
 
 _PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 
+# the largest chart, a DCI 4K frame: rendering takes about 70 bytes a pixel
+MAX_CHART_PIXELS = 4096 * 2160
+
 
 def oetf_bt709(linear):
     """Rec. BT.709 opto-electronic transfer function."""
@@ -57,6 +60,9 @@ class ChartLayout:
             raise ValueError("pixel dimensions must be positive")
         if any(not 0.0 <= v <= 1.0 for v in self.background_rgb):
             raise ValueError("background must be a linear RGB triple in [0, 1]")
+        w, h = self.image_size
+        if w * h > MAX_CHART_PIXELS:
+            raise ValueError(f"a {w}x{h} px chart exceeds {MAX_CHART_PIXELS} pixels")
 
     @property
     def image_size(self) -> tuple[int, int]:

@@ -256,6 +256,8 @@ def _cmd_chart(cfg: RunConfig, args) -> int:
         targets = build_target_set()
         peak = max(max(t.rgb_weights) for t in targets)
         colors = [(t.name, tuple(w / peak for w in t.rgb_weights)) for t in targets]
+    if args.cols < 1:
+        raise ValueError("--cols must be at least 1")
     rows = args.rows or int(np.ceil(len(colors) / args.cols))
     layout = ChartLayout(rows=rows, cols=args.cols, patch_px=args.patch_px, gap_px=args.gap_px)
     transfer = LINEAR_TRANSFER if args.linear else BT709_TRANSFER

@@ -331,6 +331,8 @@ def solve_optimal(
     """
     if genus not in (*_GENERA, AUTO_GENUS):
         raise ValueError(f"genus must be one of {(*_GENERA, AUTO_GENUS)}, got {genus!r}")
+    if not 0.0 < tolerance < math.inf:
+        raise ValueError("tolerance must be finite and positive")
     illuminant = illuminant if illuminant is not None else load_illuminant("D65")
     obs = obs if obs is not None else load_observer(OBSERVER_2DEG)
 

@@ -1,10 +1,11 @@
 """Reflectance database ingestion and nearest-spectrum matching.
 
-Two text layouts are accepted.  Wide CSV has one record per row: an ``id``
-column followed by integer wavelength headers.  Long CSV has columns
-``id,wavelength_nm,value`` with each record's wavelengths strictly
-increasing.  Every record is resampled to the working grid at load time and
-its chromaticity under the session illuminant/observer is cached.
+Two text layouts are accepted, both read by ``spectral.read_csv``.  Wide
+CSV has one record per row: an ``id`` column followed by wavelength
+headers.  Long CSV has columns ``id,wavelength_nm,value``; a record is a
+run of rows with one id.  Each record's wavelengths strictly increase.
+Every record is resampled to the working grid at load time and its
+chromaticity under the session illuminant/observer is cached.
 
 Matching is an exhaustive scan for the record minimizing the xyz
 chromaticity distance; ties break on the lexicographically smallest id.
@@ -14,13 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .spectral import (
     Chromaticity,
     ObserverTables,
     SpectralDistribution,
+    check_samples,
     delta_e_xyz,
+    line_error,
+    read_csv,
     spd_to_xyz,
     to_working_grid,
     xyz_to_chromaticity,
@@ -51,108 +53,42 @@ class MatchResult:
     delta_e: float
 
 
-def _record(rid, wavelengths, values, illuminant, obs, line_no) -> SpectraRecord:
-    if np.any(np.asarray(values) < 0):
-        raise ValueError(f"line {line_no}: record {rid!r} has a negative reflectance value")
-    spd = to_working_grid(wavelengths, values)
-    xy = xyz_to_chromaticity(spd_to_xyz(spd, illuminant, obs))
-    return SpectraRecord(str(rid), spd, xy)
-
-
-def _load_wide(lines, illuminant, obs):
-    header = lines[0].split(",")
-    if header[0].strip() != "id" or len(header) < 2:
-        raise ValueError("line 1: wide CSV header must be 'id' followed by wavelengths")
-    try:
-        wavelengths = [float(h) for h in header[1:]]
-    except ValueError:
-        raise ValueError("line 1: wide CSV header wavelengths must be numeric") from None
-    if any(b <= a for a, b in zip(wavelengths, wavelengths[1:])):
-        raise ValueError("line 1: wide CSV wavelengths must be strictly increasing")
-    records = []
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != len(header):
-            raise ValueError(f"line {i}: expected {len(header)} fields, got {len(parts)}")
-        try:
-            values = [float(v) for v in parts[1:]]
-        except ValueError as exc:
-            raise ValueError(f"line {i}: {exc}") from None
-        records.append(_record(parts[0].strip(), wavelengths, values, illuminant, obs, i))
-    return records
-
-
-def _load_long(lines, illuminant, obs):
-    if lines[0].strip() != "id,wavelength_nm,value":
-        raise ValueError("line 1: long CSV header must be 'id,wavelength_nm,value'")
-    groups: dict[str, list[tuple[float, float]]] = {}
-    order: list[str] = []
-    first_line: dict[str, int] = {}
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"line {i}: expected three comma-separated fields")
-        rid = parts[0].strip()
-        try:
-            w, v = float(parts[1]), float(parts[2])
-        except ValueError as exc:
-            raise ValueError(f"line {i}: {exc}") from None
-        if rid not in groups:
-            # records must be contiguous; a reappearing id is a duplicate
-            if rid in first_line:
-                raise ValueError(f"line {i}: duplicate record id {rid!r}")
-            groups[rid] = []
-            order.append(rid)
-            first_line[rid] = i
-        elif order[-1] != rid:
-            raise ValueError(f"line {i}: duplicate record id {rid!r}")
-        if groups[rid] and w <= groups[rid][-1][0]:
-            raise ValueError(f"line {i}: wavelengths must be strictly increasing within a record")
-        if v < 0:
-            raise ValueError(f"line {i}: record {rid!r} has a negative reflectance value")
-        groups[rid].append((w, v))
-    records = []
-    for rid in order:
-        wl = [p[0] for p in groups[rid]]
-        vals = [p[1] for p in groups[rid]]
-        records.append(_record(rid, wl, vals, illuminant, obs, first_line[rid]))
-    return records
-
-
 def load_database(
     path,
     fmt: str = WIDE_CSV,
     illuminant: SpectralDistribution | None = None,
     obs: ObserverTables | None = None,
 ) -> list[SpectraRecord]:
-    """Load a reflectance database file and cache per-record chromaticities."""
+    """Load a reflectance database file (see ``spectral.read_csv``) and cache
+    per-record chromaticities."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"database not found: {path}")
-    text = path.read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines or not any(l.strip() for l in lines):
-        raise ValueError(f"{path}: empty database file")
-    try:
-        if fmt == WIDE_CSV:
-            records = _load_wide(lines, illuminant, obs)
-        elif fmt == LONG_CSV:
-            records = _load_long(lines, illuminant, obs)
-        else:
-            raise ValueError(f"unknown database format {fmt!r}")
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    if not records:
-        raise ValueError(f"{path}: database contains no records")
-    seen = set()
-    for r in records:
-        if r.id in seen:
-            raise ValueError(f"{path}: duplicate record id {r.id!r}")
-        seen.add(r.id)
+    if fmt == WIDE_CSV:
+        table = read_csv(path, "id", numeric_columns=True)
+        check_samples(table)
+        runs = [(k, table.columns, row) for k, row in enumerate(table.values)]
+    elif fmt == LONG_CSV:
+        table = read_csv(path, "id,wavelength_nm,value")
+        # a long record is a run of rows with one id
+        starts = [k for k, rid in enumerate(table.ids) if k == 0 or rid != table.ids[k - 1]]
+        check_samples(table, starts)
+        runs = [(a, *table.values[a:b].T) for a, b in zip(starts, starts[1:] + [len(table.ids)])]
+    else:
+        raise ValueError(f"unknown database format {fmt!r}")
+    records, seen = [], set()
+    for k, wavelengths, values in runs:
+        rid, line = table.ids[k], table.lines[k]
+        if rid in seen:
+            raise line_error(path, line, f"duplicate record id {rid!r}")
+        seen.add(rid)
+        spd = to_working_grid(wavelengths, values)
+        xyz = spd_to_xyz(spd, illuminant, obs)
+        try:
+            xy = xyz_to_chromaticity(xyz)
+        except ValueError as exc:
+            raise line_error(path, line, f"record {rid!r}: {exc}") from None
+        records.append(SpectraRecord(rid, spd, xy))
     return records
 
 

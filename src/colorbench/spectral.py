@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -157,14 +158,84 @@ class Chromaticity:
         return np.array([self.x, self.y, self.z], dtype=float)
 
 
-def _read_table(name: str) -> np.ndarray:
-    rows = []
-    path = _DATA_DIR / name
-    for line in path.read_text().splitlines():
-        if not line or line.startswith("#") or line[0].isalpha() or line.startswith("wavelength"):
+def line_error(path, line: int, message) -> ValueError:
+    """The one form of an input-file error: ``<path>: line <n>: <message>``."""
+    return ValueError(f"{path}: line {line}: {message}")
+
+
+class CsvTable(NamedTuple):
+    """Rows read by ``read_csv``, with the file line and id (if any) of each."""
+
+    path: Path
+    header_line: int
+    lines: list[int]
+    ids: list[str]
+    values: np.ndarray
+    columns: np.ndarray | None  # the numbers that end a numeric-columns header
+
+
+def read_csv(path, header: str, numeric_columns: bool = False) -> CsvTable:
+    """Read a comma-separated table of finite numbers.
+
+    ``#`` lines before the header are comments.  The header is ``header``;
+    if that starts with ``id``, so does every row.  With ``numeric_columns``
+    the header is ``id`` followed by one or more numbers (a wide database's
+    wavelengths).  Blank lines after the header are skipped, every other
+    line has the header's field count, at least one row follows the header,
+    and every error names its line.
+    """
+    path = Path(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    first = next((n for n, line in enumerate(lines) if not line.startswith("#")), len(lines))
+    expected = header + ",<wavelength>,..." * numeric_columns
+    if first == len(lines):
+        raise line_error(path, first + 1, f"empty file, expected header {expected!r}")
+    names, fields = header.split(","), [f.strip() for f in lines[first].split(",")]
+    if fields[: len(names)] != names or (len(fields) > len(names)) != numeric_columns:
+        raise line_error(path, first + 1, f"expected header {expected!r}")
+    width, skip = len(fields), int(names[0] == "id")
+    ids, rows, numbers = [], [], []
+    # the numbers of a numeric-columns header parse as a first row
+    start = first + 1 - numeric_columns
+    for n, line in enumerate(lines[start:], start + 1):
+        if not line.strip():
             continue
-        rows.append([float(tok) for tok in line.split(",")])
-    return np.asarray(rows, dtype=float)
+        parts = line.split(",")
+        if len(parts) != width:
+            raise line_error(path, n, f"expected {width} fields, got {len(parts)}")
+        try:
+            numbers.extend(map(float, parts[skip:]))
+        except ValueError as exc:
+            raise line_error(path, n, exc) from None
+        if skip:
+            ids.append(parts[0].strip())
+        rows.append(n)
+    values = np.array(numbers).reshape(len(rows), width - skip)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise line_error(path, rows[int(np.argmin(finite))], "numbers must be finite")
+    if len(rows) == numeric_columns:
+        raise line_error(path, len(lines) + 1, "expected at least one row after the header")
+    k = int(numeric_columns)
+    return CsvTable(path, first + 1, rows[k:], ids[k:], values[k:], values[0] if k else None)
+
+
+def check_samples(table: CsvTable, record_starts=()) -> None:
+    """Require a spectral table's wavelengths to increase strictly within
+    each record (``record_starts`` holds the index of each record's first
+    row, in order) and its samples to be non-negative.  The wavelengths are
+    the header's numeric columns if it has them, else the first number of
+    each row; the samples are the other numbers."""
+    wide = table.columns is not None
+    rising = np.diff(table.columns if wide else table.values[:, 0]) > 0
+    rising[np.asarray(record_starts[1:], dtype=int) - 1] = True
+    if not rising.all():
+        line = table.header_line if wide else table.lines[int(np.argmin(rising)) + 1]
+        raise line_error(table.path, line, "wavelengths must be strictly increasing")
+    negative = (table.values[:, int(not wide):] < 0).any(axis=1)
+    if negative.any():
+        line = table.lines[int(np.argmax(negative))]
+        raise line_error(table.path, line, "samples must be non-negative")
 
 
 @lru_cache(maxsize=None)
@@ -172,9 +243,9 @@ def load_observer(observer_id: str = OBSERVER_2DEG) -> ObserverTables:
     """Bundled CIE standard observer, resampled to the working grid."""
     if observer_id not in _OBSERVER_FILES:
         raise ValueError(f"unknown observer id: {observer_id!r}")
-    table = _read_table(_OBSERVER_FILES[observer_id])
-    start = int(table[0, 0])
-    make = lambda col: SpectralDistribution(start, 1, table[:, col])
+    path = _DATA_DIR / _OBSERVER_FILES[observer_id]
+    table = read_csv(path, "wavelength_nm,x_bar,y_bar,z_bar").values
+    make = lambda col: to_working_grid(table[:, 0], table[:, col])
     return ObserverTables(make(1), make(2), make(3), observer_id)
 
 
@@ -186,45 +257,18 @@ def load_illuminant(name: str = "D65") -> SpectralDistribution:
     """
     key = name.upper()
     if key == "D65":
-        table = _read_table("illuminant_d65_1nm.csv")
-        return SpectralDistribution(int(table[0, 0]), 1, table[:, 1])
+        return read_spectrum_csv(_DATA_DIR / "illuminant_d65_1nm.csv")
     if key == "E":
         return SpectralDistribution(GRID_START_NM, GRID_STEP_NM, np.full(GRID_COUNT, 100.0))
     raise ValueError(f"unknown illuminant {name!r} (expected 'D65' or 'E')")
 
 
 def read_spectrum_csv(path) -> SpectralDistribution:
-    """Read a ``wavelength_nm,value`` CSV and resample it to the working grid.
-
-    Wavelengths must be strictly increasing; values use a decimal point and
-    no thousands separators.
-    """
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty spectrum file")
-    if lines[0].strip() != "wavelength_nm,value":
-        raise ValueError(f"{path}: line 1: expected header 'wavelength_nm,value'")
-    wl, vals = [], []
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"{path}: line {i}: expected two comma-separated fields")
-        try:
-            w, v = float(parts[0]), float(parts[1])
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {i}: {exc}") from None
-        if wl and w <= wl[-1]:
-            raise ValueError(f"{path}: line {i}: wavelengths must be strictly increasing")
-        if v < 0:
-            raise ValueError(f"{path}: line {i}: negative spectral value")
-        wl.append(w)
-        vals.append(v)
-    if not wl:
-        raise ValueError(f"{path}: no spectral samples")
-    return to_working_grid(wl, vals)
+    """Read a ``wavelength_nm,value`` CSV (see ``read_csv``) with strictly
+    increasing wavelengths and resample it to the working grid."""
+    table = read_csv(path, "wavelength_nm,value")
+    check_samples(table)
+    return to_working_grid(*table.values.T)
 
 
 def _require_working_grid(*spds: SpectralDistribution):
@@ -246,6 +290,8 @@ def tristimulus_weights(illuminant: SpectralDistribution, obs: ObserverTables) -
     _require_working_grid(illuminant)
     cmf = np.stack([obs.cmf_x.values, obs.cmf_y.values, obs.cmf_z.values], axis=1)
     table = illuminant.values[:, None] * cmf
+    if not table[:, 1].sum() > 0:
+        raise ValueError("the illuminant has no power where y_bar is positive")
     table.flags.writeable = False
     return table
 

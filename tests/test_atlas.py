@@ -19,6 +19,7 @@ from colorbench import (
     scatter_svg,
     to_ucs,
 )
+from colorbench.atlas import MAX_ATLAS_CANDIDATES
 from colorbench.targets import REC709_PRIMARIES, point_in_triangle, rgb_to_xyz_matrix
 
 
@@ -65,6 +66,25 @@ class TestAtlasSpec:
             AtlasSpec(vc=vc_avg, J=0.0)
         with pytest.raises(ValueError):
             AtlasSpec(vc=vc_avg, J=50.0, spacing=0.0)
+
+    @pytest.mark.parametrize("field", ["spacing", "chroma_bound"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_spacing_and_bound_finite_positive(self, vc_avg, field, value):
+        with pytest.raises(ValueError, match="finite and positive"):
+            AtlasSpec(vc=vc_avg, J=50.0, **{field: value})
+
+    def test_candidate_budget(self, vc_avg):
+        side = 2 * int(60.0 // 0.25) + 1
+        assert side**2 <= MAX_ATLAS_CANDIDATES
+        AtlasSpec(vc=vc_avg, J=50.0, spacing=0.25)
+        for spacing, bound in ((1e-4, 60.0), (0.24, 60.0), (1e-300, 1e300)):
+            with pytest.raises(ValueError, match=f"more than {MAX_ATLAS_CANDIDATES} candidates"):
+                AtlasSpec(vc=vc_avg, J=50.0, spacing=spacing, chroma_bound=bound)
+
+    @pytest.mark.parametrize("value", [0.0, math.nan, math.inf])
+    def test_white_luminance_finite_positive(self, value):
+        with pytest.raises(ValueError, match="finite and positive"):
+            DisplayGamut(white_luminance=value)
 
 
 class TestGenerateAtlas:

@@ -40,6 +40,11 @@ class TestViewingConditions:
         with pytest.raises(ValueError):
             Cam16ViewingConditions(L_A=0.0)
 
+    @pytest.mark.parametrize("la", [math.nan, math.inf])
+    def test_rejects_non_finite_la(self, la):
+        with pytest.raises(ValueError, match="finite and positive"):
+            Cam16ViewingConditions(L_A=la)
+
     def test_rejects_unnormalized_white(self):
         with pytest.raises(ValueError, match="Y_w"):
             Cam16ViewingConditions(white=Tristimulus(95.0, 90.0, 108.0), L_A=50.0)

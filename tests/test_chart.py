@@ -21,7 +21,7 @@ from colorbench import (
     xyz_to_chromaticity,
 )
 from colorbench.atlas import DisplayGamut
-from colorbench.chart import patch_pixel_origin
+from colorbench.chart import MAX_CHART_PIXELS, patch_pixel_origin
 from colorbench.spectral import Tristimulus
 
 
@@ -144,6 +144,12 @@ class TestRenderChart:
     def test_layout_too_small(self, target_colors):
         with pytest.raises(ValueError, match="too small"):
             render_chart(target_colors, ChartLayout(rows=2, cols=2))
+
+    def test_pixel_budget(self):
+        w, h = ChartLayout(rows=40, cols=40, patch_px=34, gap_px=2).image_size
+        assert w * h <= MAX_CHART_PIXELS
+        with pytest.raises(ValueError, match=f"exceeds {MAX_CHART_PIXELS} pixels"):
+            ChartLayout(rows=1000, cols=4)
 
     def test_out_of_range_patch_rejected(self, layout):
         with pytest.raises(ValueError):

@@ -208,8 +208,12 @@ _ATLAS_ROW = ",".join(["0.5"] * 11)
         (ATLAS_CSV_HEADER + "\n" + _ATLAS_ROW + "\n0.5,0.5\n", 3),
         (ATLAS_CSV_HEADER + "\n" + _ATLAS_ROW[:-3] + "abc\n", 2),
         (ATLAS_CSV_HEADER + "\n" + _ATLAS_ROW[:-3] + "nan\n", 2),
+        (ATLAS_CSV_HEADER + "\n" + _ATLAS_ROW + "\n" + _ATLAS_ROW[:-3] + "1.5\n", 3),
     ],
-    ids=["empty", "no_R_lin", "header_only", "extra_field", "short_row", "text", "nan"],
+    ids=[
+        "empty", "no_R_lin", "header_only", "extra_field", "short_row", "text", "nan",
+        "rgb_above_1",
+    ],
 )
 def test_chart_from_malformed_atlas_is_domain_error(tmp_path, capsys, text, line):
     acsv = tmp_path / "a.csv"
@@ -219,6 +223,83 @@ def test_chart_from_malformed_atlas_is_domain_error(tmp_path, capsys, text, line
     assert err.startswith(f"error: {acsv}: line {line}: ")
     assert err.count("\n") == 1
     assert not (tmp_path / "c.png").exists()
+
+
+def test_chart_from_atlas_skips_comments_and_blank_lines(tmp_path):
+    acsv = tmp_path / "a.csv"
+    acsv.write_text(f"# atlas\n{ATLAS_CSV_HEADER}\n\n{_ATLAS_ROW}\n\n")
+    assert run(["chart", "--from-atlas", str(acsv), "--out", str(tmp_path / "c.png")]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["atlas", "--j", "50", "--la", "nan"],
+        ["atlas", "--j", "50", "--la", "inf"],
+        ["atlas", "--j", "50", "--white-luminance", "nan"],
+        ["atlas", "--j", "50", "--spacing", "inf"],
+        ["atlas", "--j", "50", "--bound", "inf"],
+        ["atlas", "--j", "50", "--spacing", "1e-4"],
+        ["chart", "--cols", "0"],
+        ["chart", "--patch-px", "5000"],
+        ["solve-optimal", "--target", "0.3,0.5", "--tolerance", "-1"],
+        ["solve-optimal", "--target", "0.3,0.5", "--tolerance", "nan"],
+        ["atlas", "--j", "nan"],
+        ["atlas", "--j", "50", "--yb", "nan"],
+        ["atlas", "--j", "50", "--d", "nan"],
+        ["solve-optimal", "--target", "0.3,0.5", "--lc", "nan"],
+        ["solve-optimal", "--target", "nan,0.5"],
+    ],
+    ids=[
+        "la_nan", "la_inf", "white_luminance_nan", "spacing_inf", "bound_inf",
+        "spacing_budget", "cols_0", "pixel_budget", "tolerance_negative", "tolerance_nan",
+        "j_nan", "yb_nan", "d_nan", "lc_nan", "target_nan",
+    ],
+)
+def test_bad_numeric_setting_is_domain_error(tmp_path, capsys, argv):
+    out = str(tmp_path / ("x.png" if argv[0] == "chart" else "x.csv"))
+    assert run([*argv, "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "args, text, line",
+    [
+        (["match", "--db"], "id,400,nan,600\na,0.1,0.2,0.3\n", 1),
+        (
+            ["match", "--format", "long_csv", "--db"],
+            "id,wavelength_nm,value\na,400,1\na,nan,1\n",
+            3,
+        ),
+        (
+            ["solve-optimal", "--target", "0.3,0.5", "--illuminant"],
+            "# flat\nwavelength_nm,value\n360,100\nnan,100\n720,100\n",
+            4,
+        ),
+    ],
+    ids=["wide_header", "long_row", "illuminant"],
+)
+def test_nan_wavelength_is_line_error(tmp_path, capsys, args, text, line):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    assert run([*args, str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: line {line}: numbers must be finite\n"
+
+
+def test_flat_illuminant_csv_matches_e(tmp_path, capsys):
+    flat = tmp_path / "flat.csv"
+    flat.write_text("# equal energy\nwavelength_nm,value\n360,100\n720,100\n")
+    for args in (
+        ["solve-optimal", "--target", "0.3,0.5", "--json"],
+        ["match", "--db", str(DATA / "fixture_wide.csv")],
+    ):
+        assert run([*args, "--illuminant", "e"]) == 0
+        expected = capsys.readouterr().out
+        assert run([*args, "--illuminant", str(flat)]) == 0
+        assert capsys.readouterr().out == expected
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

@@ -1,0 +1,87 @@
+"""Mutated input files through ``cli.run``: every outcome is a result or one
+line-numbered ``error:`` line, never a traceback."""
+import re
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from colorbench import ATLAS_CSV_HEADER
+from colorbench.cli import run
+
+VALID = {
+    "wide": "id,400,450,500,550,600,650,700\n"
+    "a,0.1,0.2,0.3,0.4,0.5,0.6,0.7\n"
+    "b,0.7,0.6,0.5,0.4,0.3,0.2,0.1\n"
+    "c,0.2,0.4,0.6,0.4,0.2,0.2,0.2\n",
+    "long": "id,wavelength_nm,value\n"
+    "a,400,0.2\na,550,0.2\na,700,0.2\n"
+    "b,400,0.5\nb,550,0.5\nb,700,0.5\n"
+    "c,380,0.1\nc,560,0.9\nc,700,0.3\n",
+    "spectrum": "# a daylight-like illuminant\nwavelength_nm,value\n"
+    "360,50\n420,90\n480,110\n540,105\n600,95\n660,90\n720,80\n",
+    "atlas": ATLAS_CSV_HEADER + "\n"
+    "50.0,0.0,0.0,18.0,18.4,20.0,0.31,0.33,0.2,0.2,0.15\n"
+    "50.0,2.0,0.0,18.0,18.4,20.0,0.31,0.33,0.4,0.2,0.15\n"
+    "50.0,0.0,2.0,18.0,18.4,20.0,0.31,0.33,0.1,0.2,0.15\n",
+}
+
+COMMANDS = {
+    "wide": ["match", "--db"],
+    "long": ["match", "--format", "long_csv", "--db"],
+    "spectrum": ["solve-optimal", "--target", "0.3,0.45", "--illuminant"],
+    "atlas": ["chart", "--from-atlas"],
+}
+
+MUTATIONS = ("drop_field", "add_field", "text", "nan", "inf", "negative",
+             "swap", "repeat_id", "blank", "comment")
+
+
+def mutate(text: str, draw) -> str:
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(MUTATIONS))
+        i = draw(st.integers(0, len(lines) - 1))
+        fields = lines[i].split(",")
+        k = draw(st.integers(0, len(fields) - 1))
+        if kind == "drop_field" and len(fields) > 1:
+            del fields[k]
+        elif kind == "add_field":
+            fields.insert(k, "0.5")
+        elif kind in ("text", "nan", "inf", "negative"):
+            fields[k] = {"text": "abc", "nan": "nan", "inf": "inf", "negative": "-0.5"}[kind]
+        elif kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+            continue
+        elif kind == "repeat_id":
+            fields[0] = lines[draw(st.integers(0, len(lines) - 1))].split(",")[0]
+        else:
+            lines.insert(i, "" if kind == "blank" else "# inserted")
+            continue
+        lines[i] = ",".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("kind", list(VALID))
+def test_valid_files_run(tmp_path, capsys, kind):
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(VALID[kind])
+    out = tmp_path / "out"
+    assert run([*COMMANDS[kind], str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("kind", list(VALID))
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_mutated_files_fail_cleanly(tmp_path, capsys, kind, data):
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(mutate(VALID[kind], data.draw))
+    out = tmp_path / "out"
+    code = run([*COMMANDS[kind], str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code in (0, 1)
+    line_error = rf"error: {re.escape(str(path))}: line \d+: [^\n]+\n"
+    assert err == "" or re.fullmatch(line_error, err), err

@@ -269,6 +269,11 @@ class TestSolve:
         with pytest.raises(ValueError, match="genus"):
             solve_optimal(Chromaticity.from_xy(0.30, 0.60), "notch")
 
+    @pytest.mark.parametrize("tolerance", [0.0, -1.0, float("nan"), float("inf")])
+    def test_tolerance_must_be_finite_and_positive(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+            solve_optimal(Chromaticity.from_xy(0.30, 0.60), tolerance=tolerance)
+
     def test_repeated_solves_are_identical(self):
         target = Chromaticity.from_xy(0.35, 0.2)
         assert solve_optimal(target, "auto") == solve_optimal(target, "auto")

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,35 @@ class TestLoadDatabase:
         p.write_text("id,wavelength_nm,value\na,500,0.1\na,400,0.2\n")
         with pytest.raises(ValueError, match="line 3"):
             load_database(p, LONG_CSV)
+
+    @pytest.mark.parametrize(
+        "fmt, text, line, message",
+        [
+            (WIDE_CSV, "id,400,nan,600\na,0.1,0.2,0.3\n", 1, "numbers must be finite"),
+            (WIDE_CSV, "# c\nid,400,400,600\na,0.1,0.2,0.3\n", 2, "strictly increasing"),
+            (WIDE_CSV, "id,400,500\na,0.1,0.2\n\nb,0.1,0.2\na,0.1,0.2\n", 5, "record id 'a'"),
+            (WIDE_CSV, "id,400,500\nblack,0,0\n", 2, "record 'black': cannot normalize"),
+            (LONG_CSV, "id,wavelength_nm,value\na,400,0.1\na,nan,0.2\n", 3, "must be finite"),
+            (LONG_CSV, "id,wavelength_nm,value\na,400,0.1\nb,400,0.1\nb,300,0.1\n", 4, "strictly"),
+            (LONG_CSV, "id,wavelength_nm,value\na,400,0.1\na,500,-0.1\n", 3, "non-negative"),
+            (LONG_CSV, "id,wavelength_nm,value\na,400,0.1\nb,400,0.1\na,500,0.1\n", 4, "duplicate"),
+            (LONG_CSV, "id,wavelength_nm,value\na,400,0.1\nb,800,0.1\n", 3, "record 'b'"),
+        ],
+    )
+    def test_errors_name_the_line(self, tmp_path, fmt, text, line, message):
+        p = tmp_path / "db.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: line {line}: ") as exc:
+            load_database(p, fmt)
+        assert message in str(exc.value)
+
+    def test_comments_and_blank_lines_change_nothing(self, tmp_path):
+        text = (DATA / "fixture_long.csv").read_text()
+        p = tmp_path / "db.csv"
+        p.write_text("# a comment\n" + text.replace("\n", "\n\n"))
+        plain = load_database(DATA / "fixture_long.csv", LONG_CSV)
+        spaced = load_database(p, LONG_CSV)
+        assert [(r.id, r.cached_xy) for r in spaced] == [(r.id, r.cached_xy) for r in plain]
 
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="format"):

@@ -1,4 +1,5 @@
 import importlib.util
+import re
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,9 @@ from colorbench.spectral import (
     GRID_COUNT,
     GRID_START_NM,
     GRID_STEP_NM,
+    check_samples,
     raw_tristimulus,
+    read_csv,
     tristimulus_weights,
 )
 
@@ -324,3 +327,73 @@ class TestSpectrumCsv:
         p.write_text("wavelength_nm,value\n400,0.5\n500,-0.5\n")
         with pytest.raises(ValueError, match="line 3"):
             read_spectrum_csv(p)
+
+    def test_no_luminous_power_rejected(self, tmp_path, flat_spd):
+        p = tmp_path / "s.csv"
+        p.write_text("wavelength_nm,value\n800,1\n900,1\n")
+        with pytest.raises(ValueError, match="no power"):
+            spd_to_xyz(flat_spd, read_spectrum_csv(p))
+
+
+class TestReadCsv:
+    def write(self, tmp_path, text):
+        p = tmp_path / "t.csv"
+        p.write_text(text)
+        return p
+
+    def test_fields_lines_and_ids(self, tmp_path):
+        p = self.write(tmp_path, "# c\nid,a,b\nr1,1,2\n\nr2, 3 ,4\n")
+        table = read_csv(p, "id,a,b")
+        assert table.header_line == 2
+        assert table.lines == [3, 5]
+        assert table.ids == ["r1", "r2"]
+        assert table.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert table.columns is None
+
+    def test_numeric_columns(self, tmp_path):
+        p = self.write(tmp_path, "id,400,500\nr1,0.1,0.2\n")
+        table = read_csv(p, "id", numeric_columns=True)
+        assert table.columns.tolist() == [400.0, 500.0]
+        assert table.lines == [2] and table.ids == ["r1"]
+        assert table.values.tolist() == [[0.1, 0.2]]
+
+    @pytest.mark.parametrize(
+        "text, numeric_columns, line, message",
+        [
+            ("", False, 1, "empty file, expected header 'x,y'"),
+            ("# only a comment\n", False, 2, "empty file"),
+            ("x,z\n1,2\n", False, 1, "expected header 'x,y'"),
+            ("x,y,400\n1,2,3\n", False, 1, "expected header 'x,y'"),
+            ("x,y\n", True, 1, "expected header 'id,<wavelength>,...'"),
+            ("x,y\n", False, 2, "expected at least one row after the header"),
+            ("x,y\n\n\n", False, 4, "expected at least one row"),
+            ("x,y\n1,2\n1,2,3\n", False, 3, "expected 2 fields, got 3"),
+            ("x,y\n1\n", False, 2, "expected 2 fields, got 1"),
+            ("x,y\n1,two\n", False, 2, "could not convert"),
+            ("x,y\n1,2\n# late, comment\n", False, 3, "could not convert"),
+            ("x,y\n1,2\n1,inf\n", False, 3, "numbers must be finite"),
+            ("id,400,nan\na,2,3\n", True, 1, "numbers must be finite"),
+            ("# c\nid,400,abc\na,2,3\n", True, 2, "could not convert"),
+        ],
+    )
+    def test_errors_name_the_line(self, tmp_path, text, numeric_columns, line, message):
+        p = self.write(tmp_path, text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: line {line}: ") as exc:
+            read_csv(p, "id" if numeric_columns else "x,y", numeric_columns)
+        assert message in str(exc.value)
+
+    def test_check_samples_restarts_at_record_starts(self, tmp_path):
+        p = self.write(tmp_path, "id,w,v\na,400,1\na,500,1\nb,400,1\nb,400,1\n")
+        table = read_csv(p, "id,w,v")
+        with pytest.raises(ValueError, match="line 5: wavelengths must be strictly increasing"):
+            check_samples(table, [0, 2])
+        with pytest.raises(ValueError, match="line 4: wavelengths"):
+            check_samples(table)
+
+    def test_check_samples_header_wavelengths(self, tmp_path):
+        p = self.write(tmp_path, "# c\nid,500,400\na,1,1\n")
+        with pytest.raises(ValueError, match="line 2: wavelengths must be strictly increasing"):
+            check_samples(read_csv(p, "id", numeric_columns=True))
+        p.write_text("id,400,500\na,1,1\nb,1,-1\n")
+        with pytest.raises(ValueError, match="line 3: samples must be non-negative"):
+            check_samples(read_csv(p, "id", numeric_columns=True))
