@@ -8,7 +8,7 @@ difference.
 Viewing conditions:
 
 ``white``     reference white tristimulus, scaled to Y_w = 100.
-``Y_b``       relative luminance of the background region, 0-100; 20 is the
+``Y_b``       relative luminance of the background region, in (0, 100]; 20 is the
               usual gray-world value.
 ``L_A``       luminance of the adapting field in cd/m2.
 ``surround``  'average', 'dim' or 'dark', selecting the (F, c, N_c) triple.
@@ -72,10 +72,11 @@ class Cam16ViewingConditions:
             raise ValueError(f"surround must be one of {tuple(SURROUNDS)}, got {self.surround!r}")
         if not 0.0 < self.L_A < math.inf:
             raise ValueError("adapting luminance L_A must be finite and positive")
-        if not 0.0 <= self.Y_b <= 100.0:
-            raise ValueError("background luminance Y_b must lie in [0, 100]")
         if abs(self.white.Y - 100.0) > 1e-6:
             raise ValueError("reference white must be scaled to Y_w = 100")
+        # N_bb raises n = Y_b / Y_w to a negative power, so n must not round to 0
+        if not (0.0 < self.Y_b / self.white.Y and self.Y_b <= 100.0):
+            raise ValueError("background luminance Y_b must lie in (0, 100]")
         if self.D is not None and not 0.0 <= self.D <= 1.0:
             raise ValueError("explicit degree of adaptation D must lie in [0, 1]")
 
@@ -208,7 +209,7 @@ def cam16_inverse(
         C = M / vc.F_L_root
     if J < 0 or C < 0:
         raise ValueError("J and C must be non-negative")
-    if J == 0.0:
+    if J / 100.0 == 0.0:  # J is 0, or so small that J / 100 rounds to 0
         if C > 0:
             raise ValueError("chromatic appearance with zero lightness is not invertible")
         return Tristimulus(0.0, 0.0, 0.0)

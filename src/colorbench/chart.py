@@ -27,8 +27,9 @@ LINEAR_TRANSFER = "linear"
 
 _PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 
-# the largest chart, a DCI 4K frame: rendering takes about 70 bytes a pixel
+# the largest chart, a DCI 4K frame: rendering takes about 13 bytes a pixel
 MAX_CHART_PIXELS = 4096 * 2160
+_BACKGROUND_RGB = (0.2, 0.2, 0.2)  # linear RGB of the gaps between patches
 
 
 def oetf_bt709(linear):
@@ -51,15 +52,12 @@ class ChartLayout:
     cols: int
     patch_px: int = 64
     gap_px: int = 8
-    background_rgb: tuple[float, float, float] = (0.2, 0.2, 0.2)
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError("layout needs at least one row and one column")
         if self.patch_px < 1 or self.gap_px < 0:
             raise ValueError("pixel dimensions must be positive")
-        if any(not 0.0 <= v <= 1.0 for v in self.background_rgb):
-            raise ValueError("background must be a linear RGB triple in [0, 1]")
         w, h = self.image_size
         if w * h > MAX_CHART_PIXELS:
             raise ValueError(f"a {w}x{h} px chart exceeds {MAX_CHART_PIXELS} pixels")
@@ -104,24 +102,25 @@ def encode_png_rgb16(image: np.ndarray, chrm: tuple | None = None) -> bytes:
     cHRM chunk; by default no color-management chunks are embedded (the
     image is signal-referred).
     """
-    if image.ndim != 3 or image.shape[2] != 3 or image.dtype != np.uint16:
-        raise ValueError("expected an (H, W, 3) uint16 image")
+    if image.ndim != 3 or image.shape[2] != 3 or image.dtype != np.uint16 or not image.size:
+        raise ValueError("expected a non-empty (H, W, 3) uint16 image")
     h, w = image.shape[:2]
     ihdr = struct.pack(">IIBBBBB", w, h, 16, 2, 0, 0, 0)
     chunks = _PNG_SIGNATURE + _png_chunk(b"IHDR", ihdr)
     if chrm is not None:
         values = [int(round(coord * 100000)) for point in chrm for coord in point]
         chunks += _png_chunk(b"cHRM", struct.pack(">8I", *values))
-    big_endian = image.astype(">u2")
-    raw = b"".join(b"\x00" + big_endian[row].tobytes() for row in range(h))
-    return chunks + _png_chunk(b"IDAT", zlib.compress(raw, 9)) + _png_chunk(b"IEND", b"")
+    # each scanline is filter type 0, then the big-endian samples
+    scanlines = np.zeros((h, 1 + 6 * w), dtype=np.uint8)
+    scanlines[:, 1:].view(">u2")[:] = image.reshape(h, 3 * w)
+    return chunks + _png_chunk(b"IDAT", zlib.compress(scanlines, 9)) + _png_chunk(b"IEND", b"")
 
 
 def decode_png_rgb16(data: bytes) -> np.ndarray:
     """Decode PNGs produced by :func:`encode_png_rgb16` (filter 0 only).
 
-    Every chunk CRC is checked; IHDR must come first and only once, and the
-    stream must end with an IEND chunk.
+    Every chunk CRC is checked; IHDR must come first and only once, with the
+    methods the encoder writes, and the stream must end with an IEND chunk.
     """
     if not data.startswith(_PNG_SIGNATURE):
         raise ValueError("not a PNG stream")
@@ -144,9 +143,11 @@ def decode_png_rgb16(data: bytes) -> np.ndarray:
         if kind == b"IHDR":
             if length != 13:
                 raise ValueError("PNG IHDR chunk must hold 13 bytes")
-            width, height, depth, color_type = struct.unpack(">IIBB", chunk[:10])
+            width, height, depth, color_type, *methods = struct.unpack(">IIBBBBB", chunk)
             if depth != 16 or color_type != 2:
                 raise ValueError("only 16-bit truecolor PNGs are supported")
+            if any(methods) or width < 1 or height < 1:
+                raise ValueError("PNG IHDR needs a size of at least 1x1 and methods 0, 0, 0")
         elif kind == b"IDAT":
             idat += chunk
         elif kind == b"IEND":
@@ -158,13 +159,10 @@ def decode_png_rgb16(data: bytes) -> np.ndarray:
         raise ValueError(f"PNG image data: {exc}") from None
     if len(raw) != height * stride:
         raise ValueError("PNG image data does not match the IHDR size")
-    rows = []
-    for r in range(height):
-        line = raw[r * stride : (r + 1) * stride]
-        if line[0] != 0:
-            raise ValueError("unsupported PNG filter type")
-        rows.append(np.frombuffer(line[1:], dtype=">u2").reshape(width, 3))
-    return np.stack(rows).astype(np.uint16)
+    scanlines = np.frombuffer(raw, dtype=np.uint8).reshape(height, stride)
+    if scanlines[:, 0].any():
+        raise ValueError("unsupported PNG filter type")
+    return scanlines[:, 1:].view(">u2").reshape(height, width, 3).astype(np.uint16)
 
 
 def render_chart(
@@ -194,9 +192,10 @@ def render_chart(
     gamut = gamut if gamut is not None else DisplayGamut()
 
     encode = oetf_bt709 if transfer == BT709_TRANSFER else lambda v: np.asarray(v, float)
+    # one rounding per patch color is bit-equal to rounding every pixel
+    quantize = lambda rgb: np.round(encode(rgb) * 65535.0).astype(np.uint16)
     w, h = layout.image_size
-    image = np.empty((h, w, 3), dtype=float)
-    image[:] = encode(np.asarray(layout.background_rgb))
+    image = np.full((h, w, 3), quantize(_BACKGROUND_RGB))
 
     patches = []
     for idx, (name, rgb) in enumerate(colors):
@@ -205,9 +204,10 @@ def render_chart(
             raise ValueError(f"patch {name!r}: linear RGB must be three values in [0, 1]")
         row, col = divmod(idx, layout.cols)
         x0, y0 = patch_pixel_origin(layout, row, col)
-        image[y0 : y0 + layout.patch_px, x0 : x0 + layout.patch_px] = encode(rgb)
+        image[y0 : y0 + layout.patch_px, x0 : x0 + layout.patch_px] = quantize(rgb)
         xyz = Tristimulus(*(gamut.rgb_to_xyz @ rgb))
-        xy = xyz_to_chromaticity(xyz)
+        # a black patch has no chromaticity of its own: it takes the white's
+        xy = xyz_to_chromaticity(xyz) if xyz.X + xyz.Y + xyz.Z > 0 else gamut.white
         patches.append(
             {
                 "name": name,
@@ -221,7 +221,6 @@ def render_chart(
             }
         )
 
-    quantized = np.round(image * 65535.0).astype(np.uint16)
     chrm = None
     if embed_primaries:
         chrm = ((gamut.white.x, gamut.white.y),) + tuple(
@@ -234,13 +233,13 @@ def render_chart(
         "cols": layout.cols,
         "patch_px": layout.patch_px,
         "gap_px": layout.gap_px,
-        "background_rgb": [float(v) for v in layout.background_rgb],
+        "background_rgb": list(_BACKGROUND_RGB),
         "gamut_white": [gamut.white.x, gamut.white.y],
         "white_luminance": gamut.white_luminance,
     }
     if parameters:
         params.update(parameters)
-    return encode_png_rgb16(quantized, chrm=chrm), ChartMetadata(tuple(patches), params)
+    return encode_png_rgb16(image, chrm=chrm), ChartMetadata(tuple(patches), params)
 
 
 def patch_pixel_origin(layout: ChartLayout, row: int, col: int) -> tuple[int, int]:

@@ -203,6 +203,10 @@ def read_csv(path, header: str, numeric_columns: bool = False) -> CsvTable:
         parts = line.split(",")
         if len(parts) != width:
             raise line_error(path, n, f"expected {width} fields, got {len(parts)}")
+        # float() would also read '0_5' as 5.0 and non-ASCII digits
+        numeric = line[len(parts[0]) + 1 :] if skip else line
+        if "_" in numeric or not numeric.isascii():
+            raise line_error(path, n, "numbers must be ASCII, without '_'")
         try:
             numbers.extend(map(float, parts[skip:]))
         except ValueError as exc:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -44,6 +45,15 @@ class TestViewingConditions:
     def test_rejects_non_finite_la(self, la):
         with pytest.raises(ValueError, match="finite and positive"):
             Cam16ViewingConditions(L_A=la)
+
+    @pytest.mark.parametrize("yb", [0.0, -0.0, -1.0, 5e-324, 100.5, math.nan, math.inf])
+    def test_rejects_background_outside_0_100(self, yb):
+        with pytest.raises(ValueError, match=re.escape("Y_b must lie in (0, 100]")):
+            Cam16ViewingConditions(Y_b=yb)
+
+    def test_accepts_background_edges(self):
+        assert Cam16ViewingConditions(Y_b=100.0).n == 1.0
+        assert math.isfinite(Cam16ViewingConditions(Y_b=1e-300).N_bb)
 
     def test_rejects_unnormalized_white(self):
         with pytest.raises(ValueError, match="Y_w"):
@@ -143,6 +153,12 @@ class TestInverse:
     def test_black_inverse(self, worked_example_vc):
         xyz = cam16_inverse(0.0, 0.0, worked_example_vc, C=0.0)
         assert xyz.as_array() == pytest.approx([0.0, 0.0, 0.0])
+
+    def test_lightness_that_underflows_is_black(self, worked_example_vc):
+        # J / 100 rounds to 0, as for J = 0
+        assert cam16_inverse(5e-324, 0.0, worked_example_vc, C=0.0).as_array().tolist() == [0] * 3
+        with pytest.raises(ValueError, match="zero lightness"):
+            cam16_inverse(5e-324, 0.0, worked_example_vc, C=1.0)
 
     def test_out_of_range_appearance_is_an_error(self):
         vc = Cam16ViewingConditions(L_A=50.0)

@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from colorbench import (
     xyz_to_chromaticity,
 )
 from colorbench.atlas import DisplayGamut
-from colorbench.chart import MAX_CHART_PIXELS, patch_pixel_origin
+from colorbench.chart import MAX_CHART_PIXELS, _png_chunk, patch_pixel_origin
 from colorbench.spectral import Tristimulus
 
 
@@ -84,6 +86,37 @@ class TestPngCodec:
     def test_truncated_stream_rejected(self, png, cut):
         with pytest.raises(ValueError, match="truncated"):
             decode_png_rgb16(png[:-cut])
+
+    @staticmethod
+    def with_ihdr_byte(png, offset, value):
+        """``png`` with one IHDR data byte replaced and the CRC recomputed."""
+        ihdr = bytearray(png[16:29])
+        ihdr[offset] = value
+        return png[:8] + _png_chunk(b"IHDR", bytes(ihdr)) + png[33:]
+
+    @pytest.mark.parametrize("offset", [10, 11, 12], ids=["compression", "filter", "interlace"])
+    def test_nonzero_ihdr_method_rejected(self, png, offset):
+        assert np.array_equal(decode_png_rgb16(self.with_ihdr_byte(png, offset, 0)),
+                              decode_png_rgb16(png))
+        with pytest.raises(ValueError, match="IHDR"):
+            decode_png_rgb16(self.with_ihdr_byte(png, offset, 1))
+
+    @pytest.mark.parametrize("offset", [3, 7], ids=["width", "height"])
+    def test_zero_size_rejected(self, png, offset):
+        with pytest.raises(ValueError, match="at least 1x1"):
+            decode_png_rgb16(self.with_ihdr_byte(png, offset, 0))
+
+    def test_scanline_filter_byte_checked(self):
+        png = encode_png_rgb16(np.zeros((3, 2, 3), dtype=np.uint16))
+        raw = bytearray(zlib.decompress(png[41:-16]))
+        raw[2 * 13] = 1  # the third scanline's filter type
+        bad = png[:33] + _png_chunk(b"IDAT", zlib.compress(bytes(raw))) + png[-12:]
+        with pytest.raises(ValueError, match="filter"):
+            decode_png_rgb16(bad)
+
+    def test_empty_image_rejected(self):
+        with pytest.raises(ValueError):
+            encode_png_rgb16(np.zeros((0, 4, 3), dtype=np.uint16))
 
     def test_opencv_reads_our_png(self):
         cv2 = pytest.importorskip("cv2")
@@ -151,6 +184,31 @@ class TestRenderChart:
         with pytest.raises(ValueError, match=f"exceeds {MAX_CHART_PIXELS} pixels"):
             ChartLayout(rows=1000, cols=4)
 
+    def test_black_patch_takes_the_white_chromaticity(self, layout):
+        gamut = DisplayGamut()
+        png, meta = render_chart([("k", (0.0, 0.0, 0.0)), ("w", (1.0, 1.0, 1.0))], layout)
+        black, white = meta.patches
+        assert (black["x"], black["y"], black["L_C"]) == (gamut.white.x, gamut.white.y, 0.0)
+        assert delta_e_xyz(Chromaticity.from_xy(white["x"], white["y"]), gamut.white) < 1e-12
+        x0, y0 = patch_pixel_origin(layout, 0, 0)
+        assert not decode_png_rgb16(png)[y0, x0].any()
+
+    def test_render_peak_memory_per_pixel(self):
+        # a 1.9 Mpx chart: the uint16 frame and its PNG scanlines, 6 bytes a
+        # pixel each, with no float frame
+        layout = ChartLayout(rows=30, cols=30, patch_px=44, gap_px=2)
+        rng = np.random.default_rng(5)
+        colors = [(f"p{i}", tuple(rng.random(3))) for i in range(900)]
+        w, h = layout.image_size
+        tracemalloc.start()
+        try:
+            render_chart(colors, layout)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w * h >= 1_000_000
+        assert peak <= 24 * w * h
+
     def test_out_of_range_patch_rejected(self, layout):
         with pytest.raises(ValueError):
             render_chart([("hot", (1.2, 0.0, 0.0))], layout)
@@ -207,5 +265,3 @@ class TestLayout:
             ChartLayout(rows=0, cols=4)
         with pytest.raises(ValueError):
             ChartLayout(rows=1, cols=1, patch_px=0)
-        with pytest.raises(ValueError):
-            ChartLayout(rows=1, cols=1, background_rgb=(2.0, 0.0, 0.0))

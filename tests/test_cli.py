@@ -196,6 +196,7 @@ def test_chart_from_atlas(tmp_path):
 
 
 _ATLAS_ROW = ",".join(["0.5"] * 11)
+_BLACK_ATLAS_ROW = ",".join(["0.5"] * 8 + ["0"] * 3)
 
 
 @pytest.mark.parametrize(
@@ -225,6 +226,15 @@ def test_chart_from_malformed_atlas_is_domain_error(tmp_path, capsys, text, line
     assert not (tmp_path / "c.png").exists()
 
 
+def test_chart_from_atlas_renders_black_row(tmp_path):
+    acsv = tmp_path / "a.csv"
+    acsv.write_text(f"{ATLAS_CSV_HEADER}\n{_ATLAS_ROW}\n{_BLACK_ATLAS_ROW}\n")
+    out = tmp_path / "c.png"
+    assert run(["chart", "--from-atlas", str(acsv), "--out", str(out)]) == 0
+    black = json.loads((tmp_path / "c.png.meta.json").read_text())["patches"][1]
+    assert black["rgb_linear"] == [0.0, 0.0, 0.0] and black["L_C"] == 0.0
+
+
 def test_chart_from_atlas_skips_comments_and_blank_lines(tmp_path):
     acsv = tmp_path / "a.csv"
     acsv.write_text(f"# atlas\n{ATLAS_CSV_HEADER}\n\n{_ATLAS_ROW}\n\n")
@@ -249,11 +259,12 @@ def test_chart_from_atlas_skips_comments_and_blank_lines(tmp_path):
         ["atlas", "--j", "50", "--d", "nan"],
         ["solve-optimal", "--target", "0.3,0.5", "--lc", "nan"],
         ["solve-optimal", "--target", "nan,0.5"],
+        ["atlas", "--j", "50", "--yb", "0"],
     ],
     ids=[
         "la_nan", "la_inf", "white_luminance_nan", "spacing_inf", "bound_inf",
         "spacing_budget", "cols_0", "pixel_budget", "tolerance_negative", "tolerance_nan",
-        "j_nan", "yb_nan", "d_nan", "lc_nan", "target_nan",
+        "j_nan", "yb_nan", "d_nan", "lc_nan", "target_nan", "yb_zero",
     ],
 )
 def test_bad_numeric_setting_is_domain_error(tmp_path, capsys, argv):

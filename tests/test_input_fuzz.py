@@ -1,5 +1,7 @@
-"""Mutated input files through ``cli.run``: every outcome is a result or one
-line-numbered ``error:`` line, never a traceback."""
+"""Mutated input files, flags and config values through ``cli.run``: every
+outcome is a result, one ``error:`` line or a usage error, never a
+traceback."""
+import json
 import re
 
 import pytest
@@ -32,7 +34,7 @@ COMMANDS = {
     "atlas": ["chart", "--from-atlas"],
 }
 
-MUTATIONS = ("drop_field", "add_field", "text", "nan", "inf", "negative",
+MUTATIONS = ("drop_field", "add_field", "text", "nan", "inf", "negative", "underscore",
              "swap", "repeat_id", "blank", "comment")
 
 
@@ -47,8 +49,9 @@ def mutate(text: str, draw) -> str:
             del fields[k]
         elif kind == "add_field":
             fields.insert(k, "0.5")
-        elif kind in ("text", "nan", "inf", "negative"):
-            fields[k] = {"text": "abc", "nan": "nan", "inf": "inf", "negative": "-0.5"}[kind]
+        elif kind in ("text", "nan", "inf", "negative", "underscore"):
+            fields[k] = {"text": "abc", "nan": "nan", "inf": "inf", "negative": "-0.5",
+                         "underscore": "0_5"}[kind]
         elif kind == "swap":
             j = draw(st.integers(0, len(lines) - 1))
             lines[i], lines[j] = lines[j], lines[i]
@@ -85,3 +88,57 @@ def test_mutated_files_fail_cleanly(tmp_path, capsys, kind, data):
     assert code in (0, 1)
     line_error = rf"error: {re.escape(str(path))}: line \d+: [^\n]+\n"
     assert err == "" or re.fullmatch(line_error, err), err
+
+
+# number spellings for the numeric settings: zero, negative, subnormal, huge,
+# non-finite, malformed and ordinary values
+NUMBERS = ("0", "-0.0", "-1", "5e-324", "1e-310", "1e308", "1e309", "nan", "inf",
+           "-inf", "abc", "", "1,2", "0.5", "20", "100")
+number = st.one_of(st.sampled_from(NUMBERS), st.floats().map(repr))
+primaries = st.one_of(
+    st.sampled_from(("", "1,2,3", "a,b,c,d,e,f", "0,0,0,0,0,0")),
+    st.lists(number, min_size=5, max_size=7).map(",".join),
+)
+SESSION = {"--la": number, "--yb": number, "--d": number, "--primaries": primaries}
+SETTINGS = {
+    # a drawn flag comes after the fixed ones, and argparse keeps the last
+    "atlas": (
+        ["--j", "50", "--bound", "20"],
+        {"--j": number, "--white-luminance": number, "--spacing": number},
+    ),
+    "solve-optimal": (["--target", "0.3,0.5"], {"--lc": number, "--tolerance": number}),
+    "chart": ([], {}),
+}
+CONFIG_VALUES = st.one_of(
+    st.floats(), st.sampled_from([0, -1, 5e-324, 1e308, True, None, [], "abc"]), primaries
+)
+
+
+@pytest.mark.parametrize("command", list(SETTINGS))
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_bad_settings_fail_cleanly(tmp_path, capsys, command, data):
+    fixed, own = SETTINGS[command]
+    strategies = SESSION | own
+    flags = data.draw(st.lists(st.sampled_from(sorted(strategies)), max_size=3, unique=True))
+    argv = [command, *fixed, *(f"{f}={data.draw(strategies[f], f)}" for f in flags)]
+    keys = st.sampled_from(["la", "yb", "d", "primaries"])
+    config = data.draw(st.dictionaries(keys, CONFIG_VALUES, max_size=2))
+    if config:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    if command != "solve-optimal":
+        argv += ["--out", str(tmp_path / "out")]
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2) and "Traceback" not in err, (argv, err)
+    # a solve that misses its tolerance exits 1 with its report and no error
+    unconverged = command == "solve-optimal" and out.endswith("converged=False\n")
+    if code == 1 and not (unconverged and err == ""):
+        assert re.fullmatch(r"error: [^\n]+\n", err), (argv, err)

@@ -338,7 +338,7 @@ class TestSpectrumCsv:
 class TestReadCsv:
     def write(self, tmp_path, text):
         p = tmp_path / "t.csv"
-        p.write_text(text)
+        p.write_text(text, encoding="utf-8")
         return p
 
     def test_fields_lines_and_ids(self, tmp_path):
@@ -374,6 +374,11 @@ class TestReadCsv:
             ("x,y\n1,2\n1,inf\n", False, 3, "numbers must be finite"),
             ("id,400,nan\na,2,3\n", True, 1, "numbers must be finite"),
             ("# c\nid,400,abc\na,2,3\n", True, 2, "could not convert"),
+            # float() alone would read these as 5.0, 12.0, 500.0 and 3.0
+            ("x,y\n1,2\n1,0_5\n", False, 3, "numbers must be ASCII, without '_'"),
+            ("x,y\n1,\u0661\u0662\n", False, 2, "numbers must be ASCII"),
+            ("id,400,5_00\na,2,3\n", True, 1, "without '_'"),
+            ("id,400,500\na_1,2,\uff13\n", True, 2, "numbers must be ASCII"),
         ],
     )
     def test_errors_name_the_line(self, tmp_path, text, numeric_columns, line, message):
@@ -381,6 +386,12 @@ class TestReadCsv:
         with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: line {line}: ") as exc:
             read_csv(p, "id" if numeric_columns else "x,y", numeric_columns)
         assert message in str(exc.value)
+
+    def test_ids_may_hold_underscores_and_non_ascii(self, tmp_path):
+        p = self.write(tmp_path, "id,400,500\ns1_fine_00001,0.5,0.25\n\u00e9t\u00e9,1,2\n")
+        table = read_csv(p, "id", numeric_columns=True)
+        assert table.ids == ["s1_fine_00001", "\u00e9t\u00e9"]
+        assert table.values.tolist() == [[0.5, 0.25], [1.0, 2.0]]
 
     def test_check_samples_restarts_at_record_starts(self, tmp_path):
         p = self.write(tmp_path, "id,w,v\na,400,1\na,500,1\nb,400,1\nb,400,1\n")

@@ -1,4 +1,5 @@
-"""Regenerate the acceptance outputs and print one digest line per file.
+"""Regenerate the acceptance outputs and a chart of benchmark size, and print
+one digest line per file.
 
 Each line is ``<sha256> <exit code> <name>``.  The outputs are written into a
 temporary directory by ``colorbench.cli.run`` from the ``src/`` tree next to
@@ -57,6 +58,12 @@ RUNS = [
         ["chart", "--from-atlas", "{out}/atlas.csv", "--cols", "20", "--patch-px", "8",
          "--out", "from_atlas.png"],
         ["from_atlas.png", "from_atlas.png.meta.json"],
+    ),
+    (
+        # about 2 Mpx, the size of the benchmark's charts
+        ["chart", "--from-atlas", "{out}/atlas.csv", "--rows", "61", "--cols", "61",
+         "--patch-px", "21", "--gap-px", "2", "--out", "from_atlas_2mpx.png"],
+        ["from_atlas_2mpx.png", "from_atlas_2mpx.png.meta.json"],
     ),
     (
         ["match", "--db", str(FIXTURES / "fixture_wide.csv"), "--out", "match_wide.csv"],
