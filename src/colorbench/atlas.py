@@ -146,6 +146,11 @@ def generate_atlas(spec: AtlasSpec) -> AtlasResult:
                 continue
             if not gamut_contains(xyz, spec.gamut):
                 continue
+            if xyz.X + xyz.Y + xyz.Z <= 0.0:
+                raise ValueError(
+                    f"lightness J = {spec.J!r} is too small: a candidate inverts to black, "
+                    "which has no chromaticity"
+                )
             appearance = cam16_forward(xyz, spec.vc)
             rgb = np.clip(spec.gamut.linear_rgb(xyz), 0.0, 1.0)
             kept.append(

@@ -89,6 +89,12 @@ class Cam16ViewingConditions:
         k = 1.0 / (5.0 * self.L_A + 1.0)
         k4 = k**4
         F_L = 0.2 * k4 * 5.0 * self.L_A + 0.1 * (1.0 - k4) ** 2 * (5.0 * self.L_A) ** (1.0 / 3.0)
+        # the inverse scales by 100 / F_L, so that must be finite as well; then
+        # F_L**0.25 and A_w are finite and positive too
+        if not (0.0 < F_L < math.inf and 100.0 / F_L < math.inf):
+            raise ValueError(
+                f"adapting luminance L_A = {self.L_A!r} is outside the range CAM16 can evaluate"
+            )
 
         n = self.Y_b / self.white.Y
         z = 1.48 + math.sqrt(n)

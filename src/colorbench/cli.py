@@ -237,6 +237,7 @@ def _cmd_atlas(cfg: RunConfig, args) -> int:
 
 
 def _cmd_chart(cfg: RunConfig, args) -> int:
+    cfg.viewing_conditions()  # the sidecar records these settings: reject what atlas rejects
     gamut = cfg.display_gamut()
     if args.from_atlas:
         source = "atlas"

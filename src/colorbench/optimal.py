@@ -80,7 +80,7 @@ class OptimalSpectrumParams:
             raise ValueError(
                 f"cuts must satisfy {GRID_START_NM} <= lambda1 <= lambda2 <= {GRID_STOP_NM}"
             )
-        if self.K < 0 or not np.isfinite(self.K):
+        if self.K < 0 or not math.isfinite(self.K):
             raise ValueError("K must be non-negative and finite")
 
     def with_k(self, k: float) -> "OptimalSpectrumParams":

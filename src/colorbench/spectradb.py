@@ -13,6 +13,8 @@ chromaticity distance; ties break on the lexicographically smallest id.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count, repeat
+from operator import ne
 from pathlib import Path
 
 from .spectral import (
@@ -67,22 +69,24 @@ def load_database(
     if fmt == WIDE_CSV:
         table = read_csv(path, "id", numeric_columns=True)
         check_samples(table)
-        runs = [(k, table.columns, row) for k, row in enumerate(table.values)]
+        starts = range(len(table.ids))
+        spds = (to_working_grid(table.columns, row) for row in table.values)
     elif fmt == LONG_CSV:
         table = read_csv(path, "id,wavelength_nm,value")
         # a long record is a run of rows with one id
-        starts = [k for k, rid in enumerate(table.ids) if k == 0 or rid != table.ids[k - 1]]
+        ids = table.ids
+        starts = [0, *compress(range(1, len(ids)), map(ne, ids[1:], ids))]
         check_samples(table, starts)
-        runs = [(a, *table.values[a:b].T) for a, b in zip(starts, starts[1:] + [len(table.ids)])]
+        ends = [*starts[1:], len(ids)]
+        spds = (to_working_grid(*table.values[a:b].T) for a, b in zip(starts, ends))
     else:
         raise ValueError(f"unknown database format {fmt!r}")
     records, seen = [], set()
-    for k, wavelengths, values in runs:
+    for k, spd in zip(starts, spds):
         rid, line = table.ids[k], table.lines[k]
         if rid in seen:
             raise line_error(path, line, f"duplicate record id {rid!r}")
         seen.add(rid)
-        spd = to_working_grid(wavelengths, values)
         xyz = spd_to_xyz(spd, illuminant, obs)
         try:
             xy = xyz_to_chromaticity(xyz)
@@ -99,19 +103,12 @@ def match_nearest(targets, db: list[SpectraRecord]) -> list[MatchResult]:
     """
     if not db:
         raise ValueError("cannot match against an empty database")
+    xys, ids = [r.cached_xy for r in db], [r.id for r in db]
     results = []
     for target in targets:
-        tc = target.chromaticity
-        best = min(db, key=lambda r: (delta_e_xyz(tc, r.cached_xy), r.id))
-        results.append(
-            MatchResult(
-                target_name=target.name,
-                record_id=best.id,
-                x_spectral=best.cached_xy.x,
-                y_spectral=best.cached_xy.y,
-                delta_e=delta_e_xyz(tc, best.cached_xy),
-            )
-        )
+        # min over (delta_e, id, index): the index keeps the first of equal keys
+        delta_e, rid, k = min(zip(map(delta_e_xyz, repeat(target.chromaticity), xys), ids, count()))
+        results.append(MatchResult(target.name, rid, xys[k].x, xys[k].y, delta_e))
     return results
 
 

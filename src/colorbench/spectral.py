@@ -10,8 +10,10 @@ are the only sanctioned bridge between them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -53,9 +55,11 @@ class SpectralDistribution:
             raise ValueError("spectral distribution requires a non-empty 1-D sample vector")
         if self.step_nm <= 0:
             raise ValueError("step_nm must be a positive number of nanometers")
-        if not np.all(np.isfinite(vals)):
+        # a NaN anywhere makes the minimum NaN
+        lo, hi = vals.min(), vals.max()
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("spectral samples must be finite")
-        if np.any(vals < 0):
+        if lo < 0:
             raise ValueError("spectral samples must be non-negative")
 
     @property
@@ -119,12 +123,13 @@ class Tristimulus:
     Z: float
 
     def __post_init__(self):
-        for name in ("X", "Y", "Z"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        comps = (self.X, self.Y, self.Z)
-        if not all(np.isfinite(comps)):
+        X, Y, Z = float(self.X), float(self.Y), float(self.Z)
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "Y", Y)
+        object.__setattr__(self, "Z", Z)
+        if not (math.isfinite(X) and math.isfinite(Y) and math.isfinite(Z)):
             raise ValueError("tristimulus components must be finite")
-        if any(c < 0 for c in comps):
+        if X < 0 or Y < 0 or Z < 0:
             raise ValueError("tristimulus components must be non-negative")
 
     def as_array(self) -> np.ndarray:
@@ -140,14 +145,16 @@ class Chromaticity:
     z: float
 
     def __post_init__(self):
-        for name in ("x", "y", "z"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        comps = (self.x, self.y, self.z)
-        if not all(np.isfinite(comps)):
+        x, y, z = float(self.x), float(self.y), float(self.z)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
             raise ValueError("chromaticity components must be finite")
-        if any(c < -1e-12 or c > 1 + 1e-12 for c in comps):
+        lo, hi = -1e-12, 1 + 1e-12
+        if not (lo <= x <= hi and lo <= y <= hi and lo <= z <= hi):
             raise ValueError("chromaticity components must lie in [0, 1]")
-        if abs(self.x + self.y + self.z - 1.0) > 1e-12:
+        if abs(x + y + z - 1.0) > 1e-12:
             raise ValueError("chromaticity components must sum to 1")
 
     @classmethod
@@ -194,27 +201,17 @@ def read_csv(path, header: str, numeric_columns: bool = False) -> CsvTable:
     if fields[: len(names)] != names or (len(fields) > len(names)) != numeric_columns:
         raise line_error(path, first + 1, f"expected header {expected!r}")
     width, skip = len(fields), int(names[0] == "id")
-    ids, rows, numbers = [], [], []
     # the numbers of a numeric-columns header parse as a first row
     start = first + 1 - numeric_columns
-    for n, line in enumerate(lines[start:], start + 1):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != width:
-            raise line_error(path, n, f"expected {width} fields, got {len(parts)}")
-        # float() would also read '0_5' as 5.0 and non-ASCII digits
-        numeric = line[len(parts[0]) + 1 :] if skip else line
-        if "_" in numeric or not numeric.isascii():
-            raise line_error(path, n, "numbers must be ASCII, without '_'")
-        try:
-            numbers.extend(map(float, parts[skip:]))
-        except ValueError as exc:
-            raise line_error(path, n, exc) from None
-        if skip:
-            ids.append(parts[0].strip())
-        rows.append(n)
-    values = np.array(numbers).reshape(len(rows), width - skip)
+    rows, body = list(range(start + 1, len(lines) + 1)), lines[start:]
+    if not all(map(str.strip, body)):  # blank lines are skipped
+        keep = list(map(str.strip, body))
+        rows, body = list(compress(rows, keep)), list(compress(body, keep))
+    try:
+        ids, values = _parse_body(body, width, skip)
+    except ValueError:
+        _raise_first_bad_line(path, rows, body, width, skip)
+        raise
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         raise line_error(path, rows[int(np.argmin(finite))], "numbers must be finite")
@@ -222,6 +219,41 @@ def read_csv(path, header: str, numeric_columns: bool = False) -> CsvTable:
         raise line_error(path, len(lines) + 1, "expected at least one row after the header")
     k = int(numeric_columns)
     return CsvTable(path, first + 1, rows[k:], ids[k:], values[k:], values[0] if k else None)
+
+
+def _parse_body(body: list[str], width: int, skip: int) -> tuple[list[str], np.ndarray]:
+    """The ids (the first field of each line, if ``skip``) and the numbers
+    of ``body``'s lines, all at once.  Raises ValueError, naming no line,
+    if any line is malformed."""
+    if list(map(str.count, body, repeat(","))).count(width - 1) != len(body):
+        raise ValueError("a line has the wrong field count")
+    fields = ",".join(body).split(",") if body else []
+    ids = []
+    if skip:
+        ids = list(map(str.strip, fields[::width]))
+        del fields[::width]
+    # float() would also read '0_5' as 5.0 and non-ASCII digits
+    numeric = ",".join(fields)
+    if "_" in numeric or not numeric.isascii():
+        raise ValueError("a number is not ASCII or holds '_'")
+    values = np.fromiter(map(float, fields), float, len(fields))
+    return ids, values.reshape(len(body), width - skip)
+
+
+def _raise_first_bad_line(path, rows, body, width: int, skip: int) -> None:
+    """Raise the line-numbered error of the first malformed line of
+    ``body`` (see ``_parse_body``); return if there is none."""
+    for n, line in zip(rows, body):
+        parts = line.split(",")
+        if len(parts) != width:
+            raise line_error(path, n, f"expected {width} fields, got {len(parts)}")
+        numeric = line[len(parts[0]) + 1 :] if skip else line
+        if "_" in numeric or not numeric.isascii():
+            raise line_error(path, n, "numbers must be ASCII, without '_'")
+        try:
+            list(map(float, parts[skip:]))
+        except ValueError as exc:
+            raise line_error(path, n, exc) from None
 
 
 def check_samples(table: CsvTable, record_starts=()) -> None:
@@ -300,6 +332,13 @@ def tristimulus_weights(illuminant: SpectralDistribution, obs: ObserverTables) -
     return table
 
 
+@lru_cache(maxsize=8)
+def _perfect_reflector_scale(illuminant: SpectralDistribution, obs: ObserverTables) -> float:
+    """The factor that gives a perfect reflector Y = 100, keyed like
+    ``tristimulus_weights``."""
+    return 100.0 / float(np.sum(tristimulus_weights(illuminant, obs)[:, 1]))
+
+
 def raw_tristimulus(
     spd: SpectralDistribution,
     illuminant: SpectralDistribution,
@@ -320,7 +359,7 @@ def spd_to_xyz(
     illuminant = illuminant if illuminant is not None else load_illuminant("D65")
     obs = obs if obs is not None else load_observer(OBSERVER_2DEG)
     X, Y, Z = raw_tristimulus(spd, illuminant, obs)
-    k = 100.0 / float(np.sum(tristimulus_weights(illuminant, obs)[:, 1]))
+    k = _perfect_reflector_scale(illuminant, obs)
     return Tristimulus(max(k * X, 0.0), max(k * Y, 0.0), max(k * Z, 0.0))
 
 
@@ -335,7 +374,7 @@ def xyz_to_chromaticity(t: Tristimulus) -> Chromaticity:
 
 def delta_e_xyz(a: Chromaticity, b: Chromaticity) -> float:
     """Euclidean distance between two chromaticities over (x, y, z)."""
-    return float(np.sqrt((a.x - b.x) ** 2 + (a.y - b.y) ** 2 + (a.z - b.z) ** 2))
+    return math.sqrt((a.x - b.x) ** 2 + (a.y - b.y) ** 2 + (a.z - b.z) ** 2)
 
 
 def y100_to_lc(y100: float) -> float:

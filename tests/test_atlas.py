@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -88,6 +89,12 @@ class TestAtlasSpec:
 
 
 class TestGenerateAtlas:
+    @pytest.mark.parametrize("J", [1e-310, 5e-324, 1e-190])
+    def test_lightness_that_inverts_to_black_is_an_error(self, vc_avg, J):
+        spec = AtlasSpec(vc=vc_avg, J=J, chroma_bound=4.0)
+        with pytest.raises(ValueError, match=re.escape(f"lightness J = {J!r} is too small")):
+            generate_atlas(spec)
+
     def test_contains_achromatic_origin(self, atlas_j50):
         assert any(p.ucs.a_M == 0.0 and p.ucs.b_M == 0.0 for p in atlas_j50)
 

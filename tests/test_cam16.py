@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from colorbench import (
     Cam16Appearance,
@@ -45,6 +46,22 @@ class TestViewingConditions:
     def test_rejects_non_finite_la(self, la):
         with pytest.raises(ValueError, match="finite and positive"):
             Cam16ViewingConditions(L_A=la)
+
+    @pytest.mark.parametrize("la", [1e308, 3.7e307, 5e-324, 1e-310, 5e-307])
+    def test_rejects_la_whose_f_l_overflows(self, la):
+        with pytest.raises(ValueError, match=re.escape(f"L_A = {la!r} is outside the range")):
+            Cam16ViewingConditions(L_A=la)
+
+    @settings(max_examples=200)
+    @given(st.floats(min_value=5e-324, max_value=1.7e308))
+    def test_accepted_la_gives_usable_constants(self, la):
+        try:
+            vc = Cam16ViewingConditions(L_A=la)
+        except ValueError as exc:
+            assert "L_A = " in str(exc)
+            return
+        for value in (vc.F_L, vc.F_L_root, 100.0 / vc.F_L, vc.A_w):
+            assert 0.0 < value < math.inf
 
     @pytest.mark.parametrize("yb", [0.0, -0.0, -1.0, 5e-324, 100.5, math.nan, math.inf])
     def test_rejects_background_outside_0_100(self, yb):

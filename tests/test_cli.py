@@ -260,11 +260,16 @@ def test_chart_from_atlas_skips_comments_and_blank_lines(tmp_path):
         ["solve-optimal", "--target", "0.3,0.5", "--lc", "nan"],
         ["solve-optimal", "--target", "nan,0.5"],
         ["atlas", "--j", "50", "--yb", "0"],
+        ["atlas", "--j", "50", "--bound", "20", "--la", "1e308"],
+        ["atlas", "--j", "50", "--bound", "20", "--la", "5e-324"],
+        ["atlas", "--j", "1e-310"],
+        ["chart", "--la", "nan", "--yb", "-5", "--d", "7"],
     ],
     ids=[
         "la_nan", "la_inf", "white_luminance_nan", "spacing_inf", "bound_inf",
         "spacing_budget", "cols_0", "pixel_budget", "tolerance_negative", "tolerance_nan",
         "j_nan", "yb_nan", "d_nan", "lc_nan", "target_nan", "yb_zero",
+        "la_huge", "la_subnormal", "j_subnormal", "chart_viewing",
     ],
 )
 def test_bad_numeric_setting_is_domain_error(tmp_path, capsys, argv):

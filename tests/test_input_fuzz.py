@@ -114,6 +114,10 @@ CONFIG_VALUES = st.one_of(
 )
 
 
+def _reject_constant(name):
+    raise AssertionError(f"sidecar holds {name}, which is not strict JSON")
+
+
 @pytest.mark.parametrize("command", list(SETTINGS))
 @settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -142,3 +146,8 @@ def test_bad_settings_fail_cleanly(tmp_path, capsys, command, data):
     unconverged = command == "solve-optimal" and out.endswith("converged=False\n")
     if code == 1 and not (unconverged and err == ""):
         assert re.fullmatch(r"error: [^\n]+\n", err), (argv, err)
+    if command == "chart" and code == 0:
+        # the sidecar records the settings: it must be strict JSON
+        sidecar = (tmp_path / "out.meta.json").read_text(encoding="utf-8")
+        json.loads(sidecar, parse_constant=_reject_constant)
+

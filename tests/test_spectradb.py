@@ -1,5 +1,6 @@
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -180,6 +181,16 @@ class TestMatchNearest:
         recs = [SpectraRecord(rid, spd, xy) for rid in ("zeta", "alpha", "mu")]
         result = match_nearest([target], recs)[0]
         assert result.record_id == "alpha"
+
+    def test_equal_keys_keep_the_first_record(self):
+        # both records lie exactly 0.25 * sqrt(2) from the target
+        target = SimpleNamespace(name="t", chromaticity=Chromaticity(0.25, 0.25, 0.5))
+        spd = SpectralDistribution(GRID_START_NM, GRID_STEP_NM, np.ones(GRID_COUNT))
+        recs = [SpectraRecord("a", spd, Chromaticity(*xyz))
+                for xyz in ((0.5, 0.25, 0.25), (0.25, 0.5, 0.25))]
+        for db in (recs, recs[::-1]):
+            result = match_nearest([target], db)[0]
+            assert (result.x_spectral, result.y_spectral) == (db[0].cached_xy.x, db[0].cached_xy.y)
 
     def test_matches_naive_scan_on_random_databases(self):
         rng = np.random.RandomState(123)

@@ -4,9 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from colorbench import (
+    ATLAS_CSV_HEADER,
     Chromaticity,
     SpectralDistribution,
     Tristimulus,
@@ -26,7 +27,9 @@ from colorbench.spectral import (
     GRID_COUNT,
     GRID_START_NM,
     GRID_STEP_NM,
+    CsvTable,
     check_samples,
+    line_error,
     raw_tristimulus,
     read_csv,
     tristimulus_weights,
@@ -55,6 +58,66 @@ class TestSpectralDistribution:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError, match="step"):
             SpectralDistribution(400, 0, [1.0])
+
+
+def _former_spd_error(values):
+    """The message the former numpy checks of ``SpectralDistribution`` gave."""
+    vals = np.atleast_1d(np.asarray(values, dtype=float))
+    if not np.all(np.isfinite(vals)):
+        return "spectral samples must be finite"
+    if np.any(vals < 0):
+        return "spectral samples must be non-negative"
+    return None
+
+
+def _former_tristimulus_error(comps):
+    if not all(np.isfinite(comps)):
+        return "tristimulus components must be finite"
+    if any(c < 0 for c in comps):
+        return "tristimulus components must be non-negative"
+    return None
+
+
+def _former_chromaticity_error(comps):
+    if not all(np.isfinite(comps)):
+        return "chromaticity components must be finite"
+    if any(c < -1e-12 or c > 1 + 1e-12 for c in comps):
+        return "chromaticity components must lie in [0, 1]"
+    if abs(sum(comps) - 1.0) > 1e-12:
+        return "chromaticity components must sum to 1"
+    return None
+
+
+def _error(make, *args):
+    try:
+        make(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+# non-finite, negative and signed-zero values among ordinary ones
+edge_value = st.one_of(
+    st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, -1.0, -1e-300, -1e-12, -2e-12,
+                     1.0 + 1e-12, 1.0 + 2e-12, 1.0, 0.5, 0.25, 1e308]),
+    st.floats(0.0, 1.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+class TestValueTypeChecks:
+    @given(st.lists(edge_value, min_size=1, max_size=6))
+    def test_spectral_distribution_messages(self, values):
+        got = _error(SpectralDistribution, 360, 1, values)
+        assert got == _former_spd_error(values)
+
+    @given(st.tuples(edge_value, edge_value, edge_value))
+    def test_tristimulus_messages(self, comps):
+        assert _error(Tristimulus, *comps) == _former_tristimulus_error(comps)
+
+    @given(st.tuples(edge_value, edge_value, edge_value))
+    def test_chromaticity_messages(self, comps):
+        assert _error(Chromaticity, *comps) == _former_chromaticity_error(comps)
 
 
 class TestResample:
@@ -220,6 +283,12 @@ class TestDeltaE:
         assert delta_e_xyz(a, b) == pytest.approx(0.0058703, abs=1e-6)
 
     @given(chroma_components, chroma_components)
+    def test_equals_numpy_sqrt(self, p, q):
+        a, b = Chromaticity.from_xy(*p), Chromaticity.from_xy(*q)
+        d2 = (a.x - b.x) ** 2 + (a.y - b.y) ** 2 + (a.z - b.z) ** 2
+        assert delta_e_xyz(a, b) == float(np.sqrt(d2))
+
+    @given(chroma_components, chroma_components)
     def test_symmetry(self, p, q):
         a, b = Chromaticity.from_xy(*p), Chromaticity.from_xy(*q)
         assert delta_e_xyz(a, b) == delta_e_xyz(b, a)
@@ -335,6 +404,103 @@ class TestSpectrumCsv:
             spd_to_xyz(flat_spd, read_spectrum_csv(p))
 
 
+def reference_read_csv(path, header, numeric_columns=False):
+    """``read_csv`` as one loop over the lines, each parsed and checked on
+    its own: the reference for the bulk parse."""
+    path = Path(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    first = next((n for n, line in enumerate(lines) if not line.startswith("#")), len(lines))
+    expected = header + ",<wavelength>,..." * numeric_columns
+    if first == len(lines):
+        raise line_error(path, first + 1, f"empty file, expected header {expected!r}")
+    names, fields = header.split(","), [f.strip() for f in lines[first].split(",")]
+    if fields[: len(names)] != names or (len(fields) > len(names)) != numeric_columns:
+        raise line_error(path, first + 1, f"expected header {expected!r}")
+    width, skip = len(fields), int(names[0] == "id")
+    ids, rows, numbers = [], [], []
+    start = first + 1 - numeric_columns
+    for n, line in enumerate(lines[start:], start + 1):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != width:
+            raise line_error(path, n, f"expected {width} fields, got {len(parts)}")
+        numeric = line[len(parts[0]) + 1 :] if skip else line
+        if "_" in numeric or not numeric.isascii():
+            raise line_error(path, n, "numbers must be ASCII, without '_'")
+        try:
+            numbers.extend(map(float, parts[skip:]))
+        except ValueError as exc:
+            raise line_error(path, n, exc) from None
+        if skip:
+            ids.append(parts[0].strip())
+        rows.append(n)
+    values = np.array(numbers).reshape(len(rows), width - skip)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise line_error(path, rows[int(np.argmin(finite))], "numbers must be finite")
+    if len(rows) == numeric_columns:
+        raise line_error(path, len(lines) + 1, "expected at least one row after the header")
+    k = int(numeric_columns)
+    return CsvTable(path, first + 1, rows[k:], ids[k:], values[k:], values[0] if k else None)
+
+
+# the layouts read_csv reads: (header, numeric_columns, number of numbers a row)
+CSV_LAYOUTS = {
+    "wide": ("id", True, 5),
+    "long": ("id,wavelength_nm,value", False, 2),
+    "spectrum": ("wavelength_nm,value", False, 2),
+    "atlas": (ATLAS_CSV_HEADER, False, 11),
+}
+# valid spellings: exponents, signs, signed zeros, padding, repeats
+valid_number = st.tuples(
+    st.sampled_from(["", " ", "\t"]),
+    st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.integers(-(10**20), 10**20).map(str),
+        st.sampled_from(["-0.0", "0", "+1.5", ".5", "5.", "1e3", "2.5E-3", "1e-320", "0.25"]),
+    ),
+    st.sampled_from(["", " "]),
+).map("".join)
+# spellings the reader must reject, for the error path
+bad_number = st.sampled_from(["", "abc", "0_5", "\u0661", "nan", "inf", "-inf", "1,2", "# x"])
+row_id = st.sampled_from(["a", "b", " a ", "s1_fine_00001", "\u00e9t\u00e9", "a b"])
+gap_line = st.sampled_from(["", "  ", "\t"])
+
+
+@st.composite
+def csv_texts(draw, number):
+    """A file of one of the ``CSV_LAYOUTS`` (leading comments, the header,
+    rows of ``number`` spellings and blank lines among them), its layout and
+    its number of rows."""
+    kind = draw(st.sampled_from(sorted(CSV_LAYOUTS)))
+    header, numeric_columns, width = CSV_LAYOUTS[kind]
+    lines = draw(st.lists(st.just("# comment, with a comma"), max_size=2))
+    head = header.replace(",", draw(st.sampled_from([",", " , "])))
+    if numeric_columns:
+        head = ",".join([head, *(draw(number) for _ in range(width))])
+    lines.append(head)
+    rows = draw(st.integers(0, 6))
+    for _ in range(rows):
+        fields = [draw(number) for _ in range(width)]
+        if header.startswith("id"):
+            fields.insert(0, draw(row_id))
+        lines.append(",".join(fields))
+        lines.extend(draw(st.lists(gap_line, max_size=1)))
+    return kind, "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"])), rows
+
+
+def _outcome(read, path, kind):
+    header, numeric_columns, _ = CSV_LAYOUTS[kind]
+    try:
+        table = read(path, header, numeric_columns)
+    except ValueError as exc:
+        return str(exc)
+    values = table.values.tobytes(), table.values.shape
+    columns = None if table.columns is None else table.columns.tobytes()
+    return table.header_line, table.lines, table.ids, values, columns
+
+
 class TestReadCsv:
     def write(self, tmp_path, text):
         p = tmp_path / "t.csv"
@@ -386,6 +552,22 @@ class TestReadCsv:
         with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: line {line}: ") as exc:
             read_csv(p, "id" if numeric_columns else "x,y", numeric_columns)
         assert message in str(exc.value)
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(csv_texts(valid_number))
+    def test_bulk_parse_equals_reference_on_valid_files(self, tmp_path, drawn):
+        kind, text, rows = drawn
+        p = self.write(tmp_path, text)
+        got = _outcome(read_csv, p, kind)
+        assert got == _outcome(reference_read_csv, p, kind)
+        assert isinstance(got, tuple) == (rows > 0)
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(csv_texts(st.one_of(valid_number, valid_number, bad_number)))
+    def test_bulk_parse_raises_the_reference_error(self, tmp_path, drawn):
+        kind, text, _ = drawn
+        p = self.write(tmp_path, text)
+        assert _outcome(read_csv, p, kind) == _outcome(reference_read_csv, p, kind)
 
     def test_ids_may_hold_underscores_and_non_ascii(self, tmp_path):
         p = self.write(tmp_path, "id,400,500\ns1_fine_00001,0.5,0.25\n\u00e9t\u00e9,1,2\n")

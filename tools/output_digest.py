@@ -78,6 +78,11 @@ RUNS = [
         ["chart", "--db", str(FIXTURES / "fixture_wide.csv"), "--out", "matched.png"],
         ["matched.png", "matched.png.meta.json"],
     ),
+    (
+        ["chart", "--db", str(FIXTURES / "fixture_long.csv"), "--format", "long_csv",
+         "--out", "matched_long.png"],
+        ["matched_long.png", "matched_long.png.meta.json"],
+    ),
 ]
 
 
