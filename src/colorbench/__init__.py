@@ -25,7 +25,6 @@ from .spectral import (
     load_illuminant,
     load_observer,
     read_spectrum_csv,
-    resample,
     spd_to_xyz,
     to_working_grid,
     xyz_to_chromaticity,

@@ -35,7 +35,7 @@ _BACKGROUND_RGB = (0.2, 0.2, 0.2)  # linear RGB of the gaps between patches
 def oetf_bt709(linear):
     """Rec. BT.709 opto-electronic transfer function."""
     v = np.asarray(linear, dtype=float)
-    if np.any(v < 0) or np.any(v > 1):
+    if not ((v >= 0) & (v <= 1)).all():
         raise ValueError("linear values must lie in [0, 1]")
     return np.where(v < 0.018, 4.5 * v, 1.099 * np.power(v, 0.45) - 0.099)
 
@@ -200,7 +200,7 @@ def render_chart(
     patches = []
     for idx, (name, rgb) in enumerate(colors):
         rgb = np.asarray(rgb, dtype=float)
-        if rgb.shape != (3,) or np.any(rgb < 0) or np.any(rgb > 1):
+        if rgb.shape != (3,) or not ((rgb >= 0) & (rgb <= 1)).all():
             raise ValueError(f"patch {name!r}: linear RGB must be three values in [0, 1]")
         row, col = divmod(idx, layout.cols)
         x0, y0 = patch_pixel_origin(layout, row, col)

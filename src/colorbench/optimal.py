@@ -30,7 +30,6 @@ from scipy.optimize import minimize
 from .spectral import (
     GRID_COUNT,
     GRID_START_NM,
-    GRID_STEP_NM,
     GRID_STOP_NM,
     OBSERVER_2DEG,
     Chromaticity,
@@ -142,7 +141,7 @@ def synthesize(params: OptimalSpectrumParams) -> SpectralDistribution:
         cov = _coverage(l1, l2)
     else:
         cov = _coverage(GRID_START_NM, l1) + _coverage(l2, GRID_STOP_NM)
-    return SpectralDistribution(GRID_START_NM, GRID_STEP_NM, params.K * np.clip(cov, 0.0, 1.0))
+    return SpectralDistribution(params.K * np.clip(cov, 0.0, 1.0))
 
 
 def rectangle_chromaticity(

@@ -35,26 +35,31 @@ _OBSERVER_FILES = {
 }
 
 
+_GRID = np.arange(GRID_START_NM, GRID_STOP_NM + 1, GRID_STEP_NM, dtype=float)
+_GRID.flags.writeable = False
+
+
 def grid_wavelengths() -> np.ndarray:
-    """Wavelengths of the working grid, in nm."""
-    return np.arange(GRID_START_NM, GRID_STOP_NM + 1, GRID_STEP_NM, dtype=float)
+    """Wavelengths of the working grid, in nm (one read-only array)."""
+    return _GRID
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralDistribution:
-    """Uniformly sampled non-negative spectral function."""
+    """Non-negative spectral samples on the working grid, one per grid
+    wavelength (see ``grid_wavelengths``)."""
 
-    start_nm: int
-    step_nm: int
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.atleast_1d(np.asarray(self.values, dtype=float))
+        vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
-        if vals.ndim != 1 or vals.size == 0:
-            raise ValueError("spectral distribution requires a non-empty 1-D sample vector")
-        if self.step_nm <= 0:
-            raise ValueError("step_nm must be a positive number of nanometers")
+        if vals.shape != (GRID_COUNT,):
+            raise ValueError(
+                f"a spectral distribution holds the {GRID_COUNT} samples of the "
+                f"{GRID_START_NM}-{GRID_STOP_NM} nm / {GRID_STEP_NM} nm working grid, "
+                f"got shape {vals.shape}"
+            )
         # a NaN anywhere makes the minimum NaN
         lo, hi = vals.min(), vals.max()
         if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -62,54 +67,36 @@ class SpectralDistribution:
         if lo < 0:
             raise ValueError("spectral samples must be non-negative")
 
-    @property
-    def wavelengths(self) -> np.ndarray:
-        return self.start_nm + self.step_nm * np.arange(self.values.size, dtype=float)
-
-    def is_working_grid(self) -> bool:
-        return (
-            self.start_nm == GRID_START_NM
-            and self.step_nm == GRID_STEP_NM
-            and self.values.size == GRID_COUNT
-        )
-
-    def scaled(self, factor: float) -> "SpectralDistribution":
-        if factor < 0:
-            raise ValueError("scale factor must be non-negative")
-        return SpectralDistribution(self.start_nm, self.step_nm, self.values * factor)
-
 
 def to_working_grid(wavelengths, values) -> SpectralDistribution:
     """Interpolate samples taken at increasing ``wavelengths`` (nm) onto the
     working grid: linear inside the source support, zero outside it."""
     vals = np.interp(
-        grid_wavelengths(), np.asarray(wavelengths, float), np.asarray(values, float),
-        left=0.0, right=0.0,
+        _GRID, np.asarray(wavelengths, float), np.asarray(values, float), left=0.0, right=0.0
     )
-    return SpectralDistribution(GRID_START_NM, GRID_STEP_NM, vals)
-
-
-def resample(spd: SpectralDistribution) -> SpectralDistribution:
-    """Resample a spectrum onto the working grid (see ``to_working_grid``)."""
-    return to_working_grid(spd.wavelengths, spd.values)
+    return SpectralDistribution(vals)
 
 
 @dataclass(frozen=True, eq=False)
 class ObserverTables:
-    """Color matching functions x_bar, y_bar, z_bar on the working grid."""
+    """Read-only (GRID_COUNT, 3) table of the color matching functions
+    x_bar, y_bar, z_bar on the working grid, one column each."""
 
-    cmf_x: SpectralDistribution
-    cmf_y: SpectralDistribution
-    cmf_z: SpectralDistribution
+    cmf: np.ndarray
     observer_id: str
 
     def __post_init__(self):
         if self.observer_id not in _OBSERVER_FILES:
             raise ValueError(f"unknown observer id: {self.observer_id!r}")
-        for t in (self.cmf_x, self.cmf_y, self.cmf_z):
-            if not t.is_working_grid():
-                raise ValueError("observer tables must live on the working grid")
-        peak = self.cmf_y.wavelengths[int(np.argmax(self.cmf_y.values))]
+        cmf = np.array(self.cmf, dtype=float)
+        if cmf.shape != (GRID_COUNT, 3) or not (np.isfinite(cmf).all() and cmf.min() >= 0):
+            raise ValueError(
+                f"observer tables must be {GRID_COUNT}x3 finite, non-negative samples "
+                "on the working grid"
+            )
+        cmf.flags.writeable = False
+        object.__setattr__(self, "cmf", cmf)
+        peak = _GRID[int(np.argmax(cmf[:, 1]))]
         if not 550.0 <= peak <= 560.0:
             raise ValueError(f"y_bar peak at {peak} nm is outside [550, 560]")
 
@@ -281,8 +268,8 @@ def load_observer(observer_id: str = OBSERVER_2DEG) -> ObserverTables:
         raise ValueError(f"unknown observer id: {observer_id!r}")
     path = _DATA_DIR / _OBSERVER_FILES[observer_id]
     table = read_csv(path, "wavelength_nm,x_bar,y_bar,z_bar").values
-    make = lambda col: to_working_grid(table[:, 0], table[:, col])
-    return ObserverTables(make(1), make(2), make(3), observer_id)
+    cmf = [to_working_grid(table[:, 0], table[:, k]).values for k in (1, 2, 3)]
+    return ObserverTables(np.stack(cmf, axis=1), observer_id)
 
 
 @lru_cache(maxsize=None)
@@ -295,25 +282,23 @@ def load_illuminant(name: str = "D65") -> SpectralDistribution:
     if key == "D65":
         return read_spectrum_csv(_DATA_DIR / "illuminant_d65_1nm.csv")
     if key == "E":
-        return SpectralDistribution(GRID_START_NM, GRID_STEP_NM, np.full(GRID_COUNT, 100.0))
+        return SpectralDistribution(np.full(GRID_COUNT, 100.0))
     raise ValueError(f"unknown illuminant {name!r} (expected 'D65' or 'E')")
 
 
 def read_spectrum_csv(path) -> SpectralDistribution:
     """Read a ``wavelength_nm,value`` CSV (see ``read_csv``) with strictly
-    increasing wavelengths and resample it to the working grid."""
+    increasing wavelengths and resample it to the working grid.  Equal
+    resampled spectra come back as one object, so the caches keyed on the
+    illuminant object hit on every read of the same file."""
     table = read_csv(path, "wavelength_nm,value")
     check_samples(table)
-    return to_working_grid(*table.values.T)
+    return _shared_spectrum(to_working_grid(*table.values.T).values.tobytes())
 
 
-def _require_working_grid(*spds: SpectralDistribution):
-    for spd in spds:
-        if not spd.is_working_grid():
-            raise ValueError(
-                "grid mismatch: spectra must be resampled to the "
-                f"{GRID_START_NM}-{GRID_STOP_NM} nm / {GRID_STEP_NM} nm working grid"
-            )
+@lru_cache(maxsize=8)
+def _shared_spectrum(samples: bytes) -> SpectralDistribution:
+    return SpectralDistribution(np.frombuffer(samples))
 
 
 @lru_cache(maxsize=8)
@@ -323,9 +308,7 @@ def tristimulus_weights(illuminant: SpectralDistribution, obs: ObserverTables) -
     ``raw_tristimulus(spd)`` is ``spd.values @ table``.  Cached per
     (illuminant, observer) pair of objects.
     """
-    _require_working_grid(illuminant)
-    cmf = np.stack([obs.cmf_x.values, obs.cmf_y.values, obs.cmf_z.values], axis=1)
-    table = illuminant.values[:, None] * cmf
+    table = illuminant.values[:, None] * obs.cmf
     if not table[:, 1].sum() > 0:
         raise ValueError("the illuminant has no power where y_bar is positive")
     table.flags.writeable = False
@@ -345,7 +328,6 @@ def raw_tristimulus(
     obs: ObserverTables,
 ) -> tuple[float, float, float]:
     """Unnormalized weighted sums of S * P * {x_bar, y_bar, z_bar}."""
-    _require_working_grid(spd)
     X, Y, Z = spd.values @ tristimulus_weights(illuminant, obs)
     return float(X), float(Y), float(Z)
 
@@ -390,16 +372,14 @@ def lc_to_y100(lc: float) -> float:
 @lru_cache(maxsize=None)
 def illuminant_white(name: str = "D65", observer_id: str = OBSERVER_2DEG) -> Chromaticity:
     """Chromaticity of a perfect reflector under the named bundled illuminant."""
-    flat = SpectralDistribution(GRID_START_NM, GRID_STEP_NM, np.ones(GRID_COUNT))
+    flat = SpectralDistribution(np.ones(GRID_COUNT))
     return xyz_to_chromaticity(
         spd_to_xyz(flat, load_illuminant(name), load_observer(observer_id))
     )
 
 
 def _spectral_locus_xy(obs: ObserverTables) -> np.ndarray:
-    cmf = np.stack([obs.cmf_x.values, obs.cmf_y.values, obs.cmf_z.values], axis=1)
-    sums = cmf.sum(axis=1)
-    return cmf[:, :2] / sums[:, None]
+    return obs.cmf[:, :2] / obs.cmf.sum(axis=1)[:, None]
 
 
 def dominant_wavelength(
@@ -417,30 +397,20 @@ def dominant_wavelength(
     d = np.array([c.x - white.x, c.y - white.y])
     if float(np.hypot(*d)) < 1e-6:
         raise ValueError("color coincides with the white point")
+    # segment i runs from locus[i] to locus[i + 1]; the last one, the purple
+    # line, closes the locus back to locus[0]
     locus = _spectral_locus_xy(obs)
-    w = np.array([white.x, white.y])
-
-    def ray_hit(p, q):
-        # solve w + t*d == p + u*(q - p) with t > 0, u in [0, 1]
-        e = q - p
-        det = d[0] * (-e[1]) - (-e[0]) * d[1]
-        if abs(det) < 1e-15:
-            return None
-        rhs = p - w
-        t = (rhs[0] * (-e[1]) - (-e[0]) * rhs[1]) / det
-        u = (d[0] * rhs[1] - d[1] * rhs[0]) / det
-        if t > 1e-9 and -1e-9 <= u <= 1 + 1e-9:
-            return t, u
-        return None
-
-    best = None
-    for i in range(len(locus) - 1):
-        hit = ray_hit(locus[i], locus[i + 1])
-        if hit and (best is None or hit[0] < best[0]):
-            best = (hit[0], GRID_START_NM + (i + hit[1]) * GRID_STEP_NM)
-    if best is not None:
-        return float(best[1])
-    # no locus crossing: the ray leaves through the purple line
-    if ray_hit(locus[-1], locus[0]) is not None:
+    e = np.roll(locus, -1, axis=0) - locus
+    rhs = locus - np.array([white.x, white.y])
+    # solve white + t*d == locus[i] + u*e[i] with t > 0, u in [0, 1] for every i
+    det = e[:, 0] * d[1] - d[0] * e[:, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (e[:, 0] * rhs[:, 1] - rhs[:, 0] * e[:, 1]) / det
+        u = (d[0] * rhs[:, 1] - d[1] * rhs[:, 0]) / det
+    hit = (np.abs(det) >= 1e-15) & (t > 1e-9) & (u >= -1e-9) & (u <= 1 + 1e-9)
+    if hit[:-1].any():
+        i = int(np.argmin(np.where(hit[:-1], t[:-1], np.inf)))
+        return float(GRID_START_NM + (i + u[i]) * GRID_STEP_NM)
+    if hit[-1]:  # the ray leaves through the purple line
         return None
     raise ValueError("ray from white through color intersects neither locus nor purple line")

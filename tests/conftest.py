@@ -8,7 +8,7 @@ from colorbench import (
     load_illuminant,
     load_observer,
 )
-from colorbench.spectral import GRID_COUNT, GRID_START_NM, GRID_STEP_NM
+from colorbench.spectral import GRID_COUNT
 
 
 @pytest.fixture(scope="session")
@@ -39,4 +39,4 @@ def worked_example_vc():
 
 @pytest.fixture
 def flat_spd():
-    return SpectralDistribution(GRID_START_NM, GRID_STEP_NM, np.ones(GRID_COUNT))
+    return SpectralDistribution(np.ones(GRID_COUNT))

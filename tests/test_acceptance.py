@@ -49,7 +49,7 @@ from colorbench import (
 from colorbench.chart import patch_pixel_origin
 from colorbench.optimal import TABLE1_COLUMNS
 from colorbench.spectradb import SpectraRecord
-from colorbench.spectral import GRID_COUNT, GRID_START_NM, GRID_STEP_NM
+from colorbench.spectral import GRID_COUNT
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -252,7 +252,7 @@ def optimal_db():
 class TestCriterion5Matching:
     def test_oracle_equivalence(self):
         rng = np.random.RandomState(99)
-        flat = SpectralDistribution(GRID_START_NM, GRID_STEP_NM, np.ones(GRID_COUNT))
+        flat = SpectralDistribution(np.ones(GRID_COUNT))
         mismatches = 0
         for _ in range(100):
             n = int(rng.randint(2, 501))
@@ -307,7 +307,7 @@ class TestCriterion5Matching:
 
 class TestCriterion6Colorimetry:
     def test_ground_truth(self):
-        flat = SpectralDistribution(GRID_START_NM, GRID_STEP_NM, np.ones(GRID_COUNT))
+        flat = SpectralDistribution(np.ones(GRID_COUNT))
         white = xyz_to_chromaticity(spd_to_xyz(flat, load_illuminant("D65"), load_observer()))
         white_ok = abs(white.x - 0.3127) <= 5e-4 and abs(white.y - 0.3290) <= 5e-4
 

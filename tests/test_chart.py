@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 import zlib
 
 import numpy as np
@@ -53,8 +54,9 @@ class TestTransferFunction:
         np.testing.assert_allclose(back, lin, atol=1e-12)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            oetf_bt709(1.5)
+        for value in (1.5, -0.5, float("nan")):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                oetf_bt709(value)
 
 
 class TestPngCodec:
@@ -210,8 +212,12 @@ class TestRenderChart:
         assert peak <= 24 * w * h
 
     def test_out_of_range_patch_rejected(self, layout):
-        with pytest.raises(ValueError):
-            render_chart([("hot", (1.2, 0.0, 0.0))], layout)
+        for name, rgb in (("hot", (1.2, 0.0, 0.0)), ("undefined", (0.5, float("nan"), 0.5))):
+            # the range check names the patch before any cast can warn
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=f"patch '{name}'"):
+                    render_chart([(name, rgb)], layout)
 
     def test_linear_escape_hatch(self, layout):
         colors = [("gray", (0.25, 0.25, 0.25))]

@@ -22,14 +22,14 @@ from colorbench import (
     xyz_to_chromaticity,
 )
 from colorbench.spectradb import LONG_CSV, WIDE_CSV, SpectraRecord
-from colorbench.spectral import GRID_COUNT, GRID_START_NM, GRID_STEP_NM
+from colorbench.spectral import GRID_COUNT
 from colorbench.targets import REC709_PRIMARIES, point_in_triangle
 
 DATA = Path(__file__).parent / "data"
 
 
 def record_from_values(rid, values):
-    spd = SpectralDistribution(GRID_START_NM, GRID_STEP_NM, values)
+    spd = SpectralDistribution(values)
     return SpectraRecord(rid, spd, xyz_to_chromaticity(spd_to_xyz(spd)))
 
 
@@ -37,7 +37,7 @@ class TestLoadDatabase:
     def test_wide_fixture(self):
         db = load_database(DATA / "fixture_wide.csv", WIDE_CSV)
         assert [r.id for r in db] == ["perfect", "gray40", "brick", "leaf"]
-        assert all(r.spectrum.is_working_grid() for r in db)
+        assert all(r.spectrum.values.shape == (GRID_COUNT,) for r in db)
 
     def test_long_fixture(self):
         db = load_database(DATA / "fixture_long.csv", LONG_CSV)
@@ -168,7 +168,7 @@ class TestMatchNearest:
         target = target_from_weights((1, 0, 0), "R")
         recs = []
         for rid, xy in (("a", (0.62, 0.33)), ("b", (0.60, 0.35)), ("c", (0.64, 0.30))):
-            spd = SpectralDistribution(GRID_START_NM, GRID_STEP_NM, np.ones(GRID_COUNT))
+            spd = SpectralDistribution(np.ones(GRID_COUNT))
             recs.append(SpectraRecord(rid, spd, Chromaticity.from_xy(*xy)))
         result = match_nearest([target], recs)[0]
         assert result.record_id == "a"
@@ -177,7 +177,7 @@ class TestMatchNearest:
     def test_tie_breaks_lexicographically(self):
         target = target_from_weights((1, 1, 1), "W")
         xy = Chromaticity.from_xy(0.40, 0.40)
-        spd = SpectralDistribution(GRID_START_NM, GRID_STEP_NM, np.ones(GRID_COUNT))
+        spd = SpectralDistribution(np.ones(GRID_COUNT))
         recs = [SpectraRecord(rid, spd, xy) for rid in ("zeta", "alpha", "mu")]
         result = match_nearest([target], recs)[0]
         assert result.record_id == "alpha"
@@ -185,7 +185,7 @@ class TestMatchNearest:
     def test_equal_keys_keep_the_first_record(self):
         # both records lie exactly 0.25 * sqrt(2) from the target
         target = SimpleNamespace(name="t", chromaticity=Chromaticity(0.25, 0.25, 0.5))
-        spd = SpectralDistribution(GRID_START_NM, GRID_STEP_NM, np.ones(GRID_COUNT))
+        spd = SpectralDistribution(np.ones(GRID_COUNT))
         recs = [SpectraRecord("a", spd, Chromaticity(*xyz))
                 for xyz in ((0.5, 0.25, 0.25), (0.25, 0.5, 0.25))]
         for db in (recs, recs[::-1]):
@@ -200,9 +200,7 @@ class TestMatchNearest:
             for i in range(rng.randint(5, 120)):
                 x = rng.uniform(0.05, 0.6)
                 y = rng.uniform(0.05, min(0.8, 0.95 - x))
-                spd = SpectralDistribution(
-                    GRID_START_NM, GRID_STEP_NM, rng.uniform(0, 1, GRID_COUNT)
-                )
+                spd = SpectralDistribution(rng.uniform(0, 1, GRID_COUNT))
                 recs.append(SpectraRecord(f"r{i:03d}", spd, Chromaticity.from_xy(x, y)))
             got = match_nearest(targets, recs)
             for target, res in zip(targets, got):

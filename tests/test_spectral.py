@@ -18,17 +18,18 @@ from colorbench import (
     load_illuminant,
     load_observer,
     read_spectrum_csv,
-    resample,
     spd_to_xyz,
+    to_working_grid,
     xyz_to_chromaticity,
     y100_to_lc,
 )
 from colorbench.spectral import (
     GRID_COUNT,
     GRID_START_NM,
-    GRID_STEP_NM,
     CsvTable,
+    ObserverTables,
     check_samples,
+    grid_wavelengths,
     line_error,
     raw_tristimulus,
     read_csv,
@@ -38,26 +39,32 @@ from colorbench.spectral import (
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def grid_spd(values):
-    return SpectralDistribution(GRID_START_NM, GRID_STEP_NM, values)
+def on_grid(head):
+    """``head`` followed by ones up to the working grid's sample count."""
+    return np.concatenate([np.asarray(head, dtype=float), np.ones(GRID_COUNT - len(head))])
+
+
+OFF_GRID = "361 samples of the 360-720 nm / 1 nm working grid"
 
 
 class TestSpectralDistribution:
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError, match="non-negative"):
-            SpectralDistribution(400, 5, [0.2, -0.1])
+            SpectralDistribution(on_grid([0.2, -0.1]))
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="finite"):
-            SpectralDistribution(400, 5, [0.2, np.nan])
+            SpectralDistribution(on_grid([0.2, np.nan]))
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            SpectralDistribution(400, 5, [])
+        with pytest.raises(ValueError, match=OFF_GRID):
+            SpectralDistribution([])
 
-    def test_rejects_bad_step(self):
-        with pytest.raises(ValueError, match="step"):
-            SpectralDistribution(400, 0, [1.0])
+    def test_rejects_other_grids(self):
+        for values in (np.ones(73), np.ones(GRID_COUNT - 1), np.ones(GRID_COUNT + 1),
+                       np.ones((1, GRID_COUNT)), 1.0):
+            with pytest.raises(ValueError, match=OFF_GRID):
+                SpectralDistribution(values)
 
 
 def _former_spd_error(values):
@@ -108,7 +115,7 @@ edge_value = st.one_of(
 class TestValueTypeChecks:
     @given(st.lists(edge_value, min_size=1, max_size=6))
     def test_spectral_distribution_messages(self, values):
-        got = _error(SpectralDistribution, 360, 1, values)
+        got = _error(SpectralDistribution, on_grid(values))
         assert got == _former_spd_error(values)
 
     @given(st.tuples(edge_value, edge_value, edge_value))
@@ -122,22 +129,26 @@ class TestValueTypeChecks:
 
 class TestResample:
     def test_flat_function_survives(self):
-        src = SpectralDistribution(360, 5, np.ones(73))
-        out = resample(src)
-        assert out.is_working_grid()
+        out = to_working_grid(360 + 5 * np.arange(73), np.ones(73))
+        assert out.values.shape == (GRID_COUNT,)
         assert np.all(out.values == 1.0)
 
     def test_zero_outside_support(self):
-        src = SpectralDistribution(400, 10, np.ones(31))  # 400-700
-        out = resample(src)
+        out = to_working_grid(400 + 10 * np.arange(31), np.ones(31))  # 400-700
         assert out.values[0] == 0.0  # 360 nm
         assert out.values[-1] == 0.0  # 720 nm
         assert out.values[100] == 1.0  # 460 nm
 
     def test_linear_midpoint(self):
-        src = SpectralDistribution(500, 10, [0.0, 1.0])
-        out = resample(src)
+        out = to_working_grid([500, 510], [0.0, 1.0])
         assert out.values[505 - GRID_START_NM] == pytest.approx(0.5)
+
+    def test_grid_is_one_read_only_array(self):
+        grid = grid_wavelengths()
+        assert grid is grid_wavelengths()
+        assert grid.shape == (GRID_COUNT,) and (grid[0], grid[-1]) == (360.0, 720.0)
+        with pytest.raises(ValueError):
+            grid[0] = 0.0
 
 
 class TestSpdToXyz:
@@ -152,7 +163,7 @@ class TestSpdToXyz:
             assert t.Y == pytest.approx(100.0, abs=1e-12)
 
     def test_zero_spectrum(self, d65, obs2):
-        t = spd_to_xyz(grid_spd(np.zeros(GRID_COUNT)), d65, obs2)
+        t = spd_to_xyz(SpectralDistribution(np.zeros(GRID_COUNT)), d65, obs2)
         assert (t.X, t.Y, t.Z) == (0.0, 0.0, 0.0)
 
     @pytest.mark.xfail(
@@ -169,25 +180,26 @@ class TestSpdToXyz:
         assert xy.x == pytest.approx(0.4193, abs=2e-3)
         assert xy.y == pytest.approx(0.5053, abs=2e-3)
 
-    def test_grid_mismatch_rejected(self, d65, obs2):
-        with pytest.raises(ValueError, match="grid mismatch"):
-            spd_to_xyz(SpectralDistribution(360, 5, np.ones(73)), d65, obs2)
+    def test_grid_mismatch_rejected(self):
+        # a 5 nm spectrum cannot be built, so it never reaches spd_to_xyz
+        with pytest.raises(ValueError, match=OFF_GRID):
+            SpectralDistribution(np.ones(73))
 
     def test_homogeneity(self, d65, obs2):
         rng = np.random.RandomState(7)
         s = rng.rand(GRID_COUNT)
         for alpha in (0.0, 0.25, 2.0, 17.5):
-            a = spd_to_xyz(grid_spd(alpha * s), d65, obs2).as_array()
-            b = alpha * spd_to_xyz(grid_spd(s), d65, obs2).as_array()
+            a = spd_to_xyz(SpectralDistribution(alpha * s), d65, obs2).as_array()
+            b = alpha * spd_to_xyz(SpectralDistribution(s), d65, obs2).as_array()
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
     def test_additivity(self, d65, obs2):
         rng = np.random.RandomState(8)
         s1, s2 = rng.rand(GRID_COUNT), rng.rand(GRID_COUNT)
-        lhs = spd_to_xyz(grid_spd(s1 + s2), d65, obs2).as_array()
+        lhs = spd_to_xyz(SpectralDistribution(s1 + s2), d65, obs2).as_array()
         rhs = (
-            spd_to_xyz(grid_spd(s1), d65, obs2).as_array()
-            + spd_to_xyz(grid_spd(s2), d65, obs2).as_array()
+            spd_to_xyz(SpectralDistribution(s1), d65, obs2).as_array()
+            + spd_to_xyz(SpectralDistribution(s2), d65, obs2).as_array()
         )
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
@@ -201,9 +213,11 @@ class TestTristimulusWeights:
         with pytest.raises(ValueError):
             table[0, 0] = 1.0
 
-    def test_off_grid_illuminant_rejected(self, obs2):
-        with pytest.raises(ValueError, match="grid mismatch"):
-            tristimulus_weights(SpectralDistribution(360, 5, np.ones(73)), obs2)
+    def test_off_grid_illuminant_rejected(self):
+        # neither can be built, so neither reaches tristimulus_weights
+        for values in (np.ones(73), []):
+            with pytest.raises(ValueError, match=OFF_GRID):
+                SpectralDistribution(values)
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -217,11 +231,11 @@ class TestTristimulusWeights:
         rng = np.random.default_rng(seed)
         values = rng.random(GRID_COUNT) * 10.0**exponent
         values[rng.random(GRID_COUNT) < zero_share] = 0.0
-        spd = grid_spd(values)
+        spd = SpectralDistribution(values)
         ill, obs = load_illuminant(ill_name), load_observer(obs_id)
         sp = spd.values * ill.values
-        raw = np.array([np.sum(sp * t.values) for t in (obs.cmf_x, obs.cmf_y, obs.cmf_z)])
-        k = 100.0 / np.sum(ill.values * obs.cmf_y.values)
+        raw = np.array([np.sum(sp * obs.cmf[:, j]) for j in range(3)])
+        k = 100.0 / np.sum(ill.values * obs.cmf[:, 1])
         # the largest component sets the scale: a norm would underflow
         scale = np.abs(raw).max()
         np.testing.assert_allclose(raw_tristimulus(spd, ill, obs), raw, rtol=0, atol=1e-12 * scale)
@@ -339,16 +353,88 @@ class TestDominantWavelength:
         assert dominant_wavelength(half, w, obs2) == pytest.approx(full, abs=0.2)
 
 
+def loop_dominant_wavelength(c, white, obs):
+    """``dominant_wavelength`` as one loop over the locus segments, then the
+    purple line: the reference for the array form."""
+    d = np.array([c.x - white.x, c.y - white.y])
+    if float(np.hypot(*d)) < 1e-6:
+        raise ValueError("color coincides with the white point")
+    locus = obs.cmf[:, :2] / obs.cmf.sum(axis=1)[:, None]
+    w = np.array([white.x, white.y])
+
+    def ray_hit(p, q):
+        # solve w + t*d == p + u*(q - p) with t > 0, u in [0, 1]
+        e = q - p
+        det = d[0] * (-e[1]) - (-e[0]) * d[1]
+        if abs(det) < 1e-15:
+            return None
+        rhs = p - w
+        t = (rhs[0] * (-e[1]) - (-e[0]) * rhs[1]) / det
+        u = (d[0] * rhs[1] - d[1] * rhs[0]) / det
+        if t > 1e-9 and -1e-9 <= u <= 1 + 1e-9:
+            return t, u
+        return None
+
+    best = None
+    for i in range(len(locus) - 1):
+        hit = ray_hit(locus[i], locus[i + 1])
+        if hit and (best is None or hit[0] < best[0]):
+            best = (hit[0], GRID_START_NM + (i + hit[1]) * 1)
+    if best is not None:
+        return float(best[1])
+    if ray_hit(locus[-1], locus[0]) is not None:
+        return None
+    raise ValueError("ray from white through color intersects neither locus nor purple line")
+
+
+class TestDominantWavelengthMatchesLoop:
+    @given(
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.sampled_from(["D65", "E"]),
+        st.sampled_from(["degree2", "degree10"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bit_equal_to_the_loop(self, x, y, ill_name, obs_id):
+        # the whole chromaticity triangle, inside and outside the locus
+        c = Chromaticity.from_xy(x, y * (1.0 - x))
+        white, obs = illuminant_white(ill_name, obs_id), load_observer(obs_id)
+        got = _wavelength_or_error(dominant_wavelength, c, white, obs)
+        assert got == _wavelength_or_error(loop_dominant_wavelength, c, white, obs)
+
+    def test_locus_points_and_white(self):
+        white = illuminant_white("D65")
+        for obs_id in ("degree2", "degree10"):
+            obs = load_observer(obs_id)
+            locus = obs.cmf[:, :2] / obs.cmf.sum(axis=1)[:, None]
+            for x, y in [*locus[::7], *(0.5 * (locus[::11] + locus[-1])), (white.x, white.y)]:
+                c = Chromaticity.from_xy(float(x), float(y))
+                got = _wavelength_or_error(dominant_wavelength, c, white, obs)
+                assert got == _wavelength_or_error(loop_dominant_wavelength, c, white, obs)
+
+
+def _wavelength_or_error(fn, *args):
+    """``fn``'s result, or the text of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
 class TestObserverTables:
     def test_y_bar_peaks_in_green(self, obs2, obs10):
         for obs in (obs2, obs10):
-            peak_idx = int(np.argmax(obs.cmf_y.values))
-            peak_nm = obs.cmf_y.wavelengths[peak_idx]
+            peak_idx = int(np.argmax(obs.cmf[:, 1]))
+            peak_nm = grid_wavelengths()[peak_idx]
             assert 550.0 <= peak_nm <= 560.0
 
     def test_tables_share_working_grid(self, obs2):
-        for t in (obs2.cmf_x, obs2.cmf_y, obs2.cmf_z):
-            assert t.is_working_grid()
+        assert obs2.cmf.shape == (GRID_COUNT, 3)
+        with pytest.raises(ValueError):
+            obs2.cmf[0, 0] = 1.0
+        for cmf in (obs2.cmf[:-1], obs2.cmf[:, :2], -obs2.cmf, obs2.cmf * np.nan):
+            with pytest.raises(ValueError, match="working grid"):
+                ObserverTables(cmf, "degree2")
 
     def test_unknown_observer_rejected(self):
         with pytest.raises(ValueError):
@@ -375,7 +461,7 @@ class TestSpectrumCsv:
         p = tmp_path / "s.csv"
         p.write_text("wavelength_nm,value\n400,0.5\n500,0.5\n600,0.5\n")
         spd = read_spectrum_csv(p)
-        assert spd.is_working_grid()
+        assert spd.values.shape == (GRID_COUNT,)
         assert spd.values[140] == 0.5  # 500 nm
         assert spd.values[0] == 0.0  # outside support
 
@@ -396,6 +482,14 @@ class TestSpectrumCsv:
         p.write_text("wavelength_nm,value\n400,0.5\n500,-0.5\n")
         with pytest.raises(ValueError, match="line 3"):
             read_spectrum_csv(p)
+
+    def test_equal_spectra_are_one_object(self, tmp_path):
+        a, b, c = (tmp_path / f"{n}.csv" for n in "abc")
+        a.write_text("wavelength_nm,value\n400,0.5\n600,0.5\n")
+        b.write_text("# the same spectrum\nwavelength_nm,value\n400,0.5\n500,0.5\n600,0.5\n")
+        c.write_text("wavelength_nm,value\n400,0.5\n600,0.25\n")
+        assert read_spectrum_csv(a) is read_spectrum_csv(a) is read_spectrum_csv(b)
+        assert read_spectrum_csv(c) is not read_spectrum_csv(a)
 
     def test_no_luminous_power_rejected(self, tmp_path, flat_spd):
         p = tmp_path / "s.csv"

@@ -75,6 +75,21 @@ RUNS = [
         ["match_long.csv"],
     ),
     (
+        ["match", "--db", str(FIXTURES / "fixture_wide.csv"), "--illuminant", "e",
+         "--out", "match_wide_e.csv"],
+        ["match_wide_e.csv"],
+    ),
+    (
+        ["match", "--db", str(FIXTURES / "fixture_wide.csv"), "--observer", "degree10",
+         "--out", "match_wide_10deg.csv"],
+        ["match_wide_10deg.csv"],
+    ),
+    (
+        ["solve-optimal", "--target", "0.3,0.5", "--lc", "0.2", "--observer", "degree10",
+         "--json", "--out", "solve_0.3,0.5_10deg.json"],
+        ["solve_0.3,0.5_10deg.json"],
+    ),
+    (
         ["chart", "--db", str(FIXTURES / "fixture_wide.csv"), "--out", "matched.png"],
         ["matched.png", "matched.png.meta.json"],
     ),
