@@ -288,17 +288,10 @@ def load_illuminant(name: str = "D65") -> SpectralDistribution:
 
 def read_spectrum_csv(path) -> SpectralDistribution:
     """Read a ``wavelength_nm,value`` CSV (see ``read_csv``) with strictly
-    increasing wavelengths and resample it to the working grid.  Equal
-    resampled spectra come back as one object, so the caches keyed on the
-    illuminant object hit on every read of the same file."""
+    increasing wavelengths and resample it to the working grid."""
     table = read_csv(path, "wavelength_nm,value")
     check_samples(table)
-    return _shared_spectrum(to_working_grid(*table.values.T).values.tobytes())
-
-
-@lru_cache(maxsize=8)
-def _shared_spectrum(samples: bytes) -> SpectralDistribution:
-    return SpectralDistribution(np.frombuffer(samples))
+    return to_working_grid(*table.values.T)
 
 
 @lru_cache(maxsize=8)

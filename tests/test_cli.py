@@ -318,20 +318,6 @@ def test_flat_illuminant_csv_matches_e(tmp_path, capsys):
         assert capsys.readouterr().out == expected
 
 
-def test_illuminant_file_reuses_the_lattice(tmp_path, capsys):
-    from colorbench.optimal import _rectangle_lattice
-
-    flat = tmp_path / "flat.csv"
-    flat.write_text("wavelength_nm,value\n360,50\n720,50\n")
-    args = ["solve-optimal", "--target", "0.3,0.5", "--json", "--illuminant", str(flat)]
-    assert run(args) == 0
-    first = capsys.readouterr().out
-    misses = _rectangle_lattice.cache_info().misses
-    assert run(args) == 0
-    assert capsys.readouterr().out == first
-    assert _rectangle_lattice.cache_info().misses == misses
-
-
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"surround": "dark", "la": 80.0}))
