@@ -115,7 +115,7 @@ class Cam16ViewingConditions:
             ("z", z),
             ("N_bb", N_bb),
             ("N_cb", N_bb),
-            ("d_rgb", d_rgb),
+            ("d_rgb", tuple(d_rgb.tolist())),
             ("A_w", A_w),
         ):
             object.__setattr__(self, name, value)
@@ -155,23 +155,15 @@ class UcsPoint:
         return np.array([self.J_prime, self.a_M, self.b_M])
 
 
-def _adapt(rgb: np.ndarray, F_L: float) -> np.ndarray:
+def _adapt(rgb, F_L: float) -> list[float]:
     """Post-adaptation cone compression; sign-preserving."""
-    t = (F_L * np.abs(rgb) / 100.0) ** 0.42
-    return np.copysign(400.0 * t / (t + 27.13), rgb)
-
-
-def _unadapt(rgb_a: np.ndarray, F_L: float) -> np.ndarray:
-    mag = np.abs(rgb_a)
-    if np.any(mag >= 400.0):
-        raise ValueError("appearance outside the invertible range (|response| >= 400)")
-    core = (27.13 * mag / (400.0 - mag)) ** (1.0 / 0.42)
-    return np.copysign(100.0 / F_L * core, rgb_a)
+    t = (np.array([F_L * abs(v) / 100.0 for v in rgb]) ** 0.42).tolist()
+    return [math.copysign(400.0 * u / (u + 27.13), v) for u, v in zip(t, rgb)]
 
 
 def cam16_forward(stimulus: Tristimulus, vc: Cam16ViewingConditions) -> Cam16Appearance:
     """XYZ (Y on 0-100) to CAM16 appearance correlates."""
-    rgb_a = _adapt(vc.d_rgb * (M16 @ stimulus.as_array()), vc.F_L)
+    rgb_a = _adapt([d * v for d, v in zip(vc.d_rgb, M16.dot(stimulus.as_array()).tolist())], vc.F_L)
 
     a = rgb_a[0] - 12.0 * rgb_a[1] / 11.0 + rgb_a[2] / 11.0
     b = (rgb_a[0] + rgb_a[1] - 2.0 * rgb_a[2]) / 9.0
@@ -237,12 +229,16 @@ def cam16_inverse(
         gamma = 0.0
     a, b = gamma * cos_h, gamma * sin_h
 
-    rgb_a = _M_AB @ np.array([p2, a, b]) / 1403.0
-    rgb = (M16_INV @ (_unadapt(rgb_a, vc.F_L) / vc.d_rgb))
-    if np.any(rgb < -1e-6):
+    rgb_a = [v / 1403.0 for v in _M_AB.dot([p2, a, b]).tolist()]
+    if any(abs(v) >= 400.0 for v in rgb_a):
+        raise ValueError("appearance outside the invertible range (|response| >= 400)")
+    # numpy's array ** as in _adapt: Python's float ** differs in the last bit for ~5 % of inputs
+    core = (np.array([27.13 * abs(v) / (400.0 - abs(v)) for v in rgb_a]) ** (1.0 / 0.42)).tolist()
+    cone = [math.copysign(100.0 / vc.F_L * u, v) / d for u, v, d in zip(core, rgb_a, vc.d_rgb)]
+    rgb = M16_INV.dot(cone).tolist()
+    if any(v < -1e-6 for v in rgb):
         raise ValueError("appearance inverts to a non-physical (negative) stimulus")
-    rgb = np.clip(rgb, 0.0, None)
-    return Tristimulus(*rgb)
+    return Tristimulus(*(0.0 if v <= 0.0 else v for v in rgb))  # -0.0 becomes 0.0, as np.clip
 
 
 def to_ucs(app: Cam16Appearance) -> UcsPoint:

@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from .atlas import DisplayGamut
-from .spectral import Tristimulus, xyz_to_chromaticity
 
 BT709_TRANSFER = "bt709"
 LINEAR_TRANSFER = "linear"
@@ -191,32 +190,48 @@ def render_chart(
         raise ValueError(f"unknown transfer function {transfer!r}")
     gamut = gamut if gamut is not None else DisplayGamut()
 
+    try:
+        rgb = np.array([c for _, c in colors], dtype=float)
+    except ValueError:  # ragged: some patch is not three values
+        rgb = None
+    if rgb is None or rgb.shape != (len(colors), 3) or not ((rgb >= 0) & (rgb <= 1)).all():
+        for name, c in colors:  # name the first bad patch
+            c = np.asarray(c, dtype=float)
+            if c.shape != (3,) or not ((c >= 0) & (c <= 1)).all():
+                raise ValueError(f"patch {name!r}: linear RGB must be three values in [0, 1]")
+
     encode = oetf_bt709 if transfer == BT709_TRANSFER else lambda v: np.asarray(v, float)
-    # one rounding per patch color is bit-equal to rounding every pixel
+    # one quantize call over all patch colors: one rounding per color is
+    # bit-equal to rounding every pixel
     quantize = lambda rgb: np.round(encode(rgb) * 65535.0).astype(np.uint16)
     w, h = layout.image_size
     image = np.full((h, w, 3), quantize(_BACKGROUND_RGB))
+    # the stacked product: bit-equal, patch by patch, to ``rgb_to_xyz @ rgb``
+    xyz = (gamut.rgb_to_xyz @ rgb[..., None])[..., 0]
+    total = xyz[:, 0] + xyz[:, 1] + xyz[:, 2]
+    if not ((xyz >= 0).all() and np.isfinite(total).all()):
+        raise ValueError("patch tristimulus components must be finite and non-negative")
+    # a black patch has no chromaticity of its own: it takes the white's
+    lit = (total > 0)[:, None]
+    white = (gamut.white.x, gamut.white.y)
+    xy = np.where(lit, xyz[:, :2] / np.where(lit, total[:, None], 1.0), white)
+    luminance = xyz[:, 1] / gamut.white_luminance
 
     patches = []
-    for idx, (name, rgb) in enumerate(colors):
-        rgb = np.asarray(rgb, dtype=float)
-        if rgb.shape != (3,) or not ((rgb >= 0) & (rgb <= 1)).all():
-            raise ValueError(f"patch {name!r}: linear RGB must be three values in [0, 1]")
+    columns = (quantize(rgb), rgb.tolist(), *xy.T.tolist(), luminance.tolist())
+    for idx, ((name, _), code, rgb_linear, x, y, l_c) in enumerate(zip(colors, *columns)):
         row, col = divmod(idx, layout.cols)
         x0, y0 = patch_pixel_origin(layout, row, col)
-        image[y0 : y0 + layout.patch_px, x0 : x0 + layout.patch_px] = quantize(rgb)
-        xyz = Tristimulus(*(gamut.rgb_to_xyz @ rgb))
-        # a black patch has no chromaticity of its own: it takes the white's
-        xy = xyz_to_chromaticity(xyz) if xyz.X + xyz.Y + xyz.Z > 0 else gamut.white
+        image[y0 : y0 + layout.patch_px, x0 : x0 + layout.patch_px] = code
         patches.append(
             {
                 "name": name,
                 "row": row,
                 "col": col,
-                "x": xy.x,
-                "y": xy.y,
-                "L_C": float(xyz.Y / gamut.white_luminance),
-                "rgb_linear": [float(v) for v in rgb],
+                "x": x,
+                "y": y,
+                "L_C": l_c,
+                "rgb_linear": rgb_linear,
                 "source": source,
             }
         )

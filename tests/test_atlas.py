@@ -1,8 +1,11 @@
+import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from colorbench import (
     ATLAS_CSV_HEADER,
@@ -21,6 +24,7 @@ from colorbench import (
     to_ucs,
 )
 from colorbench.atlas import MAX_ATLAS_CANDIDATES
+from colorbench.cam16 import cam16_inverse, ucs_colorfulness_to_m
 from colorbench.targets import REC709_PRIMARIES, point_in_triangle, rgb_to_xyz_matrix
 
 
@@ -59,6 +63,43 @@ class TestGamut:
             for primaries in cases:
                 with pytest.raises(ValueError, match="degenerate"):
                     build(primaries)
+
+
+P3_PRIMARIES = tuple(Chromaticity.from_xy(x, y) for x, y in ((0.68, 0.32), (0.265, 0.69), (0.15, 0.06)))
+GAMUTS = (DisplayGamut(), DisplayGamut(white_luminance=80.0), DisplayGamut(primaries=P3_PRIMARIES))
+# a channel level on, just inside or just outside a face of the unit cube
+# (the gamut test allows 1e-9), or anywhere within it
+near_face = st.builds(
+    lambda face, offset: face + offset,
+    st.sampled_from([0.0, 1.0]),
+    st.sampled_from([-2e-9, -1e-9, -5e-10, 0.0, 5e-10, 1e-9, 2e-9]),
+)
+channel = st.one_of(near_face, st.floats(0.0, 1.0))
+
+
+class TestGamutStack:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(channel, channel, channel), min_size=1, max_size=40),
+           st.sampled_from(GAMUTS))
+    def test_stack_answers_equal_the_scalar_answers(self, rgbs, gamut):
+        xyz = np.array([gamut.rgb_to_xyz @ np.array(rgb) for rgb in rgbs])
+        inside = gamut_contains(xyz, gamut)
+        assert inside.shape == (len(rgbs),) and inside.dtype == bool
+        for row, answer in zip(xyz, inside.tolist()):
+            levels = gamut.xyz_to_rgb @ row  # the test's definition, one row at a time
+            assert answer == all(-1e-9 <= v <= 1.0 + 1e-9 for v in levels)
+            if (row >= 0).all():
+                scalar = gamut_contains(Tristimulus(*row), gamut)
+                assert type(scalar) is bool and scalar == answer
+
+    def test_leading_axes_and_nan_rows(self):
+        g = DisplayGamut()
+        rgb = np.random.default_rng(3).uniform(-0.2, 1.2, (4, 5, 3))
+        xyz = (g.rgb_to_xyz @ rgb[..., None])[..., 0]
+        xyz[1, 2] = np.nan
+        inside = gamut_contains(xyz, g)
+        assert inside.shape == (4, 5) and not inside[1, 2]
+        assert (inside.reshape(-1) == gamut_contains(xyz.reshape(-1, 3), g)).all()
 
 
 class TestAtlasSpec:
@@ -107,8 +148,6 @@ class TestGenerateAtlas:
     def test_rejected_candidates_outside_gamut(self, vc_avg):
         # regenerate the grid and verify every in-bound candidate missing from
         # the atlas genuinely fails inversion or the gamut test
-        from colorbench.cam16 import cam16_inverse, ucs_colorfulness_to_m
-
         spec = AtlasSpec(vc=vc_avg, J=50.0, spacing=4.0, chroma_bound=24.0)
         result = generate_atlas(spec)
         kept = {(p.ucs.a_M, p.ucs.b_M) for p in result}
@@ -161,6 +200,47 @@ class TestGenerateAtlas:
         assert total_grid == 61 * 61
         assert atlas_j50.inversion_failures > 0
         assert len(atlas_j50) + atlas_j50.inversion_failures < total_grid
+
+    @pytest.mark.parametrize(
+        "J, surround, la, spacing",
+        [(50.0, "dark", 50.0, 1.0), (20.0, "average", 50.0, 2.0), (80.0, "dim", 4.0, 1.5),
+         (35.0, "average", 318.3, 3.0), (95.0, "dark", 4.0, 2.5)],
+    )
+    def test_every_candidate_counted_once(self, J, surround, la, spacing):
+        vc = Cam16ViewingConditions(L_A=la, surround=surround)
+        res = generate_atlas(AtlasSpec(vc=vc, J=J, spacing=spacing))
+        assert res.candidates == len(res.points) + res.inversion_failures + res.out_of_gamut
+        assert res.candidates == (2 * math.floor(60.0 / spacing) + 1) ** 2
+        assert len(res.points) > 0 and res.out_of_gamut > 0
+
+    def test_counts_match_a_scalar_scan(self, vc_avg):
+        spec = AtlasSpec(vc=vc_avg, J=50.0, spacing=4.0, chroma_bound=48.0)
+        side = [k * spec.spacing for k in range(-12, 13)]
+        failures = outside = 0
+        for b, a in itertools.product(side, side):
+            h = math.degrees(math.atan2(b, a)) % 360.0
+            try:
+                xyz = cam16_inverse(spec.J, h, spec.vc, M=ucs_colorfulness_to_m(math.hypot(a, b)))
+            except ValueError:
+                failures += 1
+                continue
+            outside += not gamut_contains(xyz, spec.gamut)
+        res = generate_atlas(spec)
+        assert (res.inversion_failures, res.out_of_gamut) == (failures, outside)
+        assert failures > 0 and outside > 0
+
+    def test_peak_memory_per_candidate(self):
+        # 58,081 candidates, about a quarter kept: the XYZ array takes 24
+        # bytes a candidate and each kept point about 1.1 kB
+        spec = AtlasSpec(vc=Cam16ViewingConditions(surround="dark"), J=50.0, spacing=0.5)
+        tracemalloc.start()
+        try:
+            res = generate_atlas(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.candidates == 58_081
+        assert peak <= 400 * res.candidates
 
     def test_count_ordering_dim_vs_bright(self, vc_avg):
         dark_vc = Cam16ViewingConditions(L_A=50.0, surround="dark")

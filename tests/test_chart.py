@@ -1,10 +1,13 @@
 import json
+import math
+import re
 import tracemalloc
 import warnings
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from colorbench import (
     BT709_TRANSFER,
@@ -235,6 +238,61 @@ class TestRenderChart:
             xy = xyz_to_chromaticity(xyz)
             stored = Chromaticity.from_xy(p["x"], p["y"])
             assert delta_e_xyz(stored, xy) < 1e-6
+
+
+P3_PRIMARIES = tuple(Chromaticity.from_xy(x, y) for x, y in ((0.68, 0.32), (0.265, 0.69), (0.15, 0.06)))
+GAMUTS = (DisplayGamut(), DisplayGamut(white_luminance=80.0), DisplayGamut(primaries=P3_PRIMARIES))
+channel = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+good_patch = st.tuples(channel, channel, channel)
+bad_patch = st.sampled_from(
+    [(1.2, 0.0, 0.0), (0.5, -0.1, 0.5), (0.5, math.nan, 0.5), (0.5, 0.5), (0.1, 0.2, 0.3, 0.4),
+     ((0.1, 0.2, 0.3),), [[0.1], [0.2], [0.3]], 0.5]
+)
+
+
+def _grid(n: int) -> ChartLayout:
+    return ChartLayout(rows=math.ceil(n / 8), cols=8, patch_px=2, gap_px=1)
+
+
+class TestRenderChartPatches:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(good_patch, min_size=1, max_size=40), st.sampled_from(GAMUTS),
+           st.sampled_from([BT709_TRANSFER, LINEAR_TRANSFER]))
+    def test_sidecar_and_codes_match_each_patch(self, rgbs, gamut, transfer):
+        colors = [(f"p{i}", rgb) for i, rgb in enumerate(rgbs + [(0.0, 0.0, 0.0)])]
+        layout = _grid(len(colors))
+        try:
+            stimuli = [Tristimulus(*(gamut.rgb_to_xyz @ np.array(rgb))) for _, rgb in colors]
+        except ValueError:
+            # the P3 red primary's z is -5.6e-17, so a red-only patch has a
+            # slightly negative Z: rejected whole, as patch by patch
+            with pytest.raises(ValueError, match="tristimulus components must be"):
+                render_chart(colors, layout, transfer=transfer, gamut=gamut)
+            return
+        png, meta = render_chart(colors, layout, transfer=transfer, gamut=gamut)
+        img = decode_png_rgb16(png)
+        encode = oetf_bt709 if transfer == BT709_TRANSFER else np.asarray
+        for (name, rgb), xyz, p in zip(colors, stimuli, meta.patches, strict=True):
+            # a black patch takes the white's chromaticity
+            xy = xyz_to_chromaticity(xyz) if xyz.X + xyz.Y + xyz.Z > 0 else gamut.white
+            assert (p["name"], p["x"], p["y"]) == (name, xy.x, xy.y)
+            assert p["L_C"] == xyz.Y / gamut.white_luminance
+            assert p["rgb_linear"] == list(rgb)
+            x0, y0 = patch_pixel_origin(layout, p["row"], p["col"])
+            code = np.round(encode(np.array(rgb)) * 65535.0).astype(np.uint16)
+            assert (img[y0 : y0 + 2, x0 : x0 + 2] == code).all()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.one_of(good_patch.map(lambda p: (True, p)), bad_patch.map(lambda p: (False, p))),
+                    min_size=1, max_size=30))
+    def test_error_names_the_first_bad_patch(self, entries):
+        assume(not all(ok for ok, _ in entries))
+        first = next(i for i, (ok, _) in enumerate(entries) if not ok)
+        colors = [(f"p{i}", rgb) for i, (_, rgb) in enumerate(entries)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"patch 'p{first}':")):
+                render_chart(colors, _grid(len(colors)))
 
 
 class TestMetadata:

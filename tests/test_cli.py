@@ -148,6 +148,13 @@ def test_atlas_csv_matches_library(tmp_path, capsys):
     assert out.read_text() == atlas_csv(result.points)
 
 
+def test_atlas_stderr_line(tmp_path, capsys):
+    # the one stderr line of an atlas run, parsed by the benchmark: it names
+    # kept points and inversion failures, not the out-of-gamut count
+    assert run(["atlas", "--j", "50", "--out", str(tmp_path / "a.csv")]) == 0
+    assert capsys.readouterr().err == "atlas J=50 spacing=2: 1109 points, 819 inversion failures\n"
+
+
 def test_atlas_svg_outputs(tmp_path):
     out = tmp_path / "a.csv"
     svg = tmp_path / "a.svg"

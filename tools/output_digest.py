@@ -1,5 +1,5 @@
-"""Regenerate the acceptance outputs and a chart of benchmark size, and print
-one digest line per file.
+"""Regenerate the acceptance outputs, plus an atlas and charts with the
+benchmark's settings, and print one digest line per file.
 
 Each line is ``<sha256> <exit code> <name>``.  The outputs are written into a
 temporary directory by ``colorbench.cli.run`` from the ``src/`` tree next to
@@ -49,6 +49,17 @@ RUNS = [
          "--primaries", "0.68,0.32,0.265,0.69,0.15,0.06", "--out", "atlas_p3.csv"],
         ["atlas_p3.csv"],
     ),
+    (
+        # the benchmark's atlas settings
+        ["atlas", "--j", "50", "--spacing", "1", "--surround", "dark",
+         "--out", "atlas_dark.csv", "--svg", "atlas_dark.svg"],
+        ["atlas_dark.csv", "atlas_dark.svg"],
+    ),
+    (
+        ["atlas", "--j", "40", "--la", "4", "--surround", "dim",
+         "--out", "atlas_dim.csv", "--xy-svg", "atlas_dim_xy.svg"],
+        ["atlas_dim.csv", "atlas_dim_xy.svg"],
+    ),
     (["chart", "--out", "chart.png"], ["chart.png", "chart.png.meta.json"]),
     (
         ["chart", "--linear", "--embed-primaries", "--out", "linear.png"],
@@ -64,6 +75,12 @@ RUNS = [
         ["chart", "--from-atlas", "{out}/atlas.csv", "--rows", "61", "--cols", "61",
          "--patch-px", "21", "--gap-px", "2", "--out", "from_atlas_2mpx.png"],
         ["from_atlas_2mpx.png", "from_atlas_2mpx.png.meta.json"],
+    ),
+    (
+        # one cell per candidate of the dark slice, about 2 Mpx, unencoded
+        ["chart", "--from-atlas", "{out}/atlas_dark.csv", "--linear", "--rows", "121",
+         "--cols", "121", "--patch-px", "10", "--gap-px", "2", "--out", "from_atlas_linear.png"],
+        ["from_atlas_linear.png", "from_atlas_linear.png.meta.json"],
     ),
     (
         ["match", "--db", str(FIXTURES / "fixture_wide.csv"), "--out", "match_wide.csv"],
