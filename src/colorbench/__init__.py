@@ -66,12 +66,10 @@ from .cam16 import (
 )
 from .atlas import (
     ATLAS_CSV_HEADER,
-    AtlasPoint,
     AtlasResult,
     AtlasSpec,
     DisplayGamut,
     atlas_csv,
-    atlas_to_xy,
     gamut_contains,
     generate_atlas,
     read_atlas_rgb,

@@ -15,15 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cam16 import (
-    Cam16Appearance,
-    Cam16ViewingConditions,
-    UcsPoint,
-    cam16_forward,
-    cam16_inverse,
-    j_to_ucs_lightness,
-    ucs_colorfulness_to_m,
-)
+from .cam16 import Cam16ViewingConditions, cam16_forward, cam16_inverse, ucs_colorfulness_to_m
 from .spectral import (
     Chromaticity,
     Tristimulus,
@@ -37,7 +29,8 @@ ATLAS_CSV_HEADER = "J,a_m_prime,b_m_prime,X,Y,Z,x,y,R_lin,G_lin,B_lin"
 
 _GAMUT_TOL = 1e-9
 
-# one slice's budget: at J = 50, about 30 µs and 300 bytes a candidate (7 s, 75 MB)
+# one slice's budget: at J = 50, about 25 µs and 60 bytes a candidate (6 s, 15 MB):
+# the XYZ scan and the gamut test's levels take 24 bytes each, a kept point's row 88
 MAX_ATLAS_CANDIDATES = 250_000
 
 # scatter plots are square; the margin is a fraction of the data span
@@ -103,38 +96,24 @@ class AtlasSpec:
 
 
 @dataclass(frozen=True)
-class AtlasPoint:
-    ucs: UcsPoint
-    appearance: Cam16Appearance
-    xyz: Tristimulus
-    xy: Chromaticity
-    rgb_linear: tuple[float, float, float]
-
-
-@dataclass(frozen=True)
 class AtlasResult:
-    """Atlas points plus generation diagnostics."""
+    """The kept lattice points as one read-only ``(n, 11)`` float64 table, with
+    columns in ``ATLAS_CSV_HEADER`` order, plus generation diagnostics."""
 
-    points: tuple[AtlasPoint, ...]
+    points: np.ndarray
     inversion_failures: int
     candidates: int
     out_of_gamut: int
 
-    def __len__(self):
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
 
 def generate_atlas(spec: AtlasSpec) -> AtlasResult:
-    """Generate the in-gamut UCS lattice for one lightness level, sorted by (b'_M, a'_M).
+    """Generate the in-gamut UCS lattice for one lightness level, rows in (b'_M, a'_M) order.
 
     One ``cam16_inverse`` per candidate, scanned in that order, fills a ``(candidates, 3)``
     XYZ array (a failure stays NaN); one gamut test, black check and clip then run over
-    it, and one ``cam16_forward`` per kept point.  Each candidate is kept, failed or out of gamut.
+    it, and one ``cam16_forward`` per kept point gives its J column.  Each candidate is
+    kept, failed or out of gamut.
     """
-    j_prime = j_to_ucs_lightness(spec.J)
     steps = int(math.floor(spec.chroma_bound / spec.spacing))
     side = [k * spec.spacing for k in range(-steps, steps + 1)]
     candidates = len(side) ** 2
@@ -157,48 +136,24 @@ def generate_atlas(spec: AtlasSpec) -> AtlasResult:
             f"lightness J = {spec.J!r} is too small: a candidate inverts to black, "
             "which has no chromaticity"
         )
-    rgb = np.clip(spec.gamut.linear_rgb(xyz), 0.0, 1.0)
-    columns = (kept, *xyz.T, xyz[:, 0] / total, xyz[:, 1] / total, *rgb.T)
-    points = []
-    for row, X, Y, Z, x, y, r, g, b in zip(*(c.tolist() for c in columns)):
-        stimulus = Tristimulus(X, Y, Z)
-        ucs = UcsPoint(j_prime, side[row % len(side)], side[row // len(side)])
-        appearance = cam16_forward(stimulus, spec.vc)
-        xy = Chromaticity.from_xy(x, y)
-        points.append(AtlasPoint(ucs, appearance, stimulus, xy, (r, g, b)))
-    points.sort(key=lambda p: (p.ucs.b_M, p.ucs.a_M))
-    return AtlasResult(tuple(points), failures, candidates, candidates - failures - len(points))
-
-
-def atlas_to_xy(points) -> list[tuple[float, float]]:
-    """Project atlas points onto the xy chromaticity plane."""
-    pts = list(points)
-    if not pts:
-        raise ValueError("cannot project an empty atlas")
-    return [(p.xy.x, p.xy.y) for p in pts]
+    lightness = [cam16_forward(Tristimulus(*v), spec.vc).J for v in xyz.tolist()]
+    grid = np.array(side)
+    points = np.column_stack((
+        lightness,
+        grid[kept % len(side)],
+        grid[kept // len(side)],
+        xyz,
+        xyz[:, :2] / total[:, None],
+        np.clip(spec.gamut.linear_rgb(xyz), 0.0, 1.0),
+    ))
+    points.flags.writeable = False
+    return AtlasResult(points, failures, candidates, candidates - failures - len(points))
 
 
 def atlas_csv(points) -> str:
-    """Serialize atlas points with the canonical column set."""
-    lines = [ATLAS_CSV_HEADER]
-    for p in points:
-        lines.append(
-            ",".join(
-                repr(float(v))
-                for v in (
-                    p.appearance.J,
-                    p.ucs.a_M,
-                    p.ucs.b_M,
-                    p.xyz.X,
-                    p.xyz.Y,
-                    p.xyz.Z,
-                    p.xy.x,
-                    p.xy.y,
-                    *p.rgb_linear,
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    """Serialize an atlas table under ``ATLAS_CSV_HEADER``, every value as its ``repr``."""
+    rows = (",".join(map(repr, row)) for row in points.tolist())
+    return "\n".join((ATLAS_CSV_HEADER, *rows)) + "\n"
 
 
 def write_atlas_csv(points, path) -> None:
@@ -206,26 +161,26 @@ def write_atlas_csv(points, path) -> None:
         fh.write(atlas_csv(points))
 
 
-def read_atlas_rgb(path) -> list[tuple[float, float, float]]:
-    """Linear RGB (R_lin, G_lin, B_lin) of every row of an atlas CSV (see
-    ``spectral.read_csv``); each must lie in [0, 1]."""
+def read_atlas_rgb(path) -> np.ndarray:
+    """The ``(n, 3)`` linear RGB (R_lin, G_lin, B_lin) of an atlas CSV (see
+    ``spectral.read_csv``); each value must lie in [0, 1]."""
     table = read_csv(path, ATLAS_CSV_HEADER)
     rgb = table.values[:, -3:]
     outside = ((rgb < 0) | (rgb > 1)).any(axis=1)
     if outside.any():
         line = table.lines[int(np.argmax(outside))]
         raise line_error(table.path, line, "R_lin, G_lin and B_lin must lie in [0, 1]")
-    return [tuple(row) for row in rgb.tolist()]
+    return rgb
 
 
 def scatter_svg(xy_pairs, labels: tuple[str, str] = ("a'_M", "b'_M")) -> str:
-    """Minimal deterministic scatter plot as an SVG document."""
+    """Minimal deterministic scatter plot of ``(x, y)`` pairs (an ``(n, 2)`` array
+    or a sequence of pairs) as an SVG document."""
     width = height = _SVG_SIZE_PX
-    pairs = list(xy_pairs)
-    if not pairs:
+    pairs = np.asarray(xy_pairs, dtype=float)
+    if not pairs.size:
         raise ValueError("nothing to plot")
-    xs = [p[0] for p in pairs]
-    ys = [p[1] for p in pairs]
+    xs, ys = pairs[:, 0].tolist(), pairs[:, 1].tolist()
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     span_x = (x1 - x0) or 1.0
@@ -246,7 +201,7 @@ def scatter_svg(xy_pairs, labels: tuple[str, str] = ("a'_M", "b'_M")) -> str:
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="8" y="16" font-size="12" font-family="monospace">{labels[0]} vs {labels[1]}</text>',
     ]
-    for x, y in pairs:
+    for x, y in zip(xs, ys):
         parts.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="2.5" fill="black"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -115,6 +115,7 @@ class Cam16ViewingConditions:
             ("z", z),
             ("N_bb", N_bb),
             ("N_cb", N_bb),
+            ("alpha_factor", (1.64 - 0.29**n) ** 0.73),
             ("d_rgb", tuple(d_rgb.tolist())),
             ("A_w", A_w),
         ):
@@ -186,7 +187,7 @@ def cam16_forward(stimulus: Tristimulus, vc: Cam16ViewingConditions) -> Cam16App
         * math.hypot(a, b)
         / (rgb_a[0] + rgb_a[1] + 1.05 * rgb_a[2] + 0.305)
     )
-    alpha = t**0.9 * (1.64 - 0.29**vc.n) ** 0.73
+    alpha = t**0.9 * vc.alpha_factor
     C = alpha * math.sqrt(J / 100.0)
     M = C * vc.F_L_root
     s = 100.0 * math.sqrt(M / Q) if Q > 0 else 0.0
@@ -216,7 +217,7 @@ def cam16_inverse(
     cos_h, sin_h = math.cos(h_rad), math.sin(h_rad)
 
     alpha = C / math.sqrt(J / 100.0)
-    t = (alpha / (1.64 - 0.29**vc.n) ** 0.73) ** (10.0 / 9.0)
+    t = (alpha / vc.alpha_factor) ** (10.0 / 9.0)
     e_t = 0.25 * (math.cos(h_rad + 2.0) + 3.8)
 
     A = vc.A_w * (J / 100.0) ** (1.0 / (vc.c * vc.z))

@@ -208,6 +208,9 @@ def render_chart(
     image = np.full((h, w, 3), quantize(_BACKGROUND_RGB))
     # the stacked product: bit-equal, patch by patch, to ``rgb_to_xyz @ rgb``
     xyz = (gamut.rgb_to_xyz @ rgb[..., None])[..., 0]
+    # a primary whose z rounds just below 0 (the DCI-P3 red's is -5.6e-17)
+    # leaves a rounding-size negative component, which reads as 0
+    xyz[(xyz < 0) & (xyz >= -1e-12 * gamut.white_luminance)] = 0.0
     total = xyz[:, 0] + xyz[:, 1] + xyz[:, 2]
     if not ((xyz >= 0).all() and np.isfinite(total).all()):
         raise ValueError("patch tristimulus components must be finite and non-negative")

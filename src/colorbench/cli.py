@@ -21,7 +21,6 @@ from . import __version__
 from .atlas import (
     AtlasSpec,
     DisplayGamut,
-    atlas_to_xy,
     generate_atlas,
     read_atlas_rgb,
     scatter_svg,
@@ -45,7 +44,6 @@ from .spectral import (
     load_illuminant,
     load_observer,
     read_spectrum_csv,
-    spd_to_xyz,
 )
 from .spectradb import (
     LONG_CSV,
@@ -220,13 +218,14 @@ def _cmd_atlas(cfg: RunConfig, args) -> int:
         chroma_bound=args.bound,
     )
     result = generate_atlas(spec)
-    write_atlas_csv(result.points, cfg.out_path(args.out))
+    points = result.points
+    write_atlas_csv(points, cfg.out_path(args.out))
+    # the SVGs plot the (a'_M, b'_M) and (x, y) columns of the table
     if args.svg:
-        pairs = [(p.ucs.a_M, p.ucs.b_M) for p in result.points]
-        cfg.out_path(args.svg).write_text(scatter_svg(pairs), encoding="utf-8")
+        cfg.out_path(args.svg).write_text(scatter_svg(points[:, 1:3]), encoding="utf-8")
     if args.xy_svg:
         cfg.out_path(args.xy_svg).write_text(
-            scatter_svg(atlas_to_xy(result.points), labels=("x", "y")), encoding="utf-8"
+            scatter_svg(points[:, 6:8], labels=("x", "y")), encoding="utf-8"
         )
     print(
         f"atlas J={_sig6(args.j)} spacing={_sig6(args.spacing)}: "
@@ -241,7 +240,8 @@ def _cmd_chart(cfg: RunConfig, args) -> int:
     gamut = cfg.display_gamut()
     if args.from_atlas:
         source = "atlas"
-        colors = [(f"atlas_{i}", rgb) for i, rgb in enumerate(read_atlas_rgb(args.from_atlas))]
+        rgbs = read_atlas_rgb(args.from_atlas).tolist()
+        colors = [(f"atlas_{i}", rgb) for i, rgb in enumerate(rgbs)]
     elif args.db:
         source = "matched"
         illuminant = cfg.resolve_illuminant()
@@ -249,8 +249,7 @@ def _cmd_chart(cfg: RunConfig, args) -> int:
         db = {r.id: r for r in load_database(args.db, fmt=args.format, illuminant=illuminant, obs=obs)}
         colors = []
         for res in match_nearest(build_target_set(), list(db.values())):
-            xyz = spd_to_xyz(db[res.record_id].spectrum, illuminant, obs)
-            rgb = np.clip(gamut.linear_rgb(xyz), 0.0, 1.0)
+            rgb = np.clip(gamut.linear_rgb(db[res.record_id].xyz), 0.0, 1.0)
             colors.append((f"{res.target_name}:{res.record_id}", tuple(float(v) for v in rgb)))
     else:
         source = "targets"

@@ -5,7 +5,8 @@ CSV has one record per row: an ``id`` column followed by wavelength
 headers.  Long CSV has columns ``id,wavelength_nm,value``; a record is a
 run of rows with one id.  Each record's wavelengths strictly increase.
 Every record is resampled to the working grid at load time and its
-chromaticity under the session illuminant/observer is cached.
+tristimulus and chromaticity under the session illuminant/observer are
+cached.
 
 Matching is an exhaustive scan for the record minimizing the xyz
 chromaticity distance; ties break on the lexicographically smallest id.
@@ -21,6 +22,7 @@ from .spectral import (
     Chromaticity,
     ObserverTables,
     SpectralDistribution,
+    Tristimulus,
     check_samples,
     delta_e_xyz,
     line_error,
@@ -39,11 +41,14 @@ MATCH_CSV_HEADER = "target,x_spectral,y_spectral,color_id,delta_e"
 
 @dataclass(frozen=True, eq=False)
 class SpectraRecord:
-    """One database spectrum, resampled to the working grid."""
+    """One database spectrum, resampled to the working grid, with its
+    tristimulus and chromaticity under the session illuminant and observer
+    (``xyz`` is None on a record built without one)."""
 
     id: str
     spectrum: SpectralDistribution
     cached_xy: Chromaticity
+    xyz: Tristimulus | None = None
 
 
 @dataclass(frozen=True)
@@ -62,7 +67,7 @@ def load_database(
     obs: ObserverTables | None = None,
 ) -> list[SpectraRecord]:
     """Load a reflectance database file (see ``spectral.read_csv``) and cache
-    per-record chromaticities."""
+    per-record tristimulus values and chromaticities."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"database not found: {path}")
@@ -92,7 +97,7 @@ def load_database(
             xy = xyz_to_chromaticity(xyz)
         except ValueError as exc:
             raise line_error(path, line, f"record {rid!r}: {exc}") from None
-        records.append(SpectraRecord(rid, spd, xy))
+        records.append(SpectraRecord(rid, spd, xy, xyz))
     return records
 
 

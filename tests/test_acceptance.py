@@ -23,6 +23,7 @@ from colorbench import (
     DisplayGamut,
     SpectralDistribution,
     Tristimulus,
+    UcsPoint,
     atlas_csv,
     build_target_set,
     cam16_forward,
@@ -34,6 +35,7 @@ from colorbench import (
     gamut_contains,
     generate_atlas,
     illuminant_white,
+    j_to_ucs_lightness,
     load_illuminant,
     load_observer,
     match_nearest,
@@ -207,21 +209,23 @@ class TestCriterion4Atlas:
         problems = []
         # (a) every emitted point passes the gamut test
         for key, res in results.items():
-            if not all(gamut_contains(p.xyz, gamut) for p in res):
+            if not all(gamut_contains(Tristimulus(*row[3:6]), gamut) for row in res.points):
                 problems.append(f"{key}: gamut violation")
         # (b) grid-adjacent points differ by exactly 2 UCS units
         res = results["J50_avg"]
-        index = {(p.ucs.a_M, p.ucs.b_M): p for p in res}
+        j_prime = j_to_ucs_lightness(50.0)
+        index = {(a, b): UcsPoint(j_prime, a, b) for a, b in res.points[:, 1:3].tolist()}
         for (a, b), p in index.items():
             for da, db in ((2.0, 0.0), (0.0, 2.0)):
                 n = index.get((a + da, b + db))
-                if n is not None and delta_e_ucs(p.ucs, n.ucs) != 2.0:
+                if n is not None and delta_e_ucs(p, n) != 2.0:
                     problems.append(f"adjacency {a},{b}")
         # (c) dim/dark ordering of point counts
-        if not len(results["J10_avg"]) < len(results["J50_dark"]):
+        count = lambda key: len(results[key].points)
+        if not count("J10_avg") < count("J50_dark"):
             problems.append("count ordering")
         # (d) chromatic extent shrinks toward white
-        radius = lambda r: max(math.hypot(p.ucs.a_M, p.ucs.b_M) for p in r)
+        radius = lambda r: max(map(math.hypot, r.points[:, 1], r.points[:, 2]))
         if not radius(results["J90_avg"]) < radius(results["J50_avg"]):
             problems.append("radius ordering")
         # (e) bit-identical regeneration
@@ -234,7 +238,7 @@ class TestCriterion4Atlas:
         report(
             "criterion 4 (atlas properties)",
             not problems,
-            f"counts J10avg={len(results['J10_avg'])} < J50dark={len(results['J50_dark'])}, "
+            f"counts J10avg={count('J10_avg')} < J50dark={count('J50_dark')}, "
             f"radius J90 {radius(results['J90_avg']):.1f} < J50 {radius(results['J50_avg']):.1f}, "
             f"slowest {slow:.2f}s" if not problems else "; ".join(problems),
         )

@@ -1,7 +1,9 @@
 import itertools
 import math
 import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,17 +16,21 @@ from colorbench import (
     Chromaticity,
     DisplayGamut,
     Tristimulus,
+    UcsPoint,
     atlas_csv,
-    atlas_to_xy,
+    cam16_forward,
     delta_e_ucs,
     gamut_contains,
     generate_atlas,
     illuminant_white,
+    j_to_ucs_lightness,
     scatter_svg,
     to_ucs,
+    write_atlas_csv,
 )
 from colorbench.atlas import MAX_ATLAS_CANDIDATES
 from colorbench.cam16 import cam16_inverse, ucs_colorfulness_to_m
+from colorbench.spectral import read_csv
 from colorbench.targets import REC709_PRIMARIES, point_in_triangle, rgb_to_xyz_matrix
 
 
@@ -137,20 +143,21 @@ class TestGenerateAtlas:
             generate_atlas(spec)
 
     def test_contains_achromatic_origin(self, atlas_j50):
-        assert any(p.ucs.a_M == 0.0 and p.ucs.b_M == 0.0 for p in atlas_j50)
+        pts = atlas_j50.points
+        assert ((pts[:, 1] == 0.0) & (pts[:, 2] == 0.0)).any()
 
     def test_every_point_in_gamut(self, atlas_j50):
         g = DisplayGamut()
-        for p in atlas_j50:
-            assert gamut_contains(p.xyz, g)
-            assert all(-1e-9 <= v <= 1.0 + 1e-9 for v in p.rgb_linear)
+        for row in atlas_j50.points:
+            assert gamut_contains(Tristimulus(*row[3:6]), g)
+            assert all(-1e-9 <= v <= 1.0 + 1e-9 for v in row[8:11])
 
     def test_rejected_candidates_outside_gamut(self, vc_avg):
         # regenerate the grid and verify every in-bound candidate missing from
         # the atlas genuinely fails inversion or the gamut test
         spec = AtlasSpec(vc=vc_avg, J=50.0, spacing=4.0, chroma_bound=24.0)
         result = generate_atlas(spec)
-        kept = {(p.ucs.a_M, p.ucs.b_M) for p in result}
+        kept = set(map(tuple, result.points[:, 1:3].tolist()))
         g = spec.gamut
         steps = int(spec.chroma_bound / spec.spacing)
         for i in range(-steps, steps + 1):
@@ -167,28 +174,29 @@ class TestGenerateAtlas:
                 assert not gamut_contains(xyz, g)
 
     def test_grid_neighbors_exactly_spacing_apart(self, atlas_j50):
-        index = {(p.ucs.a_M, p.ucs.b_M): p for p in atlas_j50}
+        j_prime = j_to_ucs_lightness(50.0)
+        index = {(a, b): UcsPoint(j_prime, a, b) for a, b in atlas_j50.points[:, 1:3].tolist()}
         checked = 0
         for (a, b), p in index.items():
             n = index.get((a + 2.0, b))
             if n is not None:
-                assert delta_e_ucs(p.ucs, n.ucs) == 2.0
+                assert delta_e_ucs(p, n) == 2.0
                 checked += 1
         assert checked > 50
 
-    def test_appearance_consistent_with_ucs(self, atlas_j50):
-        for p in list(atlas_j50)[::37]:
-            u = to_ucs(p.appearance)
-            assert u.J_prime == pytest.approx(p.ucs.J_prime, abs=1e-9)
-            assert u.a_M == pytest.approx(p.ucs.a_M, abs=1e-9)
-            assert u.b_M == pytest.approx(p.ucs.b_M, abs=1e-9)
+    def test_appearance_consistent_with_ucs(self, vc_avg, atlas_j50):
+        for row in atlas_j50.points[::37]:
+            u = to_ucs(cam16_forward(Tristimulus(*row[3:6]), vc_avg))
+            assert u.J_prime == pytest.approx(j_to_ucs_lightness(50.0), abs=1e-9)
+            assert u.a_M == pytest.approx(row[1], abs=1e-9)
+            assert u.b_M == pytest.approx(row[2], abs=1e-9)
 
     def test_fixed_lightness(self, atlas_j50):
-        for p in atlas_j50:
-            assert p.appearance.J == pytest.approx(50.0, abs=1e-9)
+        for J in atlas_j50.points[:, 0]:
+            assert J == pytest.approx(50.0, abs=1e-9)
 
     def test_sorted_by_b_then_a(self, atlas_j50):
-        keys = [(p.ucs.b_M, p.ucs.a_M) for p in atlas_j50]
+        keys = list(zip(atlas_j50.points[:, 2].tolist(), atlas_j50.points[:, 1].tolist()))
         assert keys == sorted(keys)
 
     def test_deterministic_regeneration(self, vc_avg, atlas_j50):
@@ -199,7 +207,7 @@ class TestGenerateAtlas:
         total_grid = atlas_j50.candidates
         assert total_grid == 61 * 61
         assert atlas_j50.inversion_failures > 0
-        assert len(atlas_j50) + atlas_j50.inversion_failures < total_grid
+        assert len(atlas_j50.points) + atlas_j50.inversion_failures < total_grid
 
     @pytest.mark.parametrize(
         "J, surround, la, spacing",
@@ -231,7 +239,7 @@ class TestGenerateAtlas:
 
     def test_peak_memory_per_candidate(self):
         # 58,081 candidates, about a quarter kept: the XYZ array takes 24
-        # bytes a candidate and each kept point about 1.1 kB
+        # bytes a candidate and each kept point's row of the table 88 bytes
         spec = AtlasSpec(vc=Cam16ViewingConditions(surround="dark"), J=50.0, spacing=0.5)
         tracemalloc.start()
         try:
@@ -240,21 +248,21 @@ class TestGenerateAtlas:
         finally:
             tracemalloc.stop()
         assert res.candidates == 58_081
-        assert peak <= 400 * res.candidates
+        assert peak <= 120 * res.candidates
 
     def test_count_ordering_dim_vs_bright(self, vc_avg):
         dark_vc = Cam16ViewingConditions(L_A=50.0, surround="dark")
-        n_j10 = len(generate_atlas(AtlasSpec(vc=vc_avg, J=10.0, spacing=2.0)))
-        n_j50_dark = len(generate_atlas(AtlasSpec(vc=dark_vc, J=50.0, spacing=2.0)))
+        n_j10 = len(generate_atlas(AtlasSpec(vc=vc_avg, J=10.0, spacing=2.0)).points)
+        n_j50_dark = len(generate_atlas(AtlasSpec(vc=dark_vc, J=50.0, spacing=2.0)).points)
         assert n_j10 < n_j50_dark
 
     def test_wider_spacing_fewer_points(self, vc_avg, atlas_j50):
-        n4 = len(generate_atlas(AtlasSpec(vc=vc_avg, J=50.0, spacing=4.0)))
-        assert n4 < len(atlas_j50)
+        n4 = len(generate_atlas(AtlasSpec(vc=vc_avg, J=50.0, spacing=4.0)).points)
+        assert n4 < len(atlas_j50.points)
 
     def test_chromatic_extent_shrinks_toward_white(self, vc_avg, atlas_j50):
         a90 = generate_atlas(AtlasSpec(vc=vc_avg, J=90.0, spacing=2.0))
-        radius = lambda res: max(math.hypot(p.ucs.a_M, p.ucs.b_M) for p in res)
+        radius = lambda res: max(map(math.hypot, res.points[:, 1], res.points[:, 2]))
         assert radius(a90) < radius(atlas_j50)
 
 
@@ -263,17 +271,19 @@ class TestAtlasProjection:
         # full adaptation makes the achromatic axis hit the white point
         vc = Cam16ViewingConditions(L_A=50.0, D=1.0)
         res = generate_atlas(AtlasSpec(vc=vc, J=50.0, spacing=2.0))
-        origin = next(p for p in res if p.ucs.a_M == 0.0 and p.ucs.b_M == 0.0)
-        assert origin.xy.x == pytest.approx(0.3127, abs=1e-3)
-        assert origin.xy.y == pytest.approx(0.3290, abs=1e-3)
+        origin = next(row for row in res.points if row[1] == 0.0 and row[2] == 0.0)
+        assert origin[6] == pytest.approx(0.3127, abs=1e-3)
+        assert origin[7] == pytest.approx(0.3290, abs=1e-3)
 
     def test_all_points_inside_bt709_triangle(self, atlas_j50):
-        for x, y in atlas_to_xy(atlas_j50):
+        for x, y in atlas_j50.points[:, 6:8].tolist():
             assert point_in_triangle(Chromaticity.from_xy(x, y), REC709_PRIMARIES, tol=1e-9)
 
     def test_empty_atlas_rejected(self):
-        with pytest.raises(ValueError):
-            atlas_to_xy([])
+        empty = np.empty((0, 11))
+        assert atlas_csv(empty) == ATLAS_CSV_HEADER + "\n"
+        with pytest.raises(ValueError, match="nothing to plot"):
+            scatter_svg(empty[:, 6:8])
 
 
 class TestSerialization:
@@ -281,19 +291,43 @@ class TestSerialization:
         text = atlas_csv(atlas_j50.points)
         assert text.splitlines()[0] == ATLAS_CSV_HEADER
         assert text.splitlines()[0] == "J,a_m_prime,b_m_prime,X,Y,Z,x,y,R_lin,G_lin,B_lin"
-        assert len(text.splitlines()) == len(atlas_j50) + 1
+        assert len(text.splitlines()) == len(atlas_j50.points) + 1
 
     def test_csv_round_trip_precision(self, atlas_j50):
         line = atlas_csv(atlas_j50.points).splitlines()[1]
         values = [float(v) for v in line.split(",")]
-        p = atlas_j50.points[0]
-        assert values[1] == p.ucs.a_M
-        assert values[3] == p.xyz.X
+        assert values == atlas_j50.points[0].tolist()
 
     def test_svg_scatter(self, atlas_j50):
-        svg = scatter_svg([(p.ucs.a_M, p.ucs.b_M) for p in atlas_j50])
+        svg = scatter_svg(atlas_j50.points[:, 1:3])
         assert svg.startswith("<svg ")
-        assert svg.count("<circle") == len(atlas_j50)
+        assert svg.count("<circle") == len(atlas_j50.points)
+        assert svg == scatter_svg([tuple(p) for p in atlas_j50.points[:, 1:3].tolist()])
         assert scatter_svg([(0.0, 0.0)]).count("<circle") == 1
         with pytest.raises(ValueError):
             scatter_svg([])
+
+
+VC_BY_SURROUND = {s: Cam16ViewingConditions(surround=s) for s in ("average", "dim", "dark")}
+
+
+class TestAtlasTable:
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(5.0, 95.0, exclude_min=True, exclude_max=True), st.floats(3.0, 10.0),
+           st.sampled_from(sorted(VC_BY_SURROUND)))
+    def test_table_is_the_csv(self, J, spacing, surround):
+        res = generate_atlas(AtlasSpec(vc=VC_BY_SURROUND[surround], J=J, spacing=spacing))
+        pts = res.points
+        assert pts.dtype == np.float64 and pts.ndim == 2 and pts.shape[1] == 11
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "atlas.csv"
+            write_atlas_csv(pts, path)
+            back = read_csv(path, ATLAS_CSV_HEADER).values
+        assert back.shape == pts.shape
+        assert np.ascontiguousarray(back).tobytes() == np.ascontiguousarray(pts).tobytes()
+        keys = list(zip(pts[:, 2].tolist(), pts[:, 1].tolist()))
+        assert all(k < n for k, n in zip(keys, keys[1:]))
+        assert not pts.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            pts[0, 0] = 0.0
+        assert res.candidates == len(pts) + res.inversion_failures + res.out_of_gamut

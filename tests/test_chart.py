@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import re
@@ -265,10 +266,10 @@ class TestRenderChartPatches:
             stimuli = [Tristimulus(*(gamut.rgb_to_xyz @ np.array(rgb))) for _, rgb in colors]
         except ValueError:
             # the P3 red primary's z is -5.6e-17, so a red-only patch has a
-            # slightly negative Z: rejected whole, as patch by patch
-            with pytest.raises(ValueError, match="tristimulus components must be"):
-                render_chart(colors, layout, transfer=transfer, gamut=gamut)
-            return
+            # slightly negative Z: the chart reads that rounding residue as 0
+            rows = [gamut.rgb_to_xyz @ np.array(rgb) for _, rgb in colors]
+            assert min(v.min() for v in rows) >= -1e-12 * gamut.white_luminance
+            stimuli = [Tristimulus(*np.where(v < 0, 0.0, v)) for v in rows]
         png, meta = render_chart(colors, layout, transfer=transfer, gamut=gamut)
         img = decode_png_rgb16(png)
         encode = oetf_bt709 if transfer == BT709_TRANSFER else np.asarray
@@ -281,6 +282,20 @@ class TestRenderChartPatches:
             x0, y0 = patch_pixel_origin(layout, p["row"], p["col"])
             code = np.round(encode(np.array(rgb)) * 65535.0).astype(np.uint16)
             assert (img[y0 : y0 + 2, x0 : x0 + 2] == code).all()
+
+    @pytest.mark.parametrize("scale, ok", [(-0.5e-12, True), (-1e-12, True), (-2e-12, False), (-1e-3, False)])
+    def test_only_rounding_size_negative_tristimulus_reads_as_zero(self, scale, ok):
+        gamut = copy.copy(DisplayGamut(white_luminance=80.0))
+        m = gamut.rgb_to_xyz.copy()
+        m[2, 0] = scale * gamut.white_luminance  # the red primary's Z
+        object.__setattr__(gamut, "rgb_to_xyz", m)
+        colors = [("red", (1.0, 0.0, 0.0))]
+        if ok:
+            _, meta = render_chart(colors, _grid(1), gamut=gamut)
+            assert meta.patches[0]["x"] == m[0, 0] / (m[0, 0] + m[1, 0])
+        else:
+            with pytest.raises(ValueError, match="tristimulus components must be"):
+                render_chart(colors, _grid(1), gamut=gamut)
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.one_of(good_patch.map(lambda p: (True, p)), bad_patch.map(lambda p: (False, p))),

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from colorbench import (
@@ -8,13 +9,17 @@ from colorbench import (
     AtlasSpec,
     Cam16ViewingConditions,
     ChartLayout,
+    DisplayGamut,
     atlas_csv,
     build_target_set,
     generate_atlas,
     load_database,
+    load_metadata,
     match_csv,
     match_nearest,
     render_chart,
+    scatter_svg,
+    spd_to_xyz,
 )
 from colorbench.cli import run
 
@@ -166,6 +171,20 @@ def test_atlas_svg_outputs(tmp_path):
     assert code == 0
     assert svg.read_text().startswith("<svg ")
     assert xy_svg.read_text().startswith("<svg ")
+    # the SVGs plot the (a'_M, b'_M) and (x, y) columns of the table
+    points = generate_atlas(AtlasSpec(vc=Cam16ViewingConditions(L_A=50.0), J=50.0)).points
+    assert svg.read_text() == scatter_svg(points[:, 1:3])
+    assert xy_svg.read_text() == scatter_svg(points[:, 6:8], labels=("x", "y"))
+
+
+def test_empty_atlas_svg_is_domain_error(tmp_path, capsys):
+    # at J = 50 every candidate is brighter than a 10 cd/m2 display white
+    out = tmp_path / "a.csv"
+    argv = ["atlas", "--j", "50", "--white-luminance", "10", "--out", str(out)]
+    assert run(argv) == 0
+    assert out.read_text() == ATLAS_CSV_HEADER + "\n"
+    assert run([*argv, "--xy-svg", str(tmp_path / "xy.svg")]) == 1
+    assert "error: nothing to plot" in capsys.readouterr().err
 
 
 def test_chart_writes_png_and_sidecar(tmp_path):
@@ -184,12 +203,26 @@ def test_chart_from_matched_set(tmp_path):
         ["chart", "--db", str(DATA / "fixture_wide.csv"), "--patch-px", "8", "--out", str(out)]
     )
     assert code == 0
-    from colorbench import load_metadata
-
     meta = load_metadata(tmp_path / "matched.png.meta.json")
     assert len(meta.patches) == 16
     assert all(p["source"] == "matched" for p in meta.patches)
     assert meta.patches[0]["name"].startswith("R:")
+    # each patch is the clipped drive of its record's integrated spectrum
+    db = {r.id: r for r in load_database(DATA / "fixture_wide.csv")}
+    for p in meta.patches:
+        xyz = spd_to_xyz(db[p["name"].split(":")[1]].spectrum)
+        assert p["rgb_linear"] == np.clip(DisplayGamut().linear_rgb(xyz), 0.0, 1.0).tolist()
+
+
+def test_chart_with_p3_primaries(tmp_path):
+    # the DCI-P3 red's z rounds to -5.6e-17, so its patch's Z is about -4e-15
+    out = tmp_path / "c.png"
+    argv = ["chart", "--primaries", "0.68,0.32,0.265,0.69,0.15,0.06", "--out", str(out)]
+    assert run(argv) == 0
+    patches = load_metadata(tmp_path / "c.png.meta.json").patches
+    assert len(patches) == 16
+    red = next(p for p in patches if p["name"] == "R")
+    assert red["x"] == pytest.approx(0.68, abs=1e-12) and red["y"] == pytest.approx(0.32, abs=1e-12)
 
 
 def test_chart_from_atlas(tmp_path):

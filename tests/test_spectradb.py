@@ -69,6 +69,7 @@ class TestLoadDatabase:
     def test_cached_xy_matches_recomputation(self):
         db = load_database(DATA / "fixture_wide.csv", WIDE_CSV)
         for r in db:
+            assert r.xyz == spd_to_xyz(r.spectrum)
             fresh = xyz_to_chromaticity(spd_to_xyz(r.spectrum))
             assert delta_e_xyz(fresh, r.cached_xy) < 1e-14
 
