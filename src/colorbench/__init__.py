@@ -92,7 +92,6 @@ from .chart import (
     BT709_TRANSFER,
     LINEAR_TRANSFER,
     ChartLayout,
-    ChartMetadata,
     decode_png_rgb16,
     encode_png_rgb16,
     export_metadata,

@@ -54,19 +54,18 @@ class DisplayGamut:
         object.__setattr__(self, "xyz_to_rgb", np.linalg.inv(m))
 
     def linear_rgb(self, xyz) -> np.ndarray:
-        """Linear channel drive levels reproducing ``xyz``, a ``Tristimulus`` or
-        a ``(..., 3)`` array (unclamped)."""
-        v = xyz.as_array() if isinstance(xyz, Tristimulus) else np.asarray(xyz, dtype=float)
+        """Linear channel drive levels reproducing the rows of a ``(..., 3)`` XYZ array
+        (unclamped)."""
+        v = np.asarray(xyz, dtype=float)
         # the stacked product: bit-equal, row by row, to ``xyz_to_rgb @ row``
         return (self.xyz_to_rgb @ v[..., None])[..., 0]
 
 
-def gamut_contains(xyz, gamut: DisplayGamut):
-    """True iff the stimulus is reproducible with channel levels in [0, 1]: a bool for
-    a ``Tristimulus``, a bool array over the rows of a ``(..., 3)`` array (NaN: outside)."""
+def gamut_contains(xyz, gamut: DisplayGamut) -> np.ndarray:
+    """Per row of a ``(..., 3)`` XYZ array, whether it is reproducible with channel
+    levels in [0, 1] (NaN: outside)."""
     rgb = gamut.linear_rgb(xyz)
-    inside = ((rgb >= -_GAMUT_TOL) & (rgb <= 1.0 + _GAMUT_TOL)).all(axis=-1)
-    return bool(inside) if isinstance(xyz, Tristimulus) else inside
+    return ((rgb >= -_GAMUT_TOL) & (rgb <= 1.0 + _GAMUT_TOL)).all(axis=-1)
 
 
 @dataclass(frozen=True)

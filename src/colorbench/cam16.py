@@ -152,9 +152,6 @@ class UcsPoint:
         for name in ("J_prime", "a_M", "b_M"):
             object.__setattr__(self, name, float(getattr(self, name)))
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.J_prime, self.a_M, self.b_M])
-
 
 def _adapt(rgb, F_L: float) -> list[float]:
     """Post-adaptation cone compression; sign-preserving."""
@@ -198,16 +195,12 @@ def cam16_inverse(
     J: float,
     h: float,
     vc: Cam16ViewingConditions,
-    C: float | None = None,
-    M: float | None = None,
+    M: float,
 ) -> Tristimulus:
-    """CAM16 appearance back to XYZ.  Exactly one of C and M must be given."""
-    if (C is None) == (M is None):
-        raise ValueError("provide exactly one of chroma C or colorfulness M")
-    if M is not None:
-        C = M / vc.F_L_root
-    if J < 0 or C < 0:
-        raise ValueError("J and C must be non-negative")
+    """CAM16 lightness J, hue angle h (degrees) and colorfulness M back to XYZ."""
+    if J < 0 or M < 0:
+        raise ValueError("J and M must be non-negative")
+    C = M / vc.F_L_root
     if J / 100.0 == 0.0:  # J is 0, or so small that J / 100 rounds to 0
         if C > 0:
             raise ValueError("chromatic appearance with zero lightness is not invertible")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -66,23 +66,6 @@ class ChartLayout:
         w = self.cols * self.patch_px + (self.cols + 1) * self.gap_px
         h = self.rows * self.patch_px + (self.rows + 1) * self.gap_px
         return w, h
-
-
-@dataclass(frozen=True)
-class ChartMetadata:
-    """Per-patch records plus the generation parameters."""
-
-    patches: tuple[dict, ...]
-    parameters: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        payload = {"parameters": self.parameters, "patches": list(self.patches)}
-        return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChartMetadata":
-        payload = json.loads(text)
-        return cls(tuple(payload["patches"]), payload["parameters"])
 
 
 def _png_chunk(kind: bytes, data: bytes) -> bytes:
@@ -165,40 +148,40 @@ def decode_png_rgb16(data: bytes) -> np.ndarray:
 
 
 def render_chart(
-    colors,
+    names,
+    rgb,
     layout: ChartLayout,
     transfer: str = BT709_TRANSFER,
     gamut: DisplayGamut | None = None,
-    parameters: dict | None = None,
     source: str = "targets",
     embed_primaries: bool = False,
-) -> tuple[bytes, ChartMetadata]:
-    """Render named linear-RGB patches into a PNG chart plus metadata.
+) -> tuple[bytes, dict]:
+    """Render named linear-RGB patches into a PNG chart plus its sidecar.
 
-    ``colors`` is a sequence of ``(name, (r, g, b))`` with linear components
-    in [0, 1]; patches fill the grid row-major in input order.  ``source``
-    labels where the colors came from (targets, optimal, matched, atlas).
+    ``rgb`` is an ``(n, 3)`` array of linear components in [0, 1], one row
+    per name in ``names``; patches fill the grid row-major in input order.
+    ``source`` labels where the colors came from (targets, optimal, matched,
+    atlas).  The sidecar is ``{"parameters": {...}, "patches": [...]}``.
     """
-    colors = list(colors)
-    if not colors:
+    rgb = np.asarray(rgb, dtype=float)
+    if rgb.ndim != 2 or rgb.shape[1] != 3:
+        raise ValueError(f"linear RGB must be an (n, 3) array, got shape {rgb.shape}")
+    if len(names) != len(rgb):
+        raise ValueError(f"{len(names)} patch names for {len(rgb)} colors")
+    if not len(rgb):
         raise ValueError("no colors to render")
-    if layout.rows * layout.cols < len(colors):
+    if layout.rows * layout.cols < len(rgb):
         raise ValueError(
-            f"layout {layout.rows}x{layout.cols} too small for {len(colors)} colors"
+            f"layout {layout.rows}x{layout.cols} too small for {len(rgb)} colors"
         )
     if transfer not in (BT709_TRANSFER, LINEAR_TRANSFER):
         raise ValueError(f"unknown transfer function {transfer!r}")
     gamut = gamut if gamut is not None else DisplayGamut()
-
-    try:
-        rgb = np.array([c for _, c in colors], dtype=float)
-    except ValueError:  # ragged: some patch is not three values
-        rgb = None
-    if rgb is None or rgb.shape != (len(colors), 3) or not ((rgb >= 0) & (rgb <= 1)).all():
-        for name, c in colors:  # name the first bad patch
-            c = np.asarray(c, dtype=float)
-            if c.shape != (3,) or not ((c >= 0) & (c <= 1)).all():
-                raise ValueError(f"patch {name!r}: linear RGB must be three values in [0, 1]")
+    bad = ~((rgb >= 0) & (rgb <= 1)).all(axis=1)
+    if bad.any():  # name the first bad patch
+        raise ValueError(
+            f"patch {names[int(np.argmax(bad))]!r}: linear RGB must be three values in [0, 1]"
+        )
 
     encode = oetf_bt709 if transfer == BT709_TRANSFER else lambda v: np.asarray(v, float)
     # one quantize call over all patch colors: one rounding per color is
@@ -222,7 +205,7 @@ def render_chart(
 
     patches = []
     columns = (quantize(rgb), rgb.tolist(), *xy.T.tolist(), luminance.tolist())
-    for idx, ((name, _), code, rgb_linear, x, y, l_c) in enumerate(zip(colors, *columns)):
+    for idx, (name, code, rgb_linear, x, y, l_c) in enumerate(zip(names, *columns)):
         row, col = divmod(idx, layout.cols)
         x0, y0 = patch_pixel_origin(layout, row, col)
         image[y0 : y0 + layout.patch_px, x0 : x0 + layout.patch_px] = code
@@ -255,9 +238,7 @@ def render_chart(
         "gamut_white": [gamut.white.x, gamut.white.y],
         "white_luminance": gamut.white_luminance,
     }
-    if parameters:
-        params.update(parameters)
-    return encode_png_rgb16(image, chrm=chrm), ChartMetadata(tuple(patches), params)
+    return encode_png_rgb16(image, chrm=chrm), {"parameters": params, "patches": patches}
 
 
 def patch_pixel_origin(layout: ChartLayout, row: int, col: int) -> tuple[int, int]:
@@ -268,9 +249,11 @@ def patch_pixel_origin(layout: ChartLayout, row: int, col: int) -> tuple[int, in
     )
 
 
-def export_metadata(meta: ChartMetadata, path) -> None:
-    Path(path).write_text(meta.to_json(), encoding="utf-8")
+def export_metadata(meta: dict, path) -> None:
+    """Write a chart sidecar as JSON with sorted keys, so equal sidecars give equal bytes."""
+    text = json.dumps(meta, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    Path(path).write_text(text, encoding="utf-8")
 
 
-def load_metadata(path) -> ChartMetadata:
-    return ChartMetadata.from_json(Path(path).read_text(encoding="utf-8"))
+def load_metadata(path) -> dict:
+    return json.loads(Path(path).read_text(encoding="utf-8"))

@@ -240,41 +240,43 @@ def _cmd_chart(cfg: RunConfig, args) -> int:
     gamut = cfg.display_gamut()
     if args.from_atlas:
         source = "atlas"
-        rgbs = read_atlas_rgb(args.from_atlas).tolist()
-        colors = [(f"atlas_{i}", rgb) for i, rgb in enumerate(rgbs)]
+        rgb = read_atlas_rgb(args.from_atlas)
+        names = [f"atlas_{i}" for i in range(len(rgb))]
     elif args.db:
         source = "matched"
         illuminant = cfg.resolve_illuminant()
         obs = cfg.resolve_observer()
         db = {r.id: r for r in load_database(args.db, fmt=args.format, illuminant=illuminant, obs=obs)}
-        colors = []
-        for res in match_nearest(build_target_set(), list(db.values())):
-            rgb = np.clip(gamut.linear_rgb(db[res.record_id].xyz), 0.0, 1.0)
-            colors.append((f"{res.target_name}:{res.record_id}", tuple(float(v) for v in rgb)))
+        matches = match_nearest(build_target_set(), list(db.values()))
+        names = [f"{res.target_name}:{res.record_id}" for res in matches]
+        xyz = np.array([db[res.record_id].xyz.as_array() for res in matches])
+        rgb = np.clip(gamut.linear_rgb(xyz), 0.0, 1.0)
     else:
         source = "targets"
         targets = build_target_set()
-        peak = max(max(t.rgb_weights) for t in targets)
-        colors = [(t.name, tuple(w / peak for w in t.rgb_weights)) for t in targets]
+        names = [t.name for t in targets]
+        weights = np.array([t.rgb_weights for t in targets])
+        rgb = weights / weights.max()
     if args.cols < 1:
         raise ValueError("--cols must be at least 1")
-    rows = args.rows or int(np.ceil(len(colors) / args.cols))
+    rows = args.rows or int(np.ceil(len(names) / args.cols))
     layout = ChartLayout(rows=rows, cols=args.cols, patch_px=args.patch_px, gap_px=args.gap_px)
     transfer = LINEAR_TRANSFER if args.linear else BT709_TRANSFER
     png, meta = render_chart(
-        colors,
+        names,
+        rgb,
         layout,
         transfer=transfer,
         gamut=gamut,
         source=source,
         embed_primaries=args.embed_primaries,
-        parameters={
-            "illuminant": cfg.illuminant,
-            "observer": cfg.observer,
-            "la": cfg.la,
-            "yb": cfg.yb,
-            "surround": cfg.surround,
-        },
+    )
+    meta["parameters"].update(
+        illuminant=cfg.illuminant,
+        observer=cfg.observer,
+        la=cfg.la,
+        yb=cfg.yb,
+        surround=cfg.surround,
     )
     out = cfg.out_path(args.out)
     out.write_bytes(png)
@@ -352,8 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_atlas)
 
     p = sub.add_parser("chart", help="render a patch-grid chart PNG plus sidecar", **common)
-    p.add_argument("--from-atlas", help="atlas CSV to render instead of the target set")
-    p.add_argument("--db", help="spectra database: render the matched set instead")
+    chart_source = p.add_mutually_exclusive_group()
+    chart_source.add_argument("--from-atlas", help="atlas CSV to render instead of the target set")
+    chart_source.add_argument("--db", help="spectra database: render the matched set instead")
     p.add_argument("--format", choices=[WIDE_CSV, LONG_CSV], default=WIDE_CSV)
     p.add_argument("--rows", type=int)
     p.add_argument("--cols", type=int, default=4)

@@ -171,7 +171,7 @@ class TestCriterion3Cam16:
             for row in rng.uniform(0.001, 1.0, size=(1000, 3)):
                 xyz = Tristimulus(*(gamut.rgb_to_xyz @ row))
                 app = cam16_forward(xyz, vc)
-                back = cam16_inverse(app.J, app.h, vc, C=app.C)
+                back = cam16_inverse(app.J, app.h, vc, M=app.M)
                 rel = np.max(
                     np.abs(back.as_array() - xyz.as_array())
                     / np.maximum(xyz.as_array(), 1e-9)
@@ -209,7 +209,7 @@ class TestCriterion4Atlas:
         problems = []
         # (a) every emitted point passes the gamut test
         for key, res in results.items():
-            if not all(gamut_contains(Tristimulus(*row[3:6]), gamut) for row in res.points):
+            if not gamut_contains(res.points[:, 3:6], gamut).all():
                 problems.append(f"{key}: gamut violation")
         # (b) grid-adjacent points differ by exactly 2 UCS units
         res = results["J50_avg"]
@@ -339,14 +339,15 @@ class TestCriterion6Colorimetry:
 
 class TestCriterion7Chart:
     def test_round_trip(self):
-        colors = [(t.name, t.rgb_weights) for t in build_target_set()]
+        targets = build_target_set()
+        names, rgb = [t.name for t in targets], [t.rgb_weights for t in targets]
         layout = ChartLayout(rows=4, cols=4, patch_px=24, gap_px=4)
-        png1, meta = render_chart(colors, layout)
-        png2, _ = render_chart(colors, layout)
+        png1, meta = render_chart(names, rgb, layout)
+        png2, _ = render_chart(names, rgb, layout)
 
         img = decode_png_rgb16(png1)
         worst = 0.0
-        for p in meta.patches:
+        for p in meta["patches"]:
             x0, y0 = patch_pixel_origin(layout, p["row"], p["col"])
             code = img[y0 + 1, x0 + 1].astype(float) / 65535.0
             lin = oetf_bt709_inverse(code)

@@ -48,17 +48,17 @@ class TestGamut:
     def test_white_at_full_luminance(self):
         g = DisplayGamut()
         w = illuminant_white("D65")
-        xyz = Tristimulus(100.0 * w.x / w.y, 100.0, 100.0 * w.z / w.y)
+        xyz = np.array([100.0 * w.x / w.y, 100.0, 100.0 * w.z / w.y])
         assert gamut_contains(xyz, g)
 
     def test_full_scale_primary_on_boundary(self):
         g = DisplayGamut()
-        xyz = Tristimulus(*(g.rgb_to_xyz @ np.array([1.0, 0.0, 0.0])))
+        xyz = g.rgb_to_xyz @ np.array([1.0, 0.0, 0.0])
         assert gamut_contains(xyz, g)
 
     def test_overdriven_primary_outside(self):
         g = DisplayGamut()
-        xyz = Tristimulus(*(g.rgb_to_xyz @ np.array([1.2, 0.0, 0.0])))
+        xyz = g.rgb_to_xyz @ np.array([1.2, 0.0, 0.0])
         assert not gamut_contains(xyz, g)
 
     def test_degenerate_primaries_rejected(self):
@@ -94,9 +94,8 @@ class TestGamutStack:
         for row, answer in zip(xyz, inside.tolist()):
             levels = gamut.xyz_to_rgb @ row  # the test's definition, one row at a time
             assert answer == all(-1e-9 <= v <= 1.0 + 1e-9 for v in levels)
-            if (row >= 0).all():
-                scalar = gamut_contains(Tristimulus(*row), gamut)
-                assert type(scalar) is bool and scalar == answer
+            single = gamut_contains(row, gamut)  # one (3,) row gives a 0-d answer
+            assert single.shape == () and single == answer
 
     def test_leading_axes_and_nan_rows(self):
         g = DisplayGamut()
@@ -149,7 +148,7 @@ class TestGenerateAtlas:
     def test_every_point_in_gamut(self, atlas_j50):
         g = DisplayGamut()
         for row in atlas_j50.points:
-            assert gamut_contains(Tristimulus(*row[3:6]), g)
+            assert gamut_contains(row[3:6], g)
             assert all(-1e-9 <= v <= 1.0 + 1e-9 for v in row[8:11])
 
     def test_rejected_candidates_outside_gamut(self, vc_avg):
@@ -171,7 +170,7 @@ class TestGenerateAtlas:
                     xyz = cam16_inverse(spec.J, h, spec.vc, M=m)
                 except ValueError:
                     continue  # counted as inversion failure
-                assert not gamut_contains(xyz, g)
+                assert not gamut_contains(xyz.as_array(), g)
 
     def test_grid_neighbors_exactly_spacing_apart(self, atlas_j50):
         j_prime = j_to_ucs_lightness(50.0)
@@ -232,7 +231,7 @@ class TestGenerateAtlas:
             except ValueError:
                 failures += 1
                 continue
-            outside += not gamut_contains(xyz, spec.gamut)
+            outside += not gamut_contains(xyz.as_array(), spec.gamut)
         res = generate_atlas(spec)
         assert (res.inversion_failures, res.out_of_gamut) == (failures, outside)
         assert failures > 0 and outside > 0

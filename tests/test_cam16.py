@@ -134,14 +134,14 @@ class TestForward:
 class TestInverse:
     def test_round_trip_forward_then_inverse(self, worked_example_vc):
         app = cam16_forward(Tristimulus(19.01, 20.0, 21.78), worked_example_vc)
-        xyz = cam16_inverse(app.J, app.h, worked_example_vc, C=app.C)
+        xyz = cam16_inverse(app.J, app.h, worked_example_vc, M=app.M)
         np.testing.assert_allclose(
             xyz.as_array(), [19.01, 20.0, 21.78], rtol=1e-6, atol=1e-9
         )
 
     def test_reverse_round_trip(self):
         vc = Cam16ViewingConditions(L_A=50.0)
-        xyz = cam16_inverse(40.0, 120.0, vc, C=30.0)
+        xyz = cam16_inverse(40.0, 120.0, vc, M=30.0 * vc.F_L_root)
         app = cam16_forward(xyz, vc)
         assert app.J == pytest.approx(40.0, abs=1e-6)
         assert app.C == pytest.approx(30.0, abs=1e-6)
@@ -150,37 +150,30 @@ class TestInverse:
     def test_achromatic_inverse_tracks_adapted_gray_axis(self):
         # under full adaptation the achromatic axis is the white-point ray
         vc = Cam16ViewingConditions(L_A=50.0, D=1.0)
-        xyz = cam16_inverse(40.0, 0.0, vc, C=0.0).as_array()
+        xyz = cam16_inverse(40.0, 0.0, vc, M=0.0).as_array()
         w = vc.white.as_array()
         ratios = xyz / w
         assert ratios == pytest.approx([ratios[1]] * 3, rel=1e-9)
 
-    def test_colorfulness_alias(self, worked_example_vc):
-        app = cam16_forward(Tristimulus(19.01, 20.0, 21.78), worked_example_vc)
-        via_c = cam16_inverse(app.J, app.h, worked_example_vc, C=app.C)
-        via_m = cam16_inverse(app.J, app.h, worked_example_vc, M=app.M)
-        np.testing.assert_allclose(via_c.as_array(), via_m.as_array(), rtol=1e-12)
-
-    def test_requires_exactly_one_chroma_argument(self, worked_example_vc):
-        with pytest.raises(ValueError):
-            cam16_inverse(40.0, 10.0, worked_example_vc)
-        with pytest.raises(ValueError):
-            cam16_inverse(40.0, 10.0, worked_example_vc, C=5.0, M=5.0)
+    @pytest.mark.parametrize("J, M", [(-1.0, 10.0), (40.0, -1.0), (-1e-300, 0.0)])
+    def test_negative_lightness_or_colorfulness_rejected(self, worked_example_vc, J, M):
+        with pytest.raises(ValueError, match="J and M must be non-negative"):
+            cam16_inverse(J, 10.0, worked_example_vc, M=M)
 
     def test_black_inverse(self, worked_example_vc):
-        xyz = cam16_inverse(0.0, 0.0, worked_example_vc, C=0.0)
+        xyz = cam16_inverse(0.0, 0.0, worked_example_vc, M=0.0)
         assert xyz.as_array() == pytest.approx([0.0, 0.0, 0.0])
 
     def test_lightness_that_underflows_is_black(self, worked_example_vc):
         # J / 100 rounds to 0, as for J = 0
-        assert cam16_inverse(5e-324, 0.0, worked_example_vc, C=0.0).as_array().tolist() == [0] * 3
+        assert cam16_inverse(5e-324, 0.0, worked_example_vc, M=0.0).as_array().tolist() == [0] * 3
         with pytest.raises(ValueError, match="zero lightness"):
-            cam16_inverse(5e-324, 0.0, worked_example_vc, C=1.0)
+            cam16_inverse(5e-324, 0.0, worked_example_vc, M=1.0)
 
     def test_out_of_range_appearance_is_an_error(self):
         vc = Cam16ViewingConditions(L_A=50.0)
         with pytest.raises(ValueError):
-            cam16_inverse(95.0, 200.0, vc, C=500.0)
+            cam16_inverse(95.0, 200.0, vc, M=500.0 * vc.F_L_root)
 
 
 @pytest.mark.parametrize("surround", ["average", "dim", "dark"])
@@ -193,7 +186,7 @@ def test_round_trips_over_random_in_gamut_stimuli(surround):
     for row in rgb:
         xyz = Tristimulus(*(gamut.rgb_to_xyz @ row))
         app = cam16_forward(xyz, vc)
-        back = cam16_inverse(app.J, app.h, vc, C=app.C)
+        back = cam16_inverse(app.J, app.h, vc, M=app.M)
         rel = np.max(np.abs(back.as_array() - xyz.as_array()) / np.maximum(xyz.as_array(), 1e-9))
         worst = max(worst, rel)
     assert worst <= 1e-6

@@ -13,7 +13,6 @@ from hypothesis import assume, given, settings, strategies as st
 from colorbench import (
     BT709_TRANSFER,
     ChartLayout,
-    ChartMetadata,
     Chromaticity,
     LINEAR_TRANSFER,
     build_target_set,
@@ -34,7 +33,9 @@ from colorbench.spectral import Tristimulus
 
 @pytest.fixture(scope="module")
 def target_colors():
-    return [(t.name, t.rgb_weights) for t in build_target_set()]
+    """The target set's names and its ``(16, 3)`` linear RGB."""
+    targets = build_target_set()
+    return [t.name for t in targets], np.array([t.rgb_weights for t in targets])
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +45,7 @@ def layout():
 
 @pytest.fixture(scope="module")
 def rendered(target_colors, layout):
-    return render_chart(target_colors, layout)
+    return render_chart(*target_colors, layout)
 
 
 class TestTransferFunction:
@@ -120,6 +121,36 @@ class TestPngCodec:
         with pytest.raises(ValueError, match="filter"):
             decode_png_rgb16(bad)
 
+    def test_missing_signature_rejected(self, png):
+        with pytest.raises(ValueError, match="not a PNG stream"):
+            decode_png_rgb16(b"\x89PNG\r\n\x1a\x00" + png[8:])
+
+    def test_ihdr_of_wrong_length_rejected(self, png):
+        bad = png[:8] + _png_chunk(b"IHDR", png[16:29] + b"\x00") + png[33:]
+        with pytest.raises(ValueError, match="IHDR chunk must hold 13 bytes"):
+            decode_png_rgb16(bad)
+
+    @pytest.mark.parametrize("offset, value", [(8, 8), (9, 6)], ids=["8_bit", "rgba"])
+    def test_other_than_16_bit_truecolor_rejected(self, png, offset, value):
+        with pytest.raises(ValueError, match="only 16-bit truecolor"):
+            decode_png_rgb16(self.with_ihdr_byte(png, offset, value))
+
+    @staticmethod
+    def with_image_data(png, data):
+        """``png`` (one IDAT chunk, no cHRM) with its image data replaced under a valid CRC."""
+        return png[:33] + _png_chunk(b"IDAT", data) + png[-12:]
+
+    def test_corrupt_deflate_stream_rejected(self, png):
+        with pytest.raises(ValueError, match="PNG image data: "):
+            decode_png_rgb16(self.with_image_data(png, b"not a zlib stream"))
+
+    @pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])
+    def test_image_data_of_wrong_size_rejected(self, png, delta):
+        raw = zlib.decompress(png[41:-16])
+        raw = raw[:delta] if delta < 0 else raw + b"\x00"
+        with pytest.raises(ValueError, match="does not match the IHDR size"):
+            decode_png_rgb16(self.with_image_data(png, zlib.compress(raw)))
+
     def test_empty_image_rejected(self):
         with pytest.raises(ValueError):
             encode_png_rgb16(np.zeros((0, 4, 3), dtype=np.uint16))
@@ -141,7 +172,7 @@ class TestPngCodec:
 class TestRenderChart:
     def test_sixteen_patches(self, rendered, layout):
         png, meta = rendered
-        assert len(meta.patches) == 16
+        assert len(meta["patches"]) == 16
         img = decode_png_rgb16(png)
         w, h = layout.image_size
         assert img.shape == (h, w, 3)
@@ -156,7 +187,7 @@ class TestRenderChart:
     def test_quantization_rule(self, rendered, layout):
         png, meta = rendered
         img = decode_png_rgb16(png)
-        for p in meta.patches:
+        for p in meta["patches"]:
             x0, y0 = patch_pixel_origin(layout, p["row"], p["col"])
             q = img[y0, x0].astype(float)
             expected = np.round(oetf_bt709(np.array(p["rgb_linear"])) * 65535)
@@ -165,7 +196,7 @@ class TestRenderChart:
     def test_linear_recovery_within_one_code(self, rendered, layout):
         png, meta = rendered
         img = decode_png_rgb16(png)
-        for p in meta.patches:
+        for p in meta["patches"]:
             x0, y0 = patch_pixel_origin(layout, p["row"], p["col"])
             code = img[y0 + 1, x0 + 1].astype(float) / 65535.0
             lin = oetf_bt709_inverse(code)
@@ -173,16 +204,16 @@ class TestRenderChart:
             assert np.max(err) <= 1.0 / 65535.0
 
     def test_deterministic_bytes(self, target_colors, layout, rendered):
-        png2, _ = render_chart(target_colors, layout)
+        png2, _ = render_chart(*target_colors, layout)
         assert png2 == rendered[0]
 
     def test_empty_color_list_rejected(self, layout):
         with pytest.raises(ValueError, match="no colors"):
-            render_chart([], layout)
+            render_chart([], np.empty((0, 3)), layout)
 
     def test_layout_too_small(self, target_colors):
         with pytest.raises(ValueError, match="too small"):
-            render_chart(target_colors, ChartLayout(rows=2, cols=2))
+            render_chart(*target_colors, ChartLayout(rows=2, cols=2))
 
     def test_pixel_budget(self):
         w, h = ChartLayout(rows=40, cols=40, patch_px=34, gap_px=2).image_size
@@ -192,8 +223,8 @@ class TestRenderChart:
 
     def test_black_patch_takes_the_white_chromaticity(self, layout):
         gamut = DisplayGamut()
-        png, meta = render_chart([("k", (0.0, 0.0, 0.0)), ("w", (1.0, 1.0, 1.0))], layout)
-        black, white = meta.patches
+        png, meta = render_chart(["k", "w"], [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0)], layout)
+        black, white = meta["patches"]
         assert (black["x"], black["y"], black["L_C"]) == (gamut.white.x, gamut.white.y, 0.0)
         assert delta_e_xyz(Chromaticity.from_xy(white["x"], white["y"]), gamut.white) < 1e-12
         x0, y0 = patch_pixel_origin(layout, 0, 0)
@@ -204,11 +235,12 @@ class TestRenderChart:
         # pixel each, with no float frame
         layout = ChartLayout(rows=30, cols=30, patch_px=44, gap_px=2)
         rng = np.random.default_rng(5)
-        colors = [(f"p{i}", tuple(rng.random(3))) for i in range(900)]
+        rgb = rng.random((900, 3))
+        names = [f"p{i}" for i in range(900)]
         w, h = layout.image_size
         tracemalloc.start()
         try:
-            render_chart(colors, layout)
+            render_chart(names, rgb, layout)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -221,20 +253,19 @@ class TestRenderChart:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match=f"patch '{name}'"):
-                    render_chart([(name, rgb)], layout)
+                    render_chart([name], [rgb], layout)
 
     def test_linear_escape_hatch(self, layout):
-        colors = [("gray", (0.25, 0.25, 0.25))]
-        png, meta = render_chart(colors, layout, transfer=LINEAR_TRANSFER)
+        png, meta = render_chart(["gray"], [(0.25, 0.25, 0.25)], layout, transfer=LINEAR_TRANSFER)
         img = decode_png_rgb16(png)
         x0, y0 = patch_pixel_origin(layout, 0, 0)
         assert img[y0, x0, 0] == round(0.25 * 65535)
-        assert meta.parameters["transfer"] == LINEAR_TRANSFER
+        assert meta["parameters"]["transfer"] == LINEAR_TRANSFER
 
     def test_metadata_chromaticity_consistent_with_gamut(self, rendered):
         _, meta = rendered
         gamut = DisplayGamut()
-        for p in meta.patches:
+        for p in meta["patches"]:
             xyz = Tristimulus(*(gamut.rgb_to_xyz @ np.array(p["rgb_linear"])))
             xy = xyz_to_chromaticity(xyz)
             stored = Chromaticity.from_xy(p["x"], p["y"])
@@ -245,10 +276,7 @@ P3_PRIMARIES = tuple(Chromaticity.from_xy(x, y) for x, y in ((0.68, 0.32), (0.26
 GAMUTS = (DisplayGamut(), DisplayGamut(white_luminance=80.0), DisplayGamut(primaries=P3_PRIMARIES))
 channel = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 good_patch = st.tuples(channel, channel, channel)
-bad_patch = st.sampled_from(
-    [(1.2, 0.0, 0.0), (0.5, -0.1, 0.5), (0.5, math.nan, 0.5), (0.5, 0.5), (0.1, 0.2, 0.3, 0.4),
-     ((0.1, 0.2, 0.3),), [[0.1], [0.2], [0.3]], 0.5]
-)
+bad_patch = st.sampled_from([(1.2, 0.0, 0.0), (0.5, -0.1, 0.5), (0.5, math.nan, 0.5)])
 
 
 def _grid(n: int) -> ChartLayout:
@@ -260,20 +288,21 @@ class TestRenderChartPatches:
     @given(st.lists(good_patch, min_size=1, max_size=40), st.sampled_from(GAMUTS),
            st.sampled_from([BT709_TRANSFER, LINEAR_TRANSFER]))
     def test_sidecar_and_codes_match_each_patch(self, rgbs, gamut, transfer):
-        colors = [(f"p{i}", rgb) for i, rgb in enumerate(rgbs + [(0.0, 0.0, 0.0)])]
-        layout = _grid(len(colors))
+        rgbs = rgbs + [(0.0, 0.0, 0.0)]
+        names = [f"p{i}" for i in range(len(rgbs))]
+        layout = _grid(len(rgbs))
         try:
-            stimuli = [Tristimulus(*(gamut.rgb_to_xyz @ np.array(rgb))) for _, rgb in colors]
+            stimuli = [Tristimulus(*(gamut.rgb_to_xyz @ np.array(rgb))) for rgb in rgbs]
         except ValueError:
             # the P3 red primary's z is -5.6e-17, so a red-only patch has a
             # slightly negative Z: the chart reads that rounding residue as 0
-            rows = [gamut.rgb_to_xyz @ np.array(rgb) for _, rgb in colors]
+            rows = [gamut.rgb_to_xyz @ np.array(rgb) for rgb in rgbs]
             assert min(v.min() for v in rows) >= -1e-12 * gamut.white_luminance
             stimuli = [Tristimulus(*np.where(v < 0, 0.0, v)) for v in rows]
-        png, meta = render_chart(colors, layout, transfer=transfer, gamut=gamut)
+        png, meta = render_chart(names, np.array(rgbs), layout, transfer=transfer, gamut=gamut)
         img = decode_png_rgb16(png)
         encode = oetf_bt709 if transfer == BT709_TRANSFER else np.asarray
-        for (name, rgb), xyz, p in zip(colors, stimuli, meta.patches, strict=True):
+        for name, rgb, xyz, p in zip(names, rgbs, stimuli, meta["patches"], strict=True):
             # a black patch takes the white's chromaticity
             xy = xyz_to_chromaticity(xyz) if xyz.X + xyz.Y + xyz.Z > 0 else gamut.white
             assert (p["name"], p["x"], p["y"]) == (name, xy.x, xy.y)
@@ -289,13 +318,13 @@ class TestRenderChartPatches:
         m = gamut.rgb_to_xyz.copy()
         m[2, 0] = scale * gamut.white_luminance  # the red primary's Z
         object.__setattr__(gamut, "rgb_to_xyz", m)
-        colors = [("red", (1.0, 0.0, 0.0))]
+        red = (["red"], [(1.0, 0.0, 0.0)])
         if ok:
-            _, meta = render_chart(colors, _grid(1), gamut=gamut)
-            assert meta.patches[0]["x"] == m[0, 0] / (m[0, 0] + m[1, 0])
+            _, meta = render_chart(*red, _grid(1), gamut=gamut)
+            assert meta["patches"][0]["x"] == m[0, 0] / (m[0, 0] + m[1, 0])
         else:
             with pytest.raises(ValueError, match="tristimulus components must be"):
-                render_chart(colors, _grid(1), gamut=gamut)
+                render_chart(*red, _grid(1), gamut=gamut)
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.one_of(good_patch.map(lambda p: (True, p)), bad_patch.map(lambda p: (False, p))),
@@ -303,26 +332,50 @@ class TestRenderChartPatches:
     def test_error_names_the_first_bad_patch(self, entries):
         assume(not all(ok for ok, _ in entries))
         first = next(i for i, (ok, _) in enumerate(entries) if not ok)
-        colors = [(f"p{i}", rgb) for i, (_, rgb) in enumerate(entries)]
+        names = [f"p{i}" for i in range(len(entries))]
+        rgb = np.array([rgb for _, rgb in entries])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=re.escape(f"patch 'p{first}':")):
-                render_chart(colors, _grid(len(colors)))
+                render_chart(names, rgb, _grid(len(entries)))
+
+    @pytest.mark.parametrize(
+        "rgb",
+        [[(0.5, 0.5)], [(0.1, 0.2, 0.3, 0.4)], [[(0.1, 0.2, 0.3)]], [0.1, 0.2, 0.3], 0.5],
+        ids=["two_channels", "four_channels", "nested", "flat", "scalar"],
+    )
+    def test_wrong_shape_is_a_shape_error(self, rgb):
+        with pytest.raises(ValueError, match=r"must be an \(n, 3\) array"):
+            render_chart(["p0"], rgb, _grid(1))
+
+    def test_ragged_input_is_rejected(self):
+        with pytest.raises(ValueError):
+            render_chart(["p0", "p1"], [(0.1, 0.2, 0.3), (0.1, 0.2)], _grid(2))
+
+    def test_name_count_must_match_the_rows(self):
+        with pytest.raises(ValueError, match="2 patch names for 1 colors"):
+            render_chart(["p0", "p1"], [(0.1, 0.2, 0.3)], _grid(2))
+
+    def test_unknown_transfer_rejected(self):
+        with pytest.raises(ValueError, match="unknown transfer function 'srgb'"):
+            render_chart(["p0"], [(0.1, 0.2, 0.3)], _grid(1), transfer="srgb")
 
 
 class TestMetadata:
-    def test_json_round_trip(self, rendered):
+    def test_json_round_trip(self, rendered, tmp_path):
         _, meta = rendered
-        text = meta.to_json()
-        again = ChartMetadata.from_json(text)
-        assert again.to_json() == text
-        assert len(again.patches) == 16
+        path = tmp_path / "chart.meta.json"
+        export_metadata(meta, path)
+        again = tmp_path / "again.meta.json"
+        export_metadata(load_metadata(path), again)
+        assert again.read_bytes() == path.read_bytes()
+        assert len(load_metadata(again)["patches"]) == 16
 
     def test_export_and_load(self, rendered, tmp_path):
         _, meta = rendered
         path = tmp_path / "chart.meta.json"
         export_metadata(meta, path)
-        assert load_metadata(path).to_json() == meta.to_json()
+        assert load_metadata(path) == meta
 
     def test_file_bytes_stable(self, rendered, tmp_path):
         _, meta = rendered
@@ -331,11 +384,15 @@ class TestMetadata:
         export_metadata(meta, b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_json_is_sorted_and_parseable(self, rendered):
+    def test_json_is_sorted_and_parseable(self, rendered, tmp_path):
         _, meta = rendered
-        payload = json.loads(meta.to_json())
+        path = tmp_path / "chart.meta.json"
+        export_metadata(meta, path)
+        text = path.read_text(encoding="utf-8")
+        payload = json.loads(text)
         assert set(payload) == {"parameters", "patches"}
         assert payload["parameters"]["bit_depth"] == 16
+        assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 class TestLayout:

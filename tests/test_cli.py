@@ -10,6 +10,7 @@ from colorbench import (
     Cam16ViewingConditions,
     ChartLayout,
     DisplayGamut,
+    TABLE1_COLUMNS,
     atlas_csv,
     build_target_set,
     generate_atlas,
@@ -125,6 +126,15 @@ def test_table1_json_has_ten_reports(capsys, tmp_path):
     assert code == (0 if all(converged.values()) else 1)
 
 
+def test_table1_text_rows(capsys):
+    assert run(["table1"]) == 1  # the Ye and C columns do not converge
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == [name for name, _, _ in TABLE1_COLUMNS]
+    for line in lines:
+        unconverged = line.split()[0] in ("Ye", "C")
+        assert line.endswith(f" converged={not unconverged}")
+
+
 def test_match_missing_database(capsys):
     assert run(["match", "--db", "definitely_missing.csv"]) == 1
     assert "database not found" in capsys.readouterr().err
@@ -192,8 +202,9 @@ def test_chart_writes_png_and_sidecar(tmp_path):
     assert run(["chart", "--out", str(out), "--patch-px", "16", "--gap-px", "2"]) == 0
     sidecar = tmp_path / "chart.png.meta.json"
     assert out.exists() and sidecar.exists()
-    colors = [(t.name, t.rgb_weights) for t in build_target_set()]
-    png, _ = render_chart(colors, ChartLayout(rows=4, cols=4, patch_px=16, gap_px=2))
+    targets = build_target_set()
+    names, rgb = [t.name for t in targets], [t.rgb_weights for t in targets]
+    png, _ = render_chart(names, rgb, ChartLayout(rows=4, cols=4, patch_px=16, gap_px=2))
     assert out.read_bytes() == png
 
 
@@ -203,14 +214,14 @@ def test_chart_from_matched_set(tmp_path):
         ["chart", "--db", str(DATA / "fixture_wide.csv"), "--patch-px", "8", "--out", str(out)]
     )
     assert code == 0
-    meta = load_metadata(tmp_path / "matched.png.meta.json")
-    assert len(meta.patches) == 16
-    assert all(p["source"] == "matched" for p in meta.patches)
-    assert meta.patches[0]["name"].startswith("R:")
+    patches = load_metadata(tmp_path / "matched.png.meta.json")["patches"]
+    assert len(patches) == 16
+    assert all(p["source"] == "matched" for p in patches)
+    assert patches[0]["name"].startswith("R:")
     # each patch is the clipped drive of its record's integrated spectrum
     db = {r.id: r for r in load_database(DATA / "fixture_wide.csv")}
-    for p in meta.patches:
-        xyz = spd_to_xyz(db[p["name"].split(":")[1]].spectrum)
+    for p in patches:
+        xyz = spd_to_xyz(db[p["name"].split(":")[1]].spectrum).as_array()
         assert p["rgb_linear"] == np.clip(DisplayGamut().linear_rgb(xyz), 0.0, 1.0).tolist()
 
 
@@ -219,10 +230,19 @@ def test_chart_with_p3_primaries(tmp_path):
     out = tmp_path / "c.png"
     argv = ["chart", "--primaries", "0.68,0.32,0.265,0.69,0.15,0.06", "--out", str(out)]
     assert run(argv) == 0
-    patches = load_metadata(tmp_path / "c.png.meta.json").patches
+    patches = load_metadata(tmp_path / "c.png.meta.json")["patches"]
     assert len(patches) == 16
     red = next(p for p in patches if p["name"] == "R")
     assert red["x"] == pytest.approx(0.68, abs=1e-12) and red["y"] == pytest.approx(0.32, abs=1e-12)
+
+
+def test_chart_takes_one_source(tmp_path, capsys):
+    argv = ["chart", "--from-atlas", "a.csv", "--db", str(DATA / "fixture_wide.csv")]
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--out", str(tmp_path / "c.png")])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "c.png").exists()
 
 
 def test_chart_from_atlas(tmp_path):

@@ -32,6 +32,7 @@ RUNS = [
     (["targets", "--out", "targets.csv"], ["targets.csv"]),
     (["targets", "--json", "--out", "targets.json"], ["targets.json"]),
     (["table1", "--json", "--out", "table1.json"], ["table1.json"]),
+    (["table1", "--out", "table1.txt"], ["table1.txt"]),
     *(
         (
             ["solve-optimal", "--target", xy, "--lc", "0.2", "--json", "--out", f"solve_{xy}.json"],
