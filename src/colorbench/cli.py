@@ -246,7 +246,8 @@ def _cmd_chart(cfg: RunConfig, args) -> int:
         source = "matched"
         illuminant = cfg.resolve_illuminant()
         obs = cfg.resolve_observer()
-        db = {r.id: r for r in load_database(args.db, fmt=args.format, illuminant=illuminant, obs=obs)}
+        fmt = args.format or WIDE_CSV
+        db = {r.id: r for r in load_database(args.db, fmt=fmt, illuminant=illuminant, obs=obs)}
         matches = match_nearest(build_target_set(), list(db.values()))
         names = [f"{res.target_name}:{res.record_id}" for res in matches]
         xyz = np.array([db[res.record_id].xyz.as_array() for res in matches])
@@ -259,7 +260,9 @@ def _cmd_chart(cfg: RunConfig, args) -> int:
         rgb = weights / weights.max()
     if args.cols < 1:
         raise ValueError("--cols must be at least 1")
-    rows = args.rows or int(np.ceil(len(names) / args.cols))
+    if args.rows is not None and args.rows < 1:
+        raise ValueError("--rows must be at least 1")
+    rows = int(np.ceil(len(names) / args.cols)) if args.rows is None else args.rows
     layout = ChartLayout(rows=rows, cols=args.cols, patch_px=args.patch_px, gap_px=args.gap_px)
     transfer = LINEAR_TRANSFER if args.linear else BT709_TRANSFER
     png, meta = render_chart(
@@ -357,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     chart_source = p.add_mutually_exclusive_group()
     chart_source.add_argument("--from-atlas", help="atlas CSV to render instead of the target set")
     chart_source.add_argument("--db", help="spectra database: render the matched set instead")
-    p.add_argument("--format", choices=[WIDE_CSV, LONG_CSV], default=WIDE_CSV)
+    p.add_argument("--format", choices=[WIDE_CSV, LONG_CSV], help=f"--db layout (default {WIDE_CSV})")
     p.add_argument("--rows", type=int)
     p.add_argument("--cols", type=int, default=4)
     p.add_argument("--patch-px", type=int, default=64)
@@ -428,6 +431,8 @@ def _load_config(args) -> RunConfig:
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "chart" and args.format is not None and args.db is None:
+        parser.error("argument --format: only allowed with --db")
     try:
         cfg = _load_config(args)
         return args.func(cfg, args)

@@ -115,33 +115,41 @@ class _Seed(NamedTuple):
     lambda2_nm: float
 
 
-def _coverage(a: float, b: float) -> np.ndarray:
-    """Per-bin coverage of the closed interval [a, b] on the working grid.
-
-    Bin i spans [360 + i, 361 + i) and has coverage
-    clip(min(b, s_i + 1) - max(a, s_i), 0, 1): zero below the bin holding a
-    and above the one holding b, one between them.  The final bin instead
-    ramps to full coverage as b approaches the grid end, so that a cut at
-    the end of the spectrum covers the last sample completely.
-    """
-    cov = np.zeros(GRID_COUNT)
-    ia, ib = math.floor(a) - GRID_START_NM, math.floor(b) - GRID_START_NM
-    cov[ia + 1 : ib] = 1.0
-    for i in (ia, ib):
-        s = GRID_START_NM + i
-        cov[i] = min(max(min(b, s + 1) - max(a, s), 0.0), 1.0)
-    cov[-1] = min(max(min(b + 1, GRID_STOP_NM + 2) - max(a, GRID_STOP_NM), 0.0), 1.0)
-    return cov
-
-
 def synthesize(params: OptimalSpectrumParams) -> SpectralDistribution:
-    """Sample a rectangular spectrum onto the working grid."""
+    """Sample a rectangular spectrum onto the working grid.
+
+    Bin i spans [360 + i, 361 + i).  A bin inside the pass region holds K,
+    and a bin holding a cut holds K times the part of it on the pass side;
+    where both cuts of a band stop share a bin, the two flank parts add up
+    (clamped to 1).  The last bin, 720 nm, is full in a band stop and in a
+    band pass reaching 720 nm; a band pass that ends in [719, 720] fills it
+    by lambda2 - 719, so a cut at the end of the spectrum covers the last
+    sample completely.
+    """
     l1, l2 = params.lambda1_nm, params.lambda2_nm
+    s1, s2 = math.floor(l1), math.floor(l2)
+    i1, i2 = s1 - GRID_START_NM, s2 - GRID_START_NM
+    values = np.zeros(GRID_COUNT)
     if params.genus == BAND_PASS:
-        cov = _coverage(l1, l2)
+        values[i1 + 1 : i2] = 1.0
+        if i1 == i2:
+            values[i1] = l2 - l1
+        else:
+            values[i1] = (s1 + 1) - l1
+            values[i2] = l2 - s2
+        if l2 >= GRID_STOP_NM - 1:
+            values[-1] = (l2 + 1) - GRID_STOP_NM
     else:
-        cov = _coverage(GRID_START_NM, l1) + _coverage(l2, GRID_STOP_NM)
-    return SpectralDistribution(params.K * np.clip(cov, 0.0, 1.0))
+        values[:i1] = 1.0
+        values[i2 + 1 :] = 1.0
+        if i1 == i2:
+            values[i1] = min(max((l1 - s1) + ((s2 + 1) - l2), 0.0), 1.0)
+        else:
+            values[i1] = l1 - s1
+            values[i2] = (s2 + 1) - l2
+    if params.K != 1.0:
+        values *= params.K
+    return SpectralDistribution(values)
 
 
 def rectangle_chromaticity(
@@ -166,7 +174,7 @@ def _lattice_xyz(genus: str, p, q, prefix: np.ndarray) -> np.ndarray:
     """Raw XYZ of the rectangles with cuts at 360 + p and 360 + q nm, p <= q.
 
     Equals ``raw_tristimulus(synthesize(...))`` up to rounding.  A band that
-    reaches 720 nm also fills the last bin (the ramp of ``_coverage``); the
+    reaches 720 nm also fills the last bin (see ``synthesize``); the
     right flank of a band stop always does.
     """
     if genus == BAND_PASS:
@@ -275,15 +283,18 @@ def _solve_genus(
     tgt = (target.x, target.y, target.z)
 
     def objective(lam: np.ndarray) -> float:
-        l1 = min(max(lam[0], GRID_START_NM), GRID_STOP_NM)
-        l2 = min(max(lam[1], GRID_START_NM), GRID_STOP_NM)
-        if l1 > l2:
-            return np.inf
+        l1, l2 = a, b = lam.tolist()
+        penalty = 0.0
+        if not GRID_START_NM <= a <= b <= GRID_STOP_NM:
+            l1 = min(max(a, GRID_START_NM), GRID_STOP_NM)
+            l2 = min(max(b, GRID_START_NM), GRID_STOP_NM)
+            if l1 > l2:
+                return np.inf
+            penalty = _OUT_OF_RANGE_SLOPE * (abs(a - l1) + abs(b - l2))
         xyz = spd_to_xyz(synthesize(OptimalSpectrumParams(genus, l1, l2, 1.0)), illuminant, obs)
         if xyz.X + xyz.Y + xyz.Z <= 0:
             return np.inf
-        de = _delta_e((xyz.X, xyz.Y, xyz.Z), tgt)
-        return de + _OUT_OF_RANGE_SLOPE * (abs(lam[0] - l1) + abs(lam[1] - l2))
+        return _delta_e((xyz.X, xyz.Y, xyz.Z), tgt) + penalty
 
     def polish(x0, simplex=None):
         options = dict(maxiter=MAX_ITERATIONS, xatol=1e-6, fatol=1e-14, initial_simplex=simplex)

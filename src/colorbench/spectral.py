@@ -37,6 +37,7 @@ _OBSERVER_FILES = {
 
 _GRID = np.arange(GRID_START_NM, GRID_STOP_NM + 1, GRID_STEP_NM, dtype=float)
 _GRID.flags.writeable = False
+_FLOAT64 = np.dtype(float)
 
 
 def grid_wavelengths() -> np.ndarray:
@@ -52,8 +53,10 @@ class SpectralDistribution:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
+        vals = self.values
+        if type(vals) is not np.ndarray or vals.dtype != _FLOAT64:
+            vals = np.asarray(vals, dtype=float)
+            object.__setattr__(self, "values", vals)
         if vals.shape != (GRID_COUNT,):
             raise ValueError(
                 f"a spectral distribution holds the {GRID_COUNT} samples of the "
@@ -61,7 +64,7 @@ class SpectralDistribution:
                 f"got shape {vals.shape}"
             )
         # a NaN anywhere makes the minimum NaN
-        lo, hi = vals.min(), vals.max()
+        lo, hi = np.minimum.reduce(vals), np.maximum.reduce(vals)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("spectral samples must be finite")
         if lo < 0:
@@ -110,10 +113,12 @@ class Tristimulus:
     Z: float
 
     def __post_init__(self):
-        X, Y, Z = float(self.X), float(self.Y), float(self.Z)
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "Y", Y)
-        object.__setattr__(self, "Z", Z)
+        X, Y, Z = self.X, self.Y, self.Z
+        if not (type(X) is type(Y) is type(Z) is float):
+            X, Y, Z = float(X), float(Y), float(Z)
+            object.__setattr__(self, "X", X)
+            object.__setattr__(self, "Y", Y)
+            object.__setattr__(self, "Z", Z)
         if not (math.isfinite(X) and math.isfinite(Y) and math.isfinite(Z)):
             raise ValueError("tristimulus components must be finite")
         if X < 0 or Y < 0 or Z < 0:
@@ -132,10 +137,12 @@ class Chromaticity:
     z: float
 
     def __post_init__(self):
-        x, y, z = float(self.x), float(self.y), float(self.z)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
+        x, y, z = self.x, self.y, self.z
+        if not (type(x) is type(y) is type(z) is float):
+            x, y, z = float(x), float(y), float(z)
+            object.__setattr__(self, "x", x)
+            object.__setattr__(self, "y", y)
+            object.__setattr__(self, "z", z)
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
             raise ValueError("chromaticity components must be finite")
         lo, hi = -1e-12, 1 + 1e-12
@@ -321,8 +328,8 @@ def raw_tristimulus(
     obs: ObserverTables,
 ) -> tuple[float, float, float]:
     """Unnormalized weighted sums of S * P * {x_bar, y_bar, z_bar}."""
-    X, Y, Z = spd.values @ tristimulus_weights(illuminant, obs)
-    return float(X), float(Y), float(Z)
+    # bit-equal to spd.values @ table, with less call overhead
+    return tuple(spd.values.dot(tristimulus_weights(illuminant, obs)).tolist())
 
 
 def spd_to_xyz(

@@ -245,6 +245,22 @@ def test_chart_takes_one_source(tmp_path, capsys):
     assert not (tmp_path / "c.png").exists()
 
 
+@pytest.mark.parametrize("source", [[], ["--from-atlas", "a.csv"]], ids=["targets", "atlas"])
+def test_chart_format_needs_db(tmp_path, capsys, source):
+    with pytest.raises(SystemExit) as exc:
+        run(["chart", *source, "--format", "long_csv", "--out", str(tmp_path / "c.png")])
+    assert exc.value.code == 2
+    assert "argument --format: only allowed with --db" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("rows", ["0", "-1"])
+def test_chart_rows_must_be_positive(tmp_path, capsys, rows):
+    assert run(["chart", "--rows", rows, "--out", str(tmp_path / "c.png")]) == 1
+    assert capsys.readouterr().err == "error: --rows must be at least 1\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_chart_from_atlas(tmp_path):
     acsv = tmp_path / "a.csv"
     assert run(["atlas", "--j", "50", "--la", "50", "--spacing", "8", "--out", str(acsv)]) == 0

@@ -84,6 +84,22 @@ cut_nm = st.one_of(
 )
 
 
+def _one_bin(t):
+    n, f1, f2 = t
+    return n + f1, n + f2
+
+
+# cut pairs that share a bin, lie less than 2 nm apart, or end the grid
+close_cuts = st.one_of(
+    st.tuples(st.integers(360, 720), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    .map(_one_bin)
+    .filter(lambda c: max(c) <= 720.0),
+    st.tuples(cut_nm, st.floats(0.0, 2.0)).map(lambda t: (t[0], min(t[0] + t[1], 720.0))),
+    st.tuples(st.floats(719.0, 720.0), st.floats(719.0, 720.0)),
+)
+amplitude = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 3.0))
+
+
 class TestParams:
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):
@@ -147,10 +163,14 @@ class TestSynthesize:
         total = spd_to_xyz(p).as_array() + spd_to_xyz(s).as_array()
         np.testing.assert_allclose(total, flat.as_array(), rtol=1e-6)
 
-    @given(st.sampled_from([BAND_PASS, BAND_STOP]), cut_nm, cut_nm, st.floats(0.0, 3.0))
-    @settings(max_examples=300, deadline=None)
-    def test_matches_reference_coverage_bit_for_bit(self, genus, a, b, k):
-        l1, l2 = sorted((a, b))
+    @given(
+        st.sampled_from([BAND_PASS, BAND_STOP]),
+        st.one_of(st.tuples(cut_nm, cut_nm), close_cuts),
+        amplitude,
+    )
+    @settings(max_examples=600, deadline=None)
+    def test_matches_reference_coverage_bit_for_bit(self, genus, cuts, k):
+        l1, l2 = sorted(cuts)
         got = synthesize(OptimalSpectrumParams(genus, l1, l2, k)).values
         assert got.tobytes() == reference_synthesize(genus, l1, l2, k).tobytes()
 

@@ -1,10 +1,12 @@
 import importlib.util
+import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from colorbench import (
     ATLAS_CSV_HEADER,
@@ -125,6 +127,162 @@ class TestValueTypeChecks:
     @given(st.tuples(edge_value, edge_value, edge_value))
     def test_chromaticity_messages(self, comps):
         assert _error(Chromaticity, *comps) == _former_chromaticity_error(comps)
+
+
+def _checked_spd_values(values):
+    """The ``SpectralDistribution.__post_init__`` body that converted every
+    input: the values it stored."""
+    vals = np.asarray(values, dtype=float)
+    if vals.shape != (GRID_COUNT,):
+        raise ValueError(
+            f"a spectral distribution holds the {GRID_COUNT} samples of the "
+            f"360-720 nm / 1 nm working grid, got shape {vals.shape}"
+        )
+    lo, hi = vals.min(), vals.max()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("spectral samples must be finite")
+    if lo < 0:
+        raise ValueError("spectral samples must be non-negative")
+    return vals
+
+
+def _checked_tristimulus(X, Y, Z):
+    """The ``Tristimulus.__post_init__`` body that converted every component."""
+    X, Y, Z = float(X), float(Y), float(Z)
+    if not (math.isfinite(X) and math.isfinite(Y) and math.isfinite(Z)):
+        raise ValueError("tristimulus components must be finite")
+    if X < 0 or Y < 0 or Z < 0:
+        raise ValueError("tristimulus components must be non-negative")
+    return X, Y, Z
+
+
+def _checked_chromaticity(x, y, z):
+    """The ``Chromaticity.__post_init__`` body that converted every component."""
+    x, y, z = float(x), float(y), float(z)
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise ValueError("chromaticity components must be finite")
+    lo, hi = -1e-12, 1 + 1e-12
+    if not (lo <= x <= hi and lo <= y <= hi and lo <= z <= hi):
+        raise ValueError("chromaticity components must lie in [0, 1]")
+    if abs(x + y + z - 1.0) > 1e-12:
+        raise ValueError("chromaticity components must sum to 1")
+    return x, y, z
+
+
+def _made(make, *args):
+    """What ``make(*args)`` returned, or the type and message it raised."""
+    try:
+        return make(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, -1.0, -1e-300, 5e-324, 1.0, 1e308, -1e308]
+grid_floats = hnp.arrays(np.float64, GRID_COUNT, elements=st.floats(0.0, 1e308))
+
+
+@st.composite
+def spd_inputs(draw):
+    """Spectral input of every kind a caller may pass, mostly on the grid."""
+    vals = draw(grid_floats)
+    if draw(st.booleans()):
+        vals[draw(st.integers(0, GRID_COUNT - 1))] = draw(st.sampled_from(SPECIAL))
+    kind = draw(st.sampled_from(
+        ["float64", "list", "big_endian", "strided", "float32", "int64", "bool", "shape", "other"]
+    ))
+    if kind == "list":
+        return vals.tolist()
+    if kind == "big_endian":  # float64, but not in native byte order
+        return vals.astype(">f8")
+    if kind == "strided":  # a float64 view that is not contiguous
+        return np.repeat(vals, 2)[::2]
+    if kind == "float32":
+        return draw(hnp.arrays(np.float32, GRID_COUNT, elements=st.floats(width=32)))
+    if kind in ("int64", "bool"):
+        return draw(hnp.arrays(np.dtype(kind), GRID_COUNT))
+    if kind == "shape":
+        return draw(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, max_side=400)))
+    if kind == "other":
+        return draw(st.sampled_from([[], 1.0, 3, True, np.float64(2.0), None, "abc"]))
+    return vals
+
+
+def _holders(v: float):
+    """``v`` as a Python float, and as the other types that hold it."""
+    same = [v, np.float64(v), repr(v)]
+    return st.sampled_from(same + [np.float32(v)] if abs(v) < 3e38 or v != v else same)
+
+
+# one component as a Python float, or as another type that holds it
+component = st.one_of(st.sampled_from(SPECIAL), st.floats(0.0, 1.0), st.floats()).flatmap(
+    _holders
+) | st.sampled_from([0, 1, 7, True, False, np.int64(3), np.bool_(True), None, "abc"])
+
+
+@st.composite
+def chromaticity_inputs(draw):
+    """Components that mostly sum to 1, with some replaced by other types."""
+    x, y = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+    comps = [x, y, 1.0 - x - y]
+    for i in draw(st.lists(st.integers(0, 2), max_size=3)):
+        comps[i] = draw(component)
+    return comps
+
+
+def _same_floats(got, expected):
+    """``got`` holds Python floats bit-equal to those ``expected`` holds."""
+    assert all(type(v) is float for v in (*got, *expected))
+    assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+
+class TestConstructorsAsBefore:
+    """The constructors accept, reject and store exactly as the bodies that
+    converted every input did."""
+
+    @given(spd_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_spectral_distribution(self, values):
+        expected = _made(_checked_spd_values, values)
+        got = _made(SpectralDistribution, values)
+        if isinstance(expected, tuple):
+            assert got == expected
+            return
+        assert type(got.values) is np.ndarray and got.values.dtype == np.float64
+        assert got.values.tobytes() == expected.tobytes()
+        assert (got.values is values) == (expected is values)
+
+    @given(st.tuples(component, component, component))
+    @settings(max_examples=300, deadline=None)
+    def test_tristimulus(self, comps):
+        expected = _made(_checked_tristimulus, *comps)
+        got = _made(Tristimulus, *comps)
+        if isinstance(got, tuple):
+            assert got == expected
+        else:
+            _same_floats((got.X, got.Y, got.Z), expected)
+
+    @given(chromaticity_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_chromaticity(self, comps):
+        expected = _made(_checked_chromaticity, *comps)
+        got = _made(Chromaticity, *comps)
+        if isinstance(got, tuple):
+            assert got == expected
+        else:
+            _same_floats((got.x, got.y, got.z), expected)
+
+    @given(
+        hnp.arrays(np.float64, GRID_COUNT, elements=st.floats(0.0, 1e300)),
+        st.sampled_from(["D65", "E"]),
+        st.sampled_from(["degree2", "degree10"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_raw_tristimulus_is_the_matrix_product(self, values, ill_name, obs_id):
+        spd = SpectralDistribution(values)
+        ill, obs = load_illuminant(ill_name), load_observer(obs_id)
+        got = raw_tristimulus(spd, ill, obs)
+        expected = tuple(float(v) for v in spd.values @ tristimulus_weights(ill, obs))
+        _same_floats(got, expected)
 
 
 class TestResample:

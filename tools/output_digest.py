@@ -108,6 +108,17 @@ RUNS = [
         ["solve_0.3,0.5_10deg.json"],
     ),
     (
+        # a band stop whose cuts end less than 1 nm apart (not converged)
+        ["solve-optimal", "--target", "0.31352,0.33072", "--genus", "band_stop", "--lc", "0.5",
+         "--json", "--out", "solve_narrow_stop.json"],
+        ["solve_narrow_stop.json"],
+    ),
+    (
+        ["solve-optimal", "--target", "0.3,0.5", "--lc", "0.2", "--illuminant", "e",
+         "--json", "--out", "solve_0.3,0.5_e.json"],
+        ["solve_0.3,0.5_e.json"],
+    ),
+    (
         ["chart", "--db", str(FIXTURES / "fixture_wide.csv"), "--out", "matched.png"],
         ["matched.png", "matched.png.meta.json"],
     ),
