@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
@@ -44,6 +43,7 @@ from .spectral import (
     load_illuminant,
     load_observer,
     read_spectrum_csv,
+    tristimulus_weights,
 )
 from .spectradb import (
     LONG_CSV,
@@ -72,7 +72,12 @@ class RunConfig:
         key = self.illuminant.lower()
         if key in ("d65", "e"):
             return load_illuminant(key.upper())
-        return read_spectrum_csv(self.illuminant)
+        spd = read_spectrum_csv(self.illuminant)
+        try:  # a file the weighted sums cannot use is an error that names it
+            tristimulus_weights(spd, self.resolve_observer())
+        except ValueError as exc:
+            raise ValueError(f"{self.illuminant}: {exc}") from None
+        return spd
 
     def resolve_observer(self):
         return load_observer(self.observer)
@@ -287,34 +292,38 @@ def _cmd_chart(cfg: RunConfig, args) -> int:
     return 0
 
 
+# the session flags, and the ones each subcommand reads (all take --config, --out-dir)
+_SESSION_FLAGS = {
+    "illuminant": dict(help="d65, e, or a wavelength_nm,value CSV path"),
+    "observer": dict(choices=[OBSERVER_2DEG, OBSERVER_10DEG]),
+    "la": dict(type=float, help="adapting luminance in cd/m2 (default 50)"),
+    "yb": dict(type=float, help="background relative luminance 0-100 (default 20)"),
+    "surround": dict(choices=["average", "dim", "dark"]),
+    "d": dict(type=float, help="explicit degree of adaptation in [0, 1]"),
+    "primaries": dict(metavar="rx,ry,gx,gy,bx,by", help="display primaries (default BT.709)"),
+}
+_SESSION_READS = {
+    "solve-optimal": ("illuminant", "observer"),
+    "table1": ("illuminant", "observer"),
+    "targets": (),
+    "match": ("illuminant", "observer"),
+    "atlas": ("observer", "la", "yb", "surround", "d", "primaries"),
+    "chart": ("illuminant", "observer", "la", "yb", "surround", "primaries"),
+}
+
+
 @lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="colorbench",
         description="Colorimetric test materials for video path assessment.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-
-    session = argparse.ArgumentParser(add_help=False)
-    session.add_argument("--config", help="JSON config file; flags override its values")
-    session.add_argument("--illuminant", help="d65, e, or a wavelength_nm,value CSV path")
-    session.add_argument("--observer", choices=[OBSERVER_2DEG, OBSERVER_10DEG])
-    session.add_argument("--la", type=float, help="adapting luminance in cd/m2 (default 50)")
-    session.add_argument("--yb", type=float, help="background relative luminance 0-100 (default 20)")
-    session.add_argument("--surround", choices=["average", "dim", "dark"])
-    session.add_argument("--d", type=float, help="explicit degree of adaptation in [0, 1]")
-    session.add_argument(
-        "--primaries", metavar="rx,ry,gx,gy,bx,by", help="display primaries (default BT.709)"
-    )
-    session.add_argument("--out-dir", help="base directory for relative output paths")
-
     sub = parser.add_subparsers(dest="command", required=True)
-    common = dict(parents=[session])
 
-    p = sub.add_parser(
-        "solve-optimal", help="solve rectangle cuts for a chromaticity target", **common
-    )
+    p = sub.add_parser("solve-optimal", help="solve rectangle cuts for a chromaticity target")
     p.add_argument("--target", required=True, metavar="x,y")
     p.add_argument(
         "--genus",
@@ -329,24 +338,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_solve_optimal)
 
-    p = sub.add_parser("table1", help="solve the ten-color reference suite", **common)
+    p = sub.add_parser("table1", help="solve the ten-color reference suite")
     p.add_argument("--tolerance", type=float, default=1e-5)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_table1)
 
-    p = sub.add_parser("targets", help="emit the sixteen-color target set", **common)
+    p = sub.add_parser("targets", help="emit the sixteen-color target set")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_targets)
 
-    p = sub.add_parser("match", help="match the target set against a spectra database", **common)
+    p = sub.add_parser("match", help="match the target set against a spectra database")
     p.add_argument("--db", required=True)
     p.add_argument("--format", choices=[WIDE_CSV, LONG_CSV], default=WIDE_CSV)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_match)
 
-    p = sub.add_parser("atlas", help="generate an in-gamut UCS atlas slice", **common)
+    p = sub.add_parser("atlas", help="generate an in-gamut UCS atlas slice")
     p.add_argument("--j", type=float, required=True, help="CAM16 lightness of the slice")
     p.add_argument("--spacing", type=float, default=2.0)
     p.add_argument("--bound", type=float, default=60.0)
@@ -356,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xy-svg", help="write an (x, y) scatter SVG")
     p.set_defaults(func=_cmd_atlas)
 
-    p = sub.add_parser("chart", help="render a patch-grid chart PNG plus sidecar", **common)
+    p = sub.add_parser("chart", help="render a patch-grid chart PNG plus sidecar")
     chart_source = p.add_mutually_exclusive_group()
     chart_source.add_argument("--from-atlas", help="atlas CSV to render instead of the target set")
     chart_source.add_argument("--db", help="spectra database: render the matched set instead")
@@ -373,6 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_chart)
 
+    for name, p in sub.choices.items():
+        p.allow_abbrev = False
+        p.add_argument("--config", help="JSON config file; flags override its values")
+        p.add_argument("--out-dir", help="base directory for relative output paths")
+        for key in _SESSION_READS[name]:
+            p.add_argument(f"--{key}", **_SESSION_FLAGS[key])
     return parser
 
 
@@ -404,7 +419,8 @@ def _check_config(path: Path, data) -> dict:
         if (
             isinstance(value, bool)
             or not isinstance(value, types)
-            or (isinstance(value, float) and not math.isfinite(value))
+            # NaN, infinities and integers beyond the float range
+            or (isinstance(value, _NUMBER) and not abs(value) <= sys.float_info.max)
         ):
             raise ValueError(
                 f"{path}: config key {key!r} must be {expected}, got {json.dumps(value)[:40]}"
@@ -418,8 +434,11 @@ def _load_config(args) -> RunConfig:
         path = Path(args.config)
         if not path.exists():
             raise FileNotFoundError(f"config file not found: {path}")
-        data = _check_config(path, json.loads(path.read_text(encoding="utf-8")))
-        for key, value in data.items():
+        try:
+            data = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, ValueError, RecursionError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        for key, value in _check_config(path, data).items():
             setattr(cfg, key, value)
     for key in _CONFIG_KEYS:
         value = getattr(args, key, None)
@@ -431,8 +450,10 @@ def _load_config(args) -> RunConfig:
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "chart" and args.format is not None and args.db is None:
-        parser.error("argument --format: only allowed with --db")
+    # flags that only work together with another flag
+    for flag, needed in {"format": "db", "out_dir": "out"}.items():
+        if getattr(args, flag, None) is not None and getattr(args, needed, None) is None:
+            parser.error(f"argument --{flag.replace('_', '-')}: only allowed with --{needed}")
     try:
         cfg = _load_config(args)
         return args.func(cfg, args)

@@ -18,6 +18,8 @@ from itertools import compress, count, repeat
 from operator import ne
 from pathlib import Path
 
+import numpy as np
+
 from .spectral import (
     Chromaticity,
     ObserverTables,
@@ -87,17 +89,19 @@ def load_database(
     else:
         raise ValueError(f"unknown database format {fmt!r}")
     records, seen = [], set()
-    for k, spd in zip(starts, spds):
-        rid, line = table.ids[k], table.lines[k]
-        if rid in seen:
-            raise line_error(path, line, f"duplicate record id {rid!r}")
-        seen.add(rid)
-        xyz = spd_to_xyz(spd, illuminant, obs)
-        try:
-            xy = xyz_to_chromaticity(xyz)
-        except ValueError as exc:
-            raise line_error(path, line, f"record {rid!r}: {exc}") from None
-        records.append(SpectraRecord(rid, spd, xy, xyz))
+    # a record whose weighted sums overflow fails the Tristimulus check below
+    with np.errstate(over="ignore"):
+        for k, spd in zip(starts, spds):
+            rid, line = table.ids[k], table.lines[k]
+            if rid in seen:
+                raise line_error(path, line, f"duplicate record id {rid!r}")
+            seen.add(rid)
+            try:
+                xyz = spd_to_xyz(spd, illuminant, obs)
+                xy = xyz_to_chromaticity(xyz)
+            except ValueError as exc:
+                raise line_error(path, line, f"record {rid!r}: {exc}") from None
+            records.append(SpectraRecord(rid, spd, xy, xyz))
     return records
 
 

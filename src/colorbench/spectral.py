@@ -308,8 +308,14 @@ def tristimulus_weights(illuminant: SpectralDistribution, obs: ObserverTables) -
     ``raw_tristimulus(spd)`` is ``spd.values @ table``.  Cached per
     (illuminant, observer) pair of objects.
     """
-    table = illuminant.values[:, None] * obs.cmf
-    if not table[:, 1].sum() > 0:
+    with np.errstate(over="ignore"):
+        table = illuminant.values[:, None] * obs.cmf
+        sums = table.sum(axis=0)
+        # the rectangle lattice adds X + Y + Z of the whole band
+        total = sums.sum()
+    if not np.isfinite(total):
+        raise ValueError("the illuminant's weighted sums overflow the float range")
+    if not sums[1] > 0:
         raise ValueError("the illuminant has no power where y_bar is positive")
     table.flags.writeable = False
     return table

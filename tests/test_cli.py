@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -236,6 +237,117 @@ def test_chart_with_p3_primaries(tmp_path):
     assert red["x"] == pytest.approx(0.68, abs=1e-12) and red["y"] == pytest.approx(0.32, abs=1e-12)
 
 
+# a non-default value for each session flag
+SESSION_VALUES = {
+    "--illuminant": "e",
+    "--observer": "degree10",
+    "--la": "80",
+    "--yb": "30",
+    "--surround": "dark",
+    "--d": "0.5",
+    "--primaries": "0.68,0.32,0.265,0.69,0.15,0.06",
+}
+# each subcommand's own arguments; every run also writes --out
+SESSION_BASE = {
+    "solve-optimal": ["--target", "0.3,0.5", "--json"],
+    "table1": ["--json"],
+    "targets": [],
+    "match": ["--db", str(DATA / "fixture_wide.csv")],
+    "atlas": ["--j", "50", "--spacing", "8"],
+    "chart": ["--patch-px", "8"],
+}
+# the 24 (subcommand, flag) pairs whose setting the subcommand does not read
+UNREAD = {
+    *((command, flag)
+      for command in ("solve-optimal", "table1", "match")
+      for flag in ("--la", "--yb", "--surround", "--d", "--primaries")),
+    *(("targets", flag) for flag in SESSION_VALUES),
+    ("atlas", "--illuminant"),
+    ("chart", "--d"),
+}
+
+
+def _outputs(work: Path, argv):
+    """The exit code and every file a run writes into an empty directory."""
+    work.mkdir()
+    try:
+        code = run([*argv, "--out", str(work / "out")])
+    except SystemExit as exc:
+        code = exc.code
+    return code, {p.name: p.read_bytes() for p in work.iterdir()}
+
+
+@pytest.fixture(scope="module")
+def session_base(tmp_path_factory):
+    root = tmp_path_factory.mktemp("session_base")
+    return {c: _outputs(root / c, [c, *argv]) for c, argv in SESSION_BASE.items()}
+
+
+def test_unread_pairs_are_the_24_listed():
+    assert len(UNREAD) == 24
+    assert len(SESSION_BASE) * len(SESSION_VALUES) - len(UNREAD) == 18
+
+
+@pytest.mark.parametrize("flag", list(SESSION_VALUES))
+@pytest.mark.parametrize("command", list(SESSION_BASE))
+def test_session_flag_takes_effect_or_is_usage_error(
+    tmp_path, capsys, session_base, command, flag
+):
+    value = SESSION_VALUES[flag]
+    code, files = _outputs(tmp_path / "run", [command, *SESSION_BASE[command], flag, value])
+    err = capsys.readouterr().err
+    if (command, flag) in UNREAD:
+        assert code == 2
+        assert f"error: unrecognized arguments: {flag} {value}\n" in err
+        assert not files
+    else:
+        assert code != 2
+        assert (code, files) != session_base[command]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["match", "--db", str(DATA / "fixture_wide.csv"), "--d", "0.5"], "--d 0.5"),
+        (["atlas", "--j", "50", "--white", "80"], "--white 80"),
+        (["atlas", "--j", "50", "--spac", "4"], "--spac 4"),
+        (["chart", "--patch", "8"], "--patch 8"),
+        (["solve-optimal", "--target", "0.3,0.5", "--gen", "band_pass"], "--gen band_pass"),
+        (["targets", "--js"], "--js"),
+        (["table1", "--conf", "c.json"], "--conf c.json"),
+    ],
+    ids=["match_d", "atlas_white", "atlas_spac", "chart_patch", "solve_gen", "targets_js",
+         "table1_conf"],
+)
+def test_flag_prefix_is_usage_error(tmp_path, capsys, argv, named):
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"error: unrecognized arguments: {named}\n" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_targets_help_lists_only_its_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["targets", "--help"])
+    assert exc.value.code == 0
+    flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert flags == {"--help", "--config", "--out-dir", "--json", "--out"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["targets"], ["solve-optimal", "--target", "0.3,0.5"], ["table1"], ["match", "--db", "x.csv"]],
+    ids=["targets", "solve", "table1", "match"],
+)
+def test_out_dir_needs_out(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "argument --out-dir: only allowed with --out" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_chart_takes_one_source(tmp_path, capsys):
     argv = ["chart", "--from-atlas", "a.csv", "--db", str(DATA / "fixture_wide.csv")]
     with pytest.raises(SystemExit) as exc:
@@ -339,7 +451,7 @@ def test_chart_from_atlas_skips_comments_and_blank_lines(tmp_path):
         ["atlas", "--j", "50", "--bound", "20", "--la", "1e308"],
         ["atlas", "--j", "50", "--bound", "20", "--la", "5e-324"],
         ["atlas", "--j", "1e-310"],
-        ["chart", "--la", "nan", "--yb", "-5", "--d", "7"],
+        ["chart", "--la", "nan", "--yb", "-5"],
     ],
     ids=[
         "la_nan", "la_inf", "white_luminance_nan", "spacing_inf", "bound_inf",
@@ -381,6 +493,29 @@ def test_nan_wavelength_is_line_error(tmp_path, capsys, args, text, line):
     assert capsys.readouterr().err == f"error: {path}: line {line}: numbers must be finite\n"
 
 
+def test_overflowing_database_record_is_line_error(tmp_path, capsys):
+    path = tmp_path / "db.csv"
+    path.write_text("id,400,550,700\na,0.1,0.2,0.3\nb,1e308,1e308,1e308\n")
+    assert run(["match", "--db", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 3: record 'b': tristimulus components must be finite\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["solve-optimal", "--target", "0.3,0.5"], ["match", "--db", str(DATA / "fixture_wide.csv")]],
+    ids=["solve", "match"],
+)
+def test_overflowing_illuminant_is_domain_error(tmp_path, capsys, args):
+    path = tmp_path / "ill.csv"
+    path.write_text("wavelength_nm,value\n360,1e308\n720,1e308\n")
+    assert run([*args, "--illuminant", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: the illuminant's weighted sums overflow the float range\n"
+    )
+
+
 def test_flat_illuminant_csv_matches_e(tmp_path, capsys):
     flat = tmp_path / "flat.csv"
     flat.write_text("# equal energy\nwavelength_nm,value\n360,100\n720,100\n")
@@ -414,9 +549,45 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert out_flag.read_text() == expected2
 
 
+def test_chart_checks_config_d(tmp_path, capsys):
+    # chart takes no --d flag, but it rejects the config's d as atlas would
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"d": 7}))
+    out = tmp_path / "c.png"
+    assert run(["chart", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_missing_config_is_domain_error(capsys):
     assert run(["targets", "--config", "nope.json"]) == 1
     assert "config file not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"la": 1' + "0" * 400 + "}", "'la' must be a finite number, got 1000"),
+        ('{"yb": -1' + "0" * 400 + "}", "'yb' must be a finite number, got -1000"),
+        ("[" * 100_000, "maximum recursion depth exceeded"),
+        ('{"la": 80,}', "Expecting property name enclosed in double quotes"),
+        (b'{"illuminant": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+    ],
+    ids=["huge_int", "huge_negative_int", "nested", "syntax", "utf8"],
+)
+def test_unreadable_config_names_the_file(tmp_path, capsys, text, message):
+    path = tmp_path / "cfg.json"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+    out = tmp_path / "a.csv"
+    assert run(["atlas", "--j", "50", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -450,7 +621,9 @@ def test_non_finite_config_number_is_domain_error(tmp_path, capsys):
 
 def test_config_accepts_null_for_settings_without_default(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"d": None, "primaries": None, "la": 80}))
+    # a config key is a shared default: targets takes no viewing flag, but its config may set one
+    config = {"d": None, "primaries": None, "la": 80, "yb": 30, "surround": "dark"}
+    path.write_text(json.dumps(config))
     assert run(["targets", "--config", str(path), "--out-dir", str(tmp_path), "--out", "t.csv"]) == 0
 
 

@@ -34,8 +34,8 @@ COMMANDS = {
     "atlas": ["chart", "--from-atlas"],
 }
 
-MUTATIONS = ("drop_field", "add_field", "text", "nan", "inf", "negative", "underscore",
-             "swap", "repeat_id", "blank", "comment")
+MUTATIONS = ("drop_field", "add_field", "text", "nan", "inf", "huge", "negative",
+             "underscore", "swap", "repeat_id", "blank", "comment")
 
 
 def mutate(text: str, draw) -> str:
@@ -49,9 +49,9 @@ def mutate(text: str, draw) -> str:
             del fields[k]
         elif kind == "add_field":
             fields.insert(k, "0.5")
-        elif kind in ("text", "nan", "inf", "negative", "underscore"):
-            fields[k] = {"text": "abc", "nan": "nan", "inf": "inf", "negative": "-0.5",
-                         "underscore": "0_5"}[kind]
+        elif kind in ("text", "nan", "inf", "huge", "negative", "underscore"):
+            fields[k] = {"text": "abc", "nan": "nan", "inf": "inf", "huge": "1e308",
+                         "negative": "-0.5", "underscore": "0_5"}[kind]
         elif kind == "swap":
             j = draw(st.integers(0, len(lines) - 1))
             lines[i], lines[j] = lines[j], lines[i]
@@ -86,8 +86,9 @@ def test_mutated_files_fail_cleanly(tmp_path, capsys, kind, data):
     code = run([*COMMANDS[kind], str(path), "--out", str(out)])
     err = capsys.readouterr().err
     assert code in (0, 1)
-    line_error = rf"error: {re.escape(str(path))}: line \d+: [^\n]+\n"
-    assert err == "" or re.fullmatch(line_error, err), err
+    # a huge illuminant fails as a whole file: its weighted sums overflow
+    file_error = rf"error: {re.escape(str(path))}: (line \d+: )?[^\n]+\n"
+    assert err == "" or re.fullmatch(file_error, err), err
 
 
 # number spellings for the numeric settings: zero, negative, subnormal, huge,
@@ -101,16 +102,20 @@ primaries = st.one_of(
 )
 SESSION = {"--la": number, "--yb": number, "--d": number, "--primaries": primaries}
 SETTINGS = {
-    # a drawn flag comes after the fixed ones, and argparse keeps the last
+    # a drawn flag comes after the fixed ones, and argparse keeps the last;
+    # the last field names the session flags the command takes
     "atlas": (
         ["--j", "50", "--bound", "20"],
         {"--j": number, "--white-luminance": number, "--spacing": number},
+        set(SESSION),
     ),
-    "solve-optimal": (["--target", "0.3,0.5"], {"--lc": number, "--tolerance": number}),
-    "chart": ([], {}),
+    "solve-optimal": (["--target", "0.3,0.5"], {"--lc": number, "--tolerance": number}, set()),
+    "chart": ([], {}, {"--la", "--yb", "--primaries"}),
 }
 CONFIG_VALUES = st.one_of(
-    st.floats(), st.sampled_from([0, -1, 5e-324, 1e308, True, None, [], "abc"]), primaries
+    st.floats(),
+    st.sampled_from([0, -1, 5e-324, 1e308, 10**400, -10**400, True, None, [], "abc"]),
+    primaries,
 )
 
 
@@ -124,7 +129,7 @@ def _reject_constant(name):
 )
 @given(data=st.data())
 def test_bad_settings_fail_cleanly(tmp_path, capsys, command, data):
-    fixed, own = SETTINGS[command]
+    fixed, own, takes = SETTINGS[command]
     strategies = SESSION | own
     flags = data.draw(st.lists(st.sampled_from(sorted(strategies)), max_size=3, unique=True))
     argv = [command, *fixed, *(f"{f}={data.draw(strategies[f], f)}" for f in flags)]
@@ -142,6 +147,12 @@ def test_bad_settings_fail_cleanly(tmp_path, capsys, command, data):
         code = exc.code
     out, err = capsys.readouterr()
     assert code in (0, 1, 2) and "Traceback" not in err, (argv, err)
+    unread = [f for f in flags if f in SESSION and f not in takes]
+    if unread:
+        # argparse reports an invalid value of a flag it takes before the unread flags
+        assert code == 2, (argv, err)
+        named = [f"{f}=" in err.splitlines()[-1] for f in unread]
+        assert all(named) or "error: argument --" in err, (argv, err)
     # a solve that misses its tolerance exits 1 with its report and no error
     unconverged = command == "solve-optimal" and out.endswith("converged=False\n")
     if code == 1 and not (unconverged and err == ""):

@@ -373,6 +373,14 @@ class TestTristimulusWeights:
         with pytest.raises(ValueError):
             table[0, 0] = 1.0
 
+    @pytest.mark.parametrize("value", [1e307, 1e306], ids=["columns", "total"])
+    def test_overflowing_sums_rejected(self, obs2, value):
+        # every product is finite; at 1e307 each column's sum exceeds the float
+        # range, at 1e306 only X + Y + Z does
+        huge = SpectralDistribution(np.full(GRID_COUNT, value))
+        with pytest.raises(ValueError, match="weighted sums overflow"):
+            tristimulus_weights(huge, obs2)
+
     def test_off_grid_illuminant_rejected(self):
         # Neither can be built, so neither reaches tristimulus_weights.
         # Same inputs as test_rejects_other_grids and test_rejects_empty;
