@@ -73,8 +73,9 @@ class RunConfig:
         if key in ("d65", "e"):
             return load_illuminant(key.upper())
         spd = read_spectrum_csv(self.illuminant)
+        obs = self.resolve_observer()
         try:  # a file the weighted sums cannot use is an error that names it
-            tristimulus_weights(spd, self.resolve_observer())
+            tristimulus_weights(spd, obs)
         except ValueError as exc:
             raise ValueError(f"{self.illuminant}: {exc}") from None
         return spd

@@ -265,6 +265,7 @@ UNREAD = {
     ("atlas", "--illuminant"),
     ("chart", "--d"),
 }
+assert len(UNREAD) == 24
 
 
 def _outputs(work: Path, argv):
@@ -281,11 +282,6 @@ def _outputs(work: Path, argv):
 def session_base(tmp_path_factory):
     root = tmp_path_factory.mktemp("session_base")
     return {c: _outputs(root / c, [c, *argv]) for c, argv in SESSION_BASE.items()}
-
-
-def test_unread_pairs_are_the_24_listed():
-    assert len(UNREAD) == 24
-    assert len(SESSION_BASE) * len(SESSION_VALUES) - len(UNREAD) == 18
 
 
 @pytest.mark.parametrize("flag", list(SESSION_VALUES))
@@ -514,6 +510,16 @@ def test_overflowing_illuminant_is_domain_error(tmp_path, capsys, args):
     assert capsys.readouterr().err == (
         f"error: {path}: the illuminant's weighted sums overflow the float range\n"
     )
+
+
+def test_bad_config_observer_does_not_blame_the_illuminant(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"observer": "x"}))
+    path = tmp_path / "ill.csv"
+    path.write_text("wavelength_nm,value\n360,100\n720,100\n")
+    argv = ["solve-optimal", "--target", "0.3,0.5", "--config", str(cfg), "--illuminant", str(path)]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "error: unknown observer id: 'x'\n"
 
 
 def test_flat_illuminant_csv_matches_e(tmp_path, capsys):

@@ -87,7 +87,8 @@ def test_mutated_files_fail_cleanly(tmp_path, capsys, kind, data):
     err = capsys.readouterr().err
     assert code in (0, 1)
     # a huge illuminant fails as a whole file: its weighted sums overflow
-    file_error = rf"error: {re.escape(str(path))}: (line \d+: )?[^\n]+\n"
+    line = r"(line \d+: )?" if kind == "spectrum" else r"line \d+: "
+    file_error = rf"error: {re.escape(str(path))}: {line}[^\n]+\n"
     assert err == "" or re.fullmatch(file_error, err), err
 
 
