@@ -81,7 +81,6 @@ from .spectradb import (
     MATCH_CSV_HEADER,
     WIDE_CSV,
     MatchResult,
-    SpectraRecord,
     build_target_set,
     load_database,
     match_csv,

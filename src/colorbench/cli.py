@@ -207,10 +207,8 @@ def _cmd_targets(cfg: RunConfig, args) -> int:
 
 
 def _cmd_match(cfg: RunConfig, args) -> int:
-    illuminant = cfg.resolve_illuminant()
-    obs = cfg.resolve_observer()
-    db = load_database(args.db, fmt=args.format, illuminant=illuminant, obs=obs)
-    results = match_nearest(build_target_set(), db)
+    table = load_database(args.db, args.format, cfg.resolve_illuminant(), cfg.resolve_observer())
+    results = match_nearest(build_target_set(), table)
     _emit(match_csv(results), args.out, cfg)
     return 0
 
@@ -250,13 +248,11 @@ def _cmd_chart(cfg: RunConfig, args) -> int:
         names = [f"atlas_{i}" for i in range(len(rgb))]
     elif args.db:
         source = "matched"
-        illuminant = cfg.resolve_illuminant()
-        obs = cfg.resolve_observer()
         fmt = args.format or WIDE_CSV
-        db = {r.id: r for r in load_database(args.db, fmt=fmt, illuminant=illuminant, obs=obs)}
-        matches = match_nearest(build_target_set(), list(db.values()))
+        table = load_database(args.db, fmt, cfg.resolve_illuminant(), cfg.resolve_observer())
+        matches = match_nearest(build_target_set(), table)
         names = [f"{res.target_name}:{res.record_id}" for res in matches]
-        xyz = np.array([db[res.record_id].xyz.as_array() for res in matches])
+        xyz = table.xyz[[table.ids.index(res.record_id) for res in matches]]
         rgb = np.clip(gamut.linear_rgb(xyz), 0.0, 1.0)
     else:
         source = "targets"

@@ -4,9 +4,9 @@ Two text layouts are accepted, both read by ``spectral.read_csv``.  Wide
 CSV has one record per row: an ``id`` column followed by wavelength
 headers.  Long CSV has columns ``id,wavelength_nm,value``; a record is a
 run of rows with one id.  Each record's wavelengths strictly increase.
-Every record is resampled to the working grid at load time and its
-tristimulus and chromaticity under the session illuminant/observer are
-cached.
+Each record is resampled to the working grid and integrated once at load
+time; a loaded database is one table of the ids and, row for row, their
+tristimulus and chromaticity.  Spectra are not kept.
 
 Matching is an exhaustive scan for the record minimizing the xyz
 chromaticity distance; ties break on the lexicographically smallest id.
@@ -21,12 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from .spectral import (
-    Chromaticity,
     ObserverTables,
     SpectralDistribution,
-    Tristimulus,
+    _xyz_distance,
     check_samples,
-    delta_e_xyz,
     line_error,
     read_csv,
     spd_to_xyz,
@@ -42,15 +40,16 @@ MATCH_CSV_HEADER = "target,x_spectral,y_spectral,color_id,delta_e"
 
 
 @dataclass(frozen=True, eq=False)
-class SpectraRecord:
-    """One database spectrum, resampled to the working grid, with its
-    tristimulus and chromaticity under the session illuminant and observer
-    (``xyz`` is None on a record built without one)."""
+class SpectraTable:
+    """A loaded database: the record ids in file order and, row for row,
+    read-only ``(n, 3)`` float64 arrays of X, Y, Z and of chromaticity x, y, z."""
 
-    id: str
-    spectrum: SpectralDistribution
-    cached_xy: Chromaticity
-    xyz: Tristimulus | None = None
+    ids: tuple[str, ...]
+    xyz: np.ndarray
+    chromaticity: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 @dataclass(frozen=True)
@@ -67,9 +66,9 @@ def load_database(
     fmt: str = WIDE_CSV,
     illuminant: SpectralDistribution | None = None,
     obs: ObserverTables | None = None,
-) -> list[SpectraRecord]:
-    """Load a reflectance database file (see ``spectral.read_csv``) and cache
-    per-record tristimulus values and chromaticities."""
+) -> SpectraTable:
+    """Load a reflectance database file (see ``spectral.read_csv``) into a
+    ``SpectraTable`` under the given illuminant and observer."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"database not found: {path}")
@@ -88,7 +87,7 @@ def load_database(
         spds = (to_working_grid(*table.values[a:b].T) for a, b in zip(starts, ends))
     else:
         raise ValueError(f"unknown database format {fmt!r}")
-    records, seen = [], set()
+    seen, rows = set(), []
     # a record whose weighted sums overflow fails the Tristimulus check below
     with np.errstate(over="ignore"):
         for k, spd in zip(starts, spds):
@@ -101,23 +100,26 @@ def load_database(
                 xy = xyz_to_chromaticity(xyz)
             except ValueError as exc:
                 raise line_error(path, line, f"record {rid!r}: {exc}") from None
-            records.append(SpectraRecord(rid, spd, xy, xyz))
-    return records
+            rows.append((xyz.X, xyz.Y, xyz.Z, xy.x, xy.y, xy.z))
+    rows = np.array(rows)
+    rows.flags.writeable = False  # and so are its views
+    return SpectraTable(tuple(table.ids[k] for k in starts), rows[:, :3], rows[:, 3:])
 
 
-def match_nearest(targets, db: list[SpectraRecord]) -> list[MatchResult]:
+def match_nearest(targets, table: SpectraTable) -> list[MatchResult]:
     """For each target, the database record with minimal chromaticity error.
 
     Exhaustive scan; deterministic tie-break on the record id.
     """
-    if not db:
+    if not len(table):
         raise ValueError("cannot match against an empty database")
-    xys, ids = [r.cached_xy for r in db], [r.id for r in db]
+    xys, ids = table.chromaticity.tolist(), table.ids
     results = []
     for target in targets:
+        tc = target.chromaticity
         # min over (delta_e, id, index): the index keeps the first of equal keys
-        delta_e, rid, k = min(zip(map(delta_e_xyz, repeat(target.chromaticity), xys), ids, count()))
-        results.append(MatchResult(target.name, rid, xys[k].x, xys[k].y, delta_e))
+        delta_e, rid, k = min(zip(map(_xyz_distance, repeat((tc.x, tc.y, tc.z)), xys), ids, count()))
+        results.append(MatchResult(target.name, rid, xys[k][0], xys[k][1], delta_e))
     return results
 
 

@@ -317,6 +317,8 @@ def tristimulus_weights(illuminant: SpectralDistribution, obs: ObserverTables) -
         raise ValueError("the illuminant's weighted sums overflow the float range")
     if not sums[1] > 0:
         raise ValueError("the illuminant has no power where y_bar is positive")
+    if 100.0 / float(np.sum(table[:, 1])) == math.inf:  # _perfect_reflector_scale
+        raise ValueError("the illuminant's power is too small to scale to Y = 100")
     table.flags.writeable = False
     return table
 
@@ -362,7 +364,12 @@ def xyz_to_chromaticity(t: Tristimulus) -> Chromaticity:
 
 def delta_e_xyz(a: Chromaticity, b: Chromaticity) -> float:
     """Euclidean distance between two chromaticities over (x, y, z)."""
-    return math.sqrt((a.x - b.x) ** 2 + (a.y - b.y) ** 2 + (a.z - b.z) ** 2)
+    return _xyz_distance((a.x, a.y, a.z), (b.x, b.y, b.z))
+
+
+def _xyz_distance(a, b) -> float:
+    """``delta_e_xyz`` on two (x, y, z) sequences of floats."""
+    return math.sqrt((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2)
 
 
 def y100_to_lc(y100: float) -> float:

@@ -50,7 +50,7 @@ from colorbench import (
 )
 from colorbench.chart import patch_pixel_origin
 from colorbench.optimal import TABLE1_COLUMNS
-from colorbench.spectradb import SpectraRecord
+from colorbench.spectradb import SpectraTable
 from colorbench.spectral import GRID_COUNT
 
 
@@ -244,19 +244,26 @@ class TestCriterion4Atlas:
         )
 
 
+def spectra_table(rows):
+    """A hand-built table of (id, Tristimulus or None, Chromaticity) rows; a
+    missing XYZ row is NaN, which ``match_nearest`` does not read."""
+    ids, xyzs, xys = zip(*rows)
+    xyz = np.array([t.as_array() if t is not None else np.full(3, np.nan) for t in xyzs])
+    return SpectraTable(ids, xyz, np.array([c.as_array() for c in xys]))
+
+
 @pytest.fixture(scope="module")
 def optimal_db():
     records = []
     for (name, _, _), rep in zip(TABLE1_COLUMNS, table1_suite()):
-        spd = synthesize(rep.params.with_k(1.0))
-        records.append(SpectraRecord(name, spd, xyz_to_chromaticity(spd_to_xyz(spd))))
-    return records
+        xyz = spd_to_xyz(synthesize(rep.params.with_k(1.0)))
+        records.append((name, xyz, xyz_to_chromaticity(xyz)))
+    return spectra_table(records)
 
 
 class TestCriterion5Matching:
     def test_oracle_equivalence(self):
         rng = np.random.RandomState(99)
-        flat = SpectralDistribution(np.ones(GRID_COUNT))
         mismatches = 0
         for _ in range(100):
             n = int(rng.randint(2, 501))
@@ -264,17 +271,17 @@ class TestCriterion5Matching:
             for i in range(n):
                 x = float(rng.uniform(0.05, 0.60))
                 y = float(rng.uniform(0.05, min(0.80, 0.95 - x)))
-                records.append(SpectraRecord(f"r{i:04d}", flat, Chromaticity.from_xy(x, y)))
+                records.append((f"r{i:04d}", None, Chromaticity.from_xy(x, y)))
             k = int(rng.randint(1, 6))
             targets = [
                 target_from_weights(rng.uniform(0.05, 1.0, 3), name=f"t{j}")
                 for j in range(k)
             ]
-            got = match_nearest(targets, records)
+            got = match_nearest(targets, spectra_table(records))
             for t, res in zip(targets, got):
                 tc = t.chromaticity
                 best = min(
-                    ((delta_e_xyz(tc, r.cached_xy), r.id) for r in records),
+                    ((delta_e_xyz(tc, xy), rid) for rid, _, xy in records),
                 )
                 if (res.delta_e, res.record_id) != best:
                     mismatches += 1

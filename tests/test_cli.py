@@ -22,6 +22,7 @@ from colorbench import (
     render_chart,
     scatter_svg,
     spd_to_xyz,
+    to_working_grid,
 )
 from colorbench.cli import run
 
@@ -219,10 +220,14 @@ def test_chart_from_matched_set(tmp_path):
     assert len(patches) == 16
     assert all(p["source"] == "matched" for p in patches)
     assert patches[0]["name"].startswith("R:")
-    # each patch is the clipped drive of its record's integrated spectrum
-    db = {r.id: r for r in load_database(DATA / "fixture_wide.csv")}
+    # each patch is the clipped drive of its record's integrated spectrum,
+    # integrated here from the file
+    header, *rows = [line.split(",") for line in (DATA / "fixture_wide.csv").read_text().splitlines()]
+    wavelengths = [float(w) for w in header[1:]]
+    spectra = {row[0]: [float(v) for v in row[1:]] for row in rows}
     for p in patches:
-        xyz = spd_to_xyz(db[p["name"].split(":")[1]].spectrum).as_array()
+        spd = to_working_grid(wavelengths, spectra[p["name"].split(":")[1]])
+        xyz = spd_to_xyz(spd).as_array()
         assert p["rgb_linear"] == np.clip(DisplayGamut().linear_rgb(xyz), 0.0, 1.0).tolist()
 
 
@@ -509,6 +514,21 @@ def test_overflowing_illuminant_is_domain_error(tmp_path, capsys, args):
     assert run([*args, "--illuminant", str(path)]) == 1
     assert capsys.readouterr().err == (
         f"error: {path}: the illuminant's weighted sums overflow the float range\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["solve-optimal", "--target", "0.3,0.5"], ["match", "--db", str(DATA / "fixture_wide.csv")]],
+    ids=["solve", "match"],
+)
+def test_subnormal_illuminant_is_domain_error(tmp_path, capsys, args):
+    # 100 / Y-sum overflows; neither a record nor the solver is to blame
+    path = tmp_path / "ill.csv"
+    path.write_text("wavelength_nm,value\n360,5e-324\n720,5e-324\n")
+    assert run([*args, "--illuminant", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: the illuminant's power is too small to scale to Y = 100\n"
     )
 
 

@@ -4,14 +4,16 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from colorbench import (
     Chromaticity,
-    SpectralDistribution,
     build_target_set,
     delta_e_xyz,
     illuminant_white,
     load_database,
+    load_illuminant,
+    load_observer,
     match_csv,
     match_nearest,
     saturated_weights,
@@ -19,59 +21,80 @@ from colorbench import (
     synthesize,
     table1_suite,
     target_from_weights,
+    to_working_grid,
     xyz_to_chromaticity,
 )
-from colorbench.spectradb import LONG_CSV, WIDE_CSV, SpectraRecord
-from colorbench.spectral import GRID_COUNT
+from colorbench.spectradb import LONG_CSV, WIDE_CSV, SpectraTable
 from colorbench.targets import REC709_PRIMARIES, point_in_triangle
 
 DATA = Path(__file__).parent / "data"
 
 
-def record_from_values(rid, values):
-    spd = SpectralDistribution(values)
-    return SpectraRecord(rid, spd, xyz_to_chromaticity(spd_to_xyz(spd)))
+def spectra_table(rows):
+    """A hand-built table of (id, Tristimulus or None, Chromaticity) rows; a
+    missing XYZ row is NaN, which ``match_nearest`` does not read."""
+    ids, xyzs, xys = zip(*rows)
+    xyz = np.array([t.as_array() if t is not None else np.full(3, np.nan) for t in xyzs])
+    return SpectraTable(ids, xyz, np.array([c.as_array() for c in xys]))
+
+
+def chromaticity(table, k):
+    return Chromaticity(*table.chromaticity[k].tolist())
+
+
+def spectra_of(path):
+    """Each record of a wide database file as (id, wavelengths, samples),
+    read without ``load_database``."""
+    header, *rows = [line.split(",") for line in Path(path).read_text().splitlines()]
+    wavelengths = [float(w) for w in header[1:]]
+    return [(row[0], wavelengths, [float(v) for v in row[1:]]) for row in rows]
 
 
 class TestLoadDatabase:
     def test_wide_fixture(self):
         db = load_database(DATA / "fixture_wide.csv", WIDE_CSV)
-        assert [r.id for r in db] == ["perfect", "gray40", "brick", "leaf"]
-        assert all(r.spectrum.values.shape == (GRID_COUNT,) for r in db)
+        assert len(db) == 4
+        assert db.ids == ("perfect", "gray40", "brick", "leaf")
+        assert db.xyz.shape == db.chromaticity.shape == (4, 3)
+        assert db.xyz.dtype == db.chromaticity.dtype == np.float64
+        for column in (db.xyz, db.chromaticity):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0, 0] = 1.0
 
     def test_long_fixture(self):
         db = load_database(DATA / "fixture_long.csv", LONG_CSV)
-        assert [r.id for r in db] == ["gray40", "brick"]
+        assert db.ids == ("gray40", "brick")
 
     def test_perfect_reflector_caches_illuminant_white(self):
         db = load_database(DATA / "fixture_wide.csv", WIDE_CSV)
-        perfect = db[0]
+        x, y, _ = db.chromaticity[0]
         w = illuminant_white("D65")
         # support is clipped to 380-730, so the cached point sits within a
         # whisker of the full-range white
-        assert perfect.cached_xy.x == pytest.approx(w.x, abs=2e-4)
-        assert perfect.cached_xy.y == pytest.approx(w.y, abs=2e-4)
+        assert x == pytest.approx(w.x, abs=2e-4)
+        assert y == pytest.approx(w.y, abs=2e-4)
 
     def test_full_grid_perfect_reflector_is_exactly_illuminant_white(self, tmp_path):
         wls = ",".join(str(w) for w in range(360, 721, 5))
         ones = ",".join("1.0" for _ in range(360, 721, 5))
         p = tmp_path / "white.csv"
         p.write_text(f"id,{wls}\nwhite,{ones}\n")
-        rec = load_database(p, WIDE_CSV)[0]
+        db = load_database(p, WIDE_CSV)
         w = illuminant_white("D65")
-        assert delta_e_xyz(rec.cached_xy, w) < 1e-12
+        assert delta_e_xyz(chromaticity(db, 0), w) < 1e-12
 
     def test_gray_and_white_share_chromaticity(self):
         db = load_database(DATA / "fixture_wide.csv", WIDE_CSV)
-        perfect, gray = db[0], db[1]
-        assert delta_e_xyz(perfect.cached_xy, gray.cached_xy) < 1e-12
+        assert delta_e_xyz(chromaticity(db, 0), chromaticity(db, 1)) < 1e-12
 
     def test_cached_xy_matches_recomputation(self):
         db = load_database(DATA / "fixture_wide.csv", WIDE_CSV)
-        for r in db:
-            assert r.xyz == spd_to_xyz(r.spectrum)
-            fresh = xyz_to_chromaticity(spd_to_xyz(r.spectrum))
-            assert delta_e_xyz(fresh, r.cached_xy) < 1e-14
+        for k, (rid, wavelengths, samples) in enumerate(spectra_of(DATA / "fixture_wide.csv")):
+            assert db.ids[k] == rid
+            xyz = spd_to_xyz(to_working_grid(wavelengths, samples))
+            assert db.xyz[k].tolist() == xyz.as_array().tolist()
+            fresh = xyz_to_chromaticity(xyz)
+            assert delta_e_xyz(fresh, chromaticity(db, k)) < 1e-14
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -142,17 +165,60 @@ class TestLoadDatabase:
         p.write_text("# a comment\n" + text.replace("\n", "\n\n"))
         plain = load_database(DATA / "fixture_long.csv", LONG_CSV)
         spaced = load_database(p, LONG_CSV)
-        assert [(r.id, r.cached_xy) for r in spaced] == [(r.id, r.cached_xy) for r in plain]
+        assert spaced.ids == plain.ids
+        assert spaced.xyz.tolist() == plain.xyz.tolist()
+        assert spaced.chromaticity.tolist() == plain.chromaticity.tolist()
 
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="format"):
             load_database(DATA / "fixture_wide.csv", "tall_csv")
 
+    @given(
+        st.sampled_from([WIDE_CSV, LONG_CSV]),
+        st.lists(
+            st.lists(st.integers(360, 720), min_size=2, max_size=40, unique=True).map(sorted),
+            min_size=1,
+            max_size=12,
+        ),
+        st.randoms(use_true_random=False),
+        st.sampled_from(["D65", "E"]),
+        st.sampled_from(["degree2", "degree10"]),
+    )
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_table_rows_equal_the_per_record_path(self, tmp_path, fmt, grids, rnd, ill, obs_id):
+        # a wide file shares the first record's wavelengths; a long one keeps each record's
+        if fmt == WIDE_CSV:
+            grids = [grids[0]] * len(grids)
+        records = [
+            (f"r{k}_{rnd.randrange(10**6)}", grid, [rnd.uniform(0.01, 2.0) for _ in grid])
+            for k, grid in enumerate(grids)
+        ]
+        if fmt == WIDE_CSV:
+            lines = ["id," + ",".join(map(str, grids[0]))]
+            lines += [",".join([rid, *map(repr, values)]) for rid, _, values in records]
+        else:
+            lines = ["id,wavelength_nm,value"]
+            lines += [f"{rid},{w},{v!r}" for rid, grid, values in records for w, v in zip(grid, values)]
+        path = tmp_path / "db.csv"
+        path.write_text("\n".join(lines) + "\n")
+        illuminant, obs = load_illuminant(ill), load_observer(obs_id)
+        table = load_database(path, fmt, illuminant, obs)
+        assert len(table) == len(records)
+        assert table.ids == tuple(rid for rid, _, _ in records)
+        assert not table.xyz.flags.writeable and not table.chromaticity.flags.writeable
+        for k, (_, grid, values) in enumerate(records):
+            xyz = spd_to_xyz(to_working_grid(grid, values), illuminant, obs)
+            xy = xyz_to_chromaticity(xyz)
+            assert table.xyz[k].tolist() == [xyz.X, xyz.Y, xyz.Z]
+            assert table.chromaticity[k].tolist() == [xy.x, xy.y, xy.z]
+
 
 class TestMatchNearest:
     def test_empty_database_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            match_nearest([target_from_weights((1, 0, 0), "R")], [])
+            empty = SpectraTable((), np.empty((0, 3)), np.empty((0, 3)))
+            match_nearest([target_from_weights((1, 0, 0), "R")], empty)
 
     def test_exact_hit_has_zero_error(self):
         target = target_from_weights((0.4, 0.4, 0.4), "gray")
@@ -167,10 +233,10 @@ class TestMatchNearest:
         # b: (0.60, 0.35)  -> sqrt(0.04^2 + 0.02^2 + 0.02^2) = 0.04899
         # c: (0.64, 0.30)  -> sqrt(0 + 0.03^2 + 0.03^2)   = 0.04243
         target = target_from_weights((1, 0, 0), "R")
-        recs = []
-        for rid, xy in (("a", (0.62, 0.33)), ("b", (0.60, 0.35)), ("c", (0.64, 0.30))):
-            spd = SpectralDistribution(np.ones(GRID_COUNT))
-            recs.append(SpectraRecord(rid, spd, Chromaticity.from_xy(*xy)))
+        recs = spectra_table(
+            (rid, None, Chromaticity.from_xy(*xy))
+            for rid, xy in (("a", (0.62, 0.33)), ("b", (0.60, 0.35)), ("c", (0.64, 0.30)))
+        )
         result = match_nearest([target], recs)[0]
         assert result.record_id == "a"
         assert result.delta_e == pytest.approx(0.02828, abs=1e-4)
@@ -178,20 +244,17 @@ class TestMatchNearest:
     def test_tie_breaks_lexicographically(self):
         target = target_from_weights((1, 1, 1), "W")
         xy = Chromaticity.from_xy(0.40, 0.40)
-        spd = SpectralDistribution(np.ones(GRID_COUNT))
-        recs = [SpectraRecord(rid, spd, xy) for rid in ("zeta", "alpha", "mu")]
+        recs = spectra_table((rid, None, xy) for rid in ("zeta", "alpha", "mu"))
         result = match_nearest([target], recs)[0]
         assert result.record_id == "alpha"
 
     def test_equal_keys_keep_the_first_record(self):
         # both records lie exactly 0.25 * sqrt(2) from the target
         target = SimpleNamespace(name="t", chromaticity=Chromaticity(0.25, 0.25, 0.5))
-        spd = SpectralDistribution(np.ones(GRID_COUNT))
-        recs = [SpectraRecord("a", spd, Chromaticity(*xyz))
-                for xyz in ((0.5, 0.25, 0.25), (0.25, 0.5, 0.25))]
-        for db in (recs, recs[::-1]):
-            result = match_nearest([target], db)[0]
-            assert (result.x_spectral, result.y_spectral) == (db[0].cached_xy.x, db[0].cached_xy.y)
+        recs = [("a", None, Chromaticity(*xyz)) for xyz in ((0.5, 0.25, 0.25), (0.25, 0.5, 0.25))]
+        for rows in (recs, recs[::-1]):
+            result = match_nearest([target], spectra_table(rows))[0]
+            assert (result.x_spectral, result.y_spectral) == (rows[0][2].x, rows[0][2].y)
 
     def test_matches_naive_scan_on_random_databases(self):
         rng = np.random.RandomState(123)
@@ -201,16 +264,15 @@ class TestMatchNearest:
             for i in range(rng.randint(5, 120)):
                 x = rng.uniform(0.05, 0.6)
                 y = rng.uniform(0.05, min(0.8, 0.95 - x))
-                spd = SpectralDistribution(rng.uniform(0, 1, GRID_COUNT))
-                recs.append(SpectraRecord(f"r{i:03d}", spd, Chromaticity.from_xy(x, y)))
-            got = match_nearest(targets, recs)
+                recs.append((f"r{i:03d}", None, Chromaticity.from_xy(x, y)))
+            got = match_nearest(targets, spectra_table(recs))
             for target, res in zip(targets, got):
                 tc = target.chromaticity
                 best = None
-                for r in recs:  # independent brute force
-                    d = delta_e_xyz(tc, r.cached_xy)
-                    if best is None or d < best[0] or (d == best[0] and r.id < best[1]):
-                        best = (d, r.id)
+                for rid, _, xy in recs:  # independent brute force
+                    d = delta_e_xyz(tc, xy)
+                    if best is None or d < best[0] or (d == best[0] and rid < best[1]):
+                        best = (d, rid)
                 assert (res.delta_e, res.record_id) == best
 
     def test_results_follow_target_order(self):
@@ -237,9 +299,9 @@ def optimal_spectra_db():
 
     records = []
     for (name, _, _), report in zip(TABLE1_COLUMNS, table1_suite()):
-        spd = synthesize(report.params.with_k(1.0))
-        records.append(SpectraRecord(name, spd, xyz_to_chromaticity(spd_to_xyz(spd))))
-    return records
+        xyz = spd_to_xyz(synthesize(report.params.with_k(1.0)))
+        records.append((name, xyz, xyz_to_chromaticity(xyz)))
+    return spectra_table(records)
 
 
 class TestSelfMatch:

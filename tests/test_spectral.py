@@ -381,6 +381,14 @@ class TestTristimulusWeights:
         with pytest.raises(ValueError, match="weighted sums overflow"):
             tristimulus_weights(huge, obs2)
 
+    def test_subnormal_illuminant_rejected(self, obs2):
+        # the Y-sum is positive, but 100 / Y-sum, the perfect reflector's scale,
+        # is infinite
+        tiny = SpectralDistribution(np.full(GRID_COUNT, 5e-324))
+        assert np.sum(tiny.values * obs2.cmf[:, 1]) > 0
+        with pytest.raises(ValueError, match="too small to scale to Y = 100"):
+            tristimulus_weights(tiny, obs2)
+
     def test_off_grid_illuminant_rejected(self):
         # Neither can be built, so neither reaches tristimulus_weights.
         # Same inputs as test_rejects_other_grids and test_rejects_empty;

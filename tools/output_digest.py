@@ -127,6 +127,11 @@ RUNS = [
          "--out", "matched_long.png"],
         ["matched_long.png", "matched_long.png.meta.json"],
     ),
+    (
+        ["chart", "--db", str(FIXTURES / "fixture_wide.csv"), "--illuminant", "e",
+         "--observer", "degree10", "--out", "matched_e_10deg.png"],
+        ["matched_e_10deg.png", "matched_e_10deg.png.meta.json"],
+    ),
 ]
 
 
