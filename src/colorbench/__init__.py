@@ -16,7 +16,6 @@ from .spectral import (
     Chromaticity,
     ObserverTables,
     SpectralDistribution,
-    Tristimulus,
     delta_e_xyz,
     dominant_wavelength,
     grid_wavelengths,

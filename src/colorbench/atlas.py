@@ -18,7 +18,6 @@ import numpy as np
 from .cam16 import Cam16ViewingConditions, cam16_forward, cam16_inverse, ucs_colorfulness_to_m
 from .spectral import (
     Chromaticity,
-    Tristimulus,
     illuminant_white,
     line_error,
     read_csv,
@@ -122,11 +121,9 @@ def generate_atlas(spec: AtlasSpec) -> AtlasResult:
         h = math.degrees(math.atan2(b_m, a_m)) % 360.0
         m = ucs_colorfulness_to_m(math.hypot(a_m, b_m))
         try:
-            t = cam16_inverse(spec.J, h, spec.vc, M=m)
+            xyz[row] = cam16_inverse(spec.J, h, spec.vc, M=m)
         except ValueError:
             failures += 1
-            continue
-        xyz[row] = t.X, t.Y, t.Z
     kept = np.flatnonzero(gamut_contains(xyz, spec.gamut))
     xyz = xyz[kept]
     total = xyz[:, 0] + xyz[:, 1] + xyz[:, 2]
@@ -135,7 +132,7 @@ def generate_atlas(spec: AtlasSpec) -> AtlasResult:
             f"lightness J = {spec.J!r} is too small: a candidate inverts to black, "
             "which has no chromaticity"
         )
-    lightness = [cam16_forward(Tristimulus(*v), spec.vc).J for v in xyz.tolist()]
+    lightness = [cam16_forward(v, spec.vc).J for v in xyz.tolist()]
     grid = np.array(side)
     points = np.column_stack((
         lightness,

@@ -7,7 +7,7 @@ difference.
 
 Viewing conditions:
 
-``white``     reference white tristimulus, scaled to Y_w = 100.
+``white``     reference white (X, Y, Z), scaled to Y_w = 100.
 ``Y_b``       relative luminance of the background region, in (0, 100]; 20 is the
               usual gray-world value.
 ``L_A``       luminance of the adapting field in cd/m2.
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import OBSERVER_2DEG, Tristimulus, illuminant_white
+from .spectral import OBSERVER_2DEG, _finite_xyz, illuminant_white
 
 # CAT16 chromatic adaptation matrix and its inverse
 M16 = np.array(
@@ -53,15 +53,15 @@ SURROUNDS = {
 }
 
 
-def d65_white_tristimulus(observer_id: str = OBSERVER_2DEG) -> Tristimulus:
-    """Bundled-table D65 white with Y scaled to 100."""
+def d65_white_tristimulus(observer_id: str = OBSERVER_2DEG) -> tuple[float, float, float]:
+    """Bundled-table D65 white (X, Y, Z) with Y scaled to 100."""
     w = illuminant_white("D65", observer_id)
-    return Tristimulus(100.0 * w.x / w.y, 100.0, 100.0 * w.z / w.y)
+    return 100.0 * w.x / w.y, 100.0, 100.0 * w.z / w.y
 
 
 @dataclass(frozen=True, eq=False)
 class Cam16ViewingConditions:
-    white: Tristimulus = field(default_factory=d65_white_tristimulus)
+    white: tuple[float, float, float] = field(default_factory=d65_white_tristimulus)
     Y_b: float = 20.0
     L_A: float = 50.0
     surround: str = "average"
@@ -72,10 +72,14 @@ class Cam16ViewingConditions:
             raise ValueError(f"surround must be one of {tuple(SURROUNDS)}, got {self.surround!r}")
         if not 0.0 < self.L_A < math.inf:
             raise ValueError("adapting luminance L_A must be finite and positive")
-        if abs(self.white.Y - 100.0) > 1e-6:
+        white = tuple(map(float, self.white))
+        if len(white) != 3 or not all(0.0 <= v < math.inf for v in white):
+            raise ValueError("reference white must be three finite, non-negative numbers")
+        object.__setattr__(self, "white", white)
+        if abs(white[1] - 100.0) > 1e-6:
             raise ValueError("reference white must be scaled to Y_w = 100")
         # N_bb raises n = Y_b / Y_w to a negative power, so n must not round to 0
-        if not (0.0 < self.Y_b / self.white.Y and self.Y_b <= 100.0):
+        if not (0.0 < self.Y_b / white[1] and self.Y_b <= 100.0):
             raise ValueError("background luminance Y_b must lie in (0, 100]")
         if self.D is not None and not 0.0 <= self.D <= 1.0:
             raise ValueError("explicit degree of adaptation D must lie in [0, 1]")
@@ -96,12 +100,12 @@ class Cam16ViewingConditions:
                 f"adapting luminance L_A = {self.L_A!r} is outside the range CAM16 can evaluate"
             )
 
-        n = self.Y_b / self.white.Y
+        n = self.Y_b / white[1]
         z = 1.48 + math.sqrt(n)
         N_bb = 0.725 * n**-0.2
 
-        rgb_w = M16 @ self.white.as_array()
-        d_rgb = d * self.white.Y / rgb_w + 1.0 - d
+        rgb_w = M16 @ np.array(white)
+        d_rgb = d * white[1] / rgb_w + 1.0 - d
         rgb_aw = _adapt(d_rgb * rgb_w, F_L)
         A_w = float(N_bb * (2.0 * rgb_aw[0] + rgb_aw[1] + 0.05 * rgb_aw[2]))
 
@@ -159,9 +163,9 @@ def _adapt(rgb, F_L: float) -> list[float]:
     return [math.copysign(400.0 * u / (u + 27.13), v) for u, v in zip(t, rgb)]
 
 
-def cam16_forward(stimulus: Tristimulus, vc: Cam16ViewingConditions) -> Cam16Appearance:
-    """XYZ (Y on 0-100) to CAM16 appearance correlates."""
-    rgb_a = _adapt([d * v for d, v in zip(vc.d_rgb, M16.dot(stimulus.as_array()).tolist())], vc.F_L)
+def cam16_forward(xyz, vc: Cam16ViewingConditions) -> Cam16Appearance:
+    """An (X, Y, Z) sequence (Y on 0-100) to CAM16 appearance correlates."""
+    rgb_a = _adapt([d * v for d, v in zip(vc.d_rgb, M16.dot(xyz).tolist())], vc.F_L)
 
     a = rgb_a[0] - 12.0 * rgb_a[1] / 11.0 + rgb_a[2] / 11.0
     b = (rgb_a[0] + rgb_a[1] - 2.0 * rgb_a[2]) / 9.0
@@ -196,15 +200,15 @@ def cam16_inverse(
     h: float,
     vc: Cam16ViewingConditions,
     M: float,
-) -> Tristimulus:
-    """CAM16 lightness J, hue angle h (degrees) and colorfulness M back to XYZ."""
+) -> tuple[float, float, float]:
+    """CAM16 lightness J, hue angle h (degrees) and colorfulness M back to (X, Y, Z)."""
     if J < 0 or M < 0:
         raise ValueError("J and M must be non-negative")
     C = M / vc.F_L_root
     if J / 100.0 == 0.0:  # J is 0, or so small that J / 100 rounds to 0
         if C > 0:
             raise ValueError("chromatic appearance with zero lightness is not invertible")
-        return Tristimulus(0.0, 0.0, 0.0)
+        return 0.0, 0.0, 0.0
 
     h_rad = math.radians(h % 360.0)
     cos_h, sin_h = math.cos(h_rad), math.sin(h_rad)
@@ -232,7 +236,7 @@ def cam16_inverse(
     rgb = M16_INV.dot(cone).tolist()
     if any(v < -1e-6 for v in rgb):
         raise ValueError("appearance inverts to a non-physical (negative) stimulus")
-    return Tristimulus(*(0.0 if v <= 0.0 else v for v in rgb))  # -0.0 becomes 0.0, as np.clip
+    return _finite_xyz(*(0.0 if v <= 0.0 else v for v in rgb))  # -0.0 becomes 0.0, as np.clip
 
 
 def to_ucs(app: Cam16Appearance) -> UcsPoint:

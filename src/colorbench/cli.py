@@ -31,6 +31,7 @@ from .optimal import (
     AUTO_GENUS,
     BAND_PASS,
     BAND_STOP,
+    DEFAULT_TOLERANCE,
     TABLE1_COLUMNS,
     solve_optimal,
     scale_to_luminance,
@@ -309,10 +310,39 @@ _SESSION_READS = {
 }
 
 
+class _MissingRequired(Exception):
+    """argparse's error for a missing required argument, held back."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Names an unrecognized flag before a missing required one, which argparse checks first."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        try:
+            return super().parse_known_args(args, namespace)
+        except _MissingRequired as missing:
+            required = [action for action in self._actions if action.required]
+            for action in required:  # parse again without the check
+                action.required = False
+            try:
+                namespace, extras = super().parse_known_args(args, namespace)
+            finally:
+                for action in required:
+                    action.required = True
+            if not extras:
+                super().error(str(missing))
+            return namespace, extras
+
+    def error(self, message):
+        if message.startswith("the following arguments are required"):
+            raise _MissingRequired(message)
+        super().error(message)
+
+
 @lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="colorbench",
         description="Colorimetric test materials for video path assessment.",
         allow_abbrev=False,
@@ -329,14 +359,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="rectangle genus; auto solves the genus whose 1 nm cut lattice comes closer "
         "to the target, then the other one if the first misses the tolerance",
     )
-    p.add_argument("--tolerance", type=float, default=1e-5)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument("--lc", type=float, help="scale K to this relative luminance in [0, 1]")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_solve_optimal)
 
     p = sub.add_parser("table1", help="solve the ten-color reference suite")
-    p.add_argument("--tolerance", type=float, default=1e-5)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_table1)

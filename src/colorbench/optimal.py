@@ -35,6 +35,7 @@ from .spectral import (
     Chromaticity,
     ObserverTables,
     SpectralDistribution,
+    _xyz_distance,
     delta_e_xyz,
     load_illuminant,
     load_observer,
@@ -206,13 +207,6 @@ def _rectangle_lattice(
     return x, y
 
 
-def _delta_e(xyz, tgt: tuple[float, float, float]) -> float:
-    """xyz chromaticity distance from a tristimulus with a positive sum."""
-    X, Y, Z = xyz
-    s = X + Y + Z
-    return math.sqrt((X / s - tgt[0]) ** 2 + (Y / s - tgt[1]) ** 2 + (Z / s - tgt[2]) ** 2)
-
-
 def _lattice_seed(
     genus: str,
     target: Chromaticity,
@@ -237,9 +231,10 @@ def _lattice_seed(
             best, k = dx[i], start + i
     p = int(np.searchsorted(_ROW_STARTS, k, side="right")) - 1
     q = p + k - int(_ROW_STARTS[p])
-    xyz = _lattice_xyz(genus, p, q, _prefix_sums(illuminant, obs))
+    X, Y, Z = _lattice_xyz(genus, p, q, _prefix_sums(illuminant, obs))
+    s = X + Y + Z
     return _Seed(
-        _delta_e(xyz, (target.x, target.y, target.z)),
+        _xyz_distance((X / s, Y / s, Z / s), (target.x, target.y, target.z)),
         float(GRID_START_NM + p),
         float(GRID_START_NM + q),
     )
@@ -291,10 +286,11 @@ def _solve_genus(
             if l1 > l2:
                 return np.inf
             penalty = _OUT_OF_RANGE_SLOPE * (abs(a - l1) + abs(b - l2))
-        xyz = spd_to_xyz(synthesize(OptimalSpectrumParams(genus, l1, l2, 1.0)), illuminant, obs)
-        if xyz.X + xyz.Y + xyz.Z <= 0:
+        X, Y, Z = spd_to_xyz(synthesize(OptimalSpectrumParams(genus, l1, l2, 1.0)), illuminant, obs)
+        s = X + Y + Z
+        if s <= 0:
             return np.inf
-        return _delta_e((xyz.X, xyz.Y, xyz.Z), tgt) + penalty
+        return _xyz_distance((X / s, Y / s, Z / s), tgt) + penalty
 
     def polish(x0, simplex=None):
         options = dict(maxiter=MAX_ITERATIONS, xatol=1e-6, fatol=1e-14, initial_simplex=simplex)

@@ -88,7 +88,7 @@ def load_database(
     else:
         raise ValueError(f"unknown database format {fmt!r}")
     seen, rows = set(), []
-    # a record whose weighted sums overflow fails the Tristimulus check below
+    # a record whose weighted sums overflow fails spd_to_xyz's finite check below
     with np.errstate(over="ignore"):
         for k, spd in zip(starts, spds):
             rid, line = table.ids[k], table.lines[k]
@@ -100,7 +100,7 @@ def load_database(
                 xy = xyz_to_chromaticity(xyz)
             except ValueError as exc:
                 raise line_error(path, line, f"record {rid!r}: {exc}") from None
-            rows.append((xyz.X, xyz.Y, xyz.Z, xy.x, xy.y, xy.z))
+            rows.append((*xyz, xy.x, xy.y, xy.z))
     rows = np.array(rows)
     rows.flags.writeable = False  # and so are its views
     return SpectraTable(tuple(table.ids[k] for k in starts), rows[:, :3], rows[:, 3:])

@@ -1,8 +1,9 @@
 """CIE colorimetry on a fixed 1 nm working grid spanning 360-720 nm.
 
-Tristimulus integration follows CIE 15: weighted sums of a sample spectrum
-against an illuminant and a standard observer, normalized so that a perfect
-reflector scores Y = 100 under the chosen illuminant.
+XYZ integration follows CIE 15: weighted sums of a sample spectrum against
+an illuminant and a standard observer, normalized so that a perfect
+reflector scores Y = 100 under the chosen illuminant.  One stimulus is an
+``(X, Y, Z)`` tuple of floats, many are an ``(n, 3)`` array.
 
 Two luminance scales coexist in this package: the colorimetric Y on 0-100
 and the TV-side relative luminance on 0-1.  ``y100_to_lc`` / ``lc_to_y100``
@@ -102,30 +103,6 @@ class ObserverTables:
         peak = _GRID[int(np.argmax(cmf[:, 1]))]
         if not 550.0 <= peak <= 560.0:
             raise ValueError(f"y_bar peak at {peak} nm is outside [550, 560]")
-
-
-@dataclass(frozen=True)
-class Tristimulus:
-    """CIE XYZ; Y on the 0-100 scale unless stated otherwise."""
-
-    X: float
-    Y: float
-    Z: float
-
-    def __post_init__(self):
-        X, Y, Z = self.X, self.Y, self.Z
-        if not (type(X) is type(Y) is type(Z) is float):
-            X, Y, Z = float(X), float(Y), float(Z)
-            object.__setattr__(self, "X", X)
-            object.__setattr__(self, "Y", Y)
-            object.__setattr__(self, "Z", Z)
-        if not (math.isfinite(X) and math.isfinite(Y) and math.isfinite(Z)):
-            raise ValueError("tristimulus components must be finite")
-        if X < 0 or Y < 0 or Z < 0:
-            raise ValueError("tristimulus components must be non-negative")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.X, self.Y, self.Z], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -344,22 +321,29 @@ def spd_to_xyz(
     spd: SpectralDistribution,
     illuminant: SpectralDistribution | None = None,
     obs: ObserverTables | None = None,
-) -> Tristimulus:
-    """Integrate a spectrum to XYZ, normalized so a perfect reflector has Y=100."""
+) -> tuple[float, float, float]:
+    """Integrate a spectrum to (X, Y, Z), normalized so a perfect reflector has Y=100."""
     illuminant = illuminant if illuminant is not None else load_illuminant("D65")
     obs = obs if obs is not None else load_observer(OBSERVER_2DEG)
     X, Y, Z = raw_tristimulus(spd, illuminant, obs)
     k = _perfect_reflector_scale(illuminant, obs)
-    return Tristimulus(max(k * X, 0.0), max(k * Y, 0.0), max(k * Z, 0.0))
+    return _finite_xyz(max(k * X, 0.0), max(k * Y, 0.0), max(k * Z, 0.0))
 
 
-def xyz_to_chromaticity(t: Tristimulus) -> Chromaticity:
-    """Project XYZ onto the chromaticity plane."""
-    s = t.X + t.Y + t.Z
+def _finite_xyz(X: float, Y: float, Z: float) -> tuple[float, float, float]:
+    """``(X, Y, Z)``, or ValueError if a component is not finite."""
+    if not (math.isfinite(X) and math.isfinite(Y) and math.isfinite(Z)):
+        raise ValueError("tristimulus components must be finite")
+    return X, Y, Z
+
+
+def xyz_to_chromaticity(xyz) -> Chromaticity:
+    """Project an (X, Y, Z) sequence onto the chromaticity plane."""
+    X, Y, Z = xyz
+    s = X + Y + Z
     if s <= 0:
         raise ValueError("cannot normalize a zero-sum tristimulus")
-    z = 1.0 - t.X / s - t.Y / s
-    return Chromaticity(t.X / s, t.Y / s, z)
+    return Chromaticity(X / s, Y / s, 1.0 - X / s - Y / s)
 
 
 def delta_e_xyz(a: Chromaticity, b: Chromaticity) -> float:

@@ -15,7 +15,6 @@ import numpy as np
 from .spectral import (
     OBSERVER_2DEG,
     Chromaticity,
-    Tristimulus,
     illuminant_white,
     xyz_to_chromaticity,
 )
@@ -112,11 +111,11 @@ def target_from_weights(rgb_weights, name: str = "") -> TargetColor:
     if not np.any(w):
         raise ValueError("rgb weights must not all be zero")
     xyz = _default_matrix() @ w
-    chroma = xyz_to_chromaticity(Tristimulus(*xyz))
+    chroma = xyz_to_chromaticity(xyz.tolist())
     return TargetColor(name, tuple(w), chroma.x, chroma.y, float(xyz[1]))
 
 
-def target_tristimulus(target: TargetColor) -> Tristimulus:
-    """XYZ of a target color on the 0-100 scale."""
+def target_tristimulus(target: TargetColor) -> tuple[float, float, float]:
+    """(X, Y, Z) of a target color on the 0-100 scale."""
     xyz = _default_matrix() @ np.asarray(target.rgb_weights)
-    return Tristimulus(*(100.0 * xyz))
+    return tuple((100.0 * xyz).tolist())

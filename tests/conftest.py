@@ -4,7 +4,6 @@ import pytest
 from colorbench import (
     Cam16ViewingConditions,
     SpectralDistribution,
-    Tristimulus,
     load_illuminant,
     load_observer,
 )
@@ -30,7 +29,7 @@ def obs10():
 def worked_example_vc():
     """Viewing conditions of the published CAM16 worked example."""
     return Cam16ViewingConditions(
-        white=Tristimulus(95.05, 100.0, 108.88),
+        white=(95.05, 100.0, 108.88),
         Y_b=20.0,
         L_A=318.31,
         surround="average",

@@ -22,7 +22,6 @@ from colorbench import (
     Chromaticity,
     DisplayGamut,
     SpectralDistribution,
-    Tristimulus,
     UcsPoint,
     atlas_csv,
     build_target_set,
@@ -169,16 +168,13 @@ class TestCriterion3Cam16:
         for surround in ("average", "dim", "dark"):
             vc = Cam16ViewingConditions(L_A=50.0, surround=surround)
             for row in rng.uniform(0.001, 1.0, size=(1000, 3)):
-                xyz = Tristimulus(*(gamut.rgb_to_xyz @ row))
+                xyz = gamut.rgb_to_xyz @ row
                 app = cam16_forward(xyz, vc)
                 back = cam16_inverse(app.J, app.h, vc, M=app.M)
-                rel = np.max(
-                    np.abs(back.as_array() - xyz.as_array())
-                    / np.maximum(xyz.as_array(), 1e-9)
-                )
+                rel = np.max(np.abs(back - xyz) / np.maximum(xyz, 1e-9))
                 worst = max(worst, rel)
 
-        app = cam16_forward(Tristimulus(19.01, 20.0, 21.78), worked_example_vc)
+        app = cam16_forward((19.01, 20.0, 21.78), worked_example_vc)
         expected = {"J": 41.731, "C": 0.1033, "h": 217.068, "M": 0.1074, "s": 2.345, "Q": 195.372}
         fixture_err = max(abs(getattr(app, k) - v) for k, v in expected.items())
         report(
@@ -245,10 +241,10 @@ class TestCriterion4Atlas:
 
 
 def spectra_table(rows):
-    """A hand-built table of (id, Tristimulus or None, Chromaticity) rows; a
+    """A hand-built table of (id, (X, Y, Z) or None, Chromaticity) rows; a
     missing XYZ row is NaN, which ``match_nearest`` does not read."""
     ids, xyzs, xys = zip(*rows)
-    xyz = np.array([t.as_array() if t is not None else np.full(3, np.nan) for t in xyzs])
+    xyz = np.array([t if t is not None else (np.nan,) * 3 for t in xyzs])
     return SpectraTable(ids, xyz, np.array([c.as_array() for c in xys]))
 
 

@@ -15,7 +15,6 @@ from colorbench import (
     Cam16ViewingConditions,
     Chromaticity,
     DisplayGamut,
-    Tristimulus,
     UcsPoint,
     atlas_csv,
     cam16_forward,
@@ -170,7 +169,7 @@ class TestGenerateAtlas:
                     xyz = cam16_inverse(spec.J, h, spec.vc, M=m)
                 except ValueError:
                     continue  # counted as inversion failure
-                assert not gamut_contains(xyz.as_array(), g)
+                assert not gamut_contains(xyz, g)
 
     def test_grid_neighbors_exactly_spacing_apart(self, atlas_j50):
         j_prime = j_to_ucs_lightness(50.0)
@@ -185,7 +184,7 @@ class TestGenerateAtlas:
 
     def test_appearance_consistent_with_ucs(self, vc_avg, atlas_j50):
         for row in atlas_j50.points[::37]:
-            u = to_ucs(cam16_forward(Tristimulus(*row[3:6]), vc_avg))
+            u = to_ucs(cam16_forward(row[3:6], vc_avg))
             assert u.J_prime == pytest.approx(j_to_ucs_lightness(50.0), abs=1e-9)
             assert u.a_M == pytest.approx(row[1], abs=1e-9)
             assert u.b_M == pytest.approx(row[2], abs=1e-9)
@@ -231,7 +230,7 @@ class TestGenerateAtlas:
             except ValueError:
                 failures += 1
                 continue
-            outside += not gamut_contains(xyz.as_array(), spec.gamut)
+            outside += not gamut_contains(xyz, spec.gamut)
         res = generate_atlas(spec)
         assert (res.inversion_failures, res.out_of_gamut) == (failures, outside)
         assert failures > 0 and outside > 0

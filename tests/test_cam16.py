@@ -9,7 +9,6 @@ from colorbench import (
     Cam16Appearance,
     Cam16ViewingConditions,
     DisplayGamut,
-    Tristimulus,
     UcsPoint,
     cam16_forward,
     cam16_inverse,
@@ -74,7 +73,22 @@ class TestViewingConditions:
 
     def test_rejects_unnormalized_white(self):
         with pytest.raises(ValueError, match="Y_w"):
-            Cam16ViewingConditions(white=Tristimulus(95.0, 90.0, 108.0), L_A=50.0)
+            Cam16ViewingConditions(white=(95.0, 90.0, 108.0), L_A=50.0)
+
+    @pytest.mark.parametrize(
+        "white",
+        [(95.05, 100.0), (95.05, 100.0, 108.88, 1.0), (math.nan, 100.0, 108.88),
+         (95.05, 100.0, math.inf), (-1.0, 100.0, 108.88), (95.05, 100.0, -1e-300)],
+    )
+    def test_rejects_white_not_three_finite_non_negative_numbers(self, white):
+        with pytest.raises(ValueError, match="three finite, non-negative numbers"):
+            Cam16ViewingConditions(white=white)
+
+    def test_white_is_a_tuple_of_floats(self):
+        vc = Cam16ViewingConditions(white=np.array([95.05, 100.0, 108.88]))
+        assert type(vc.white) is tuple and all(type(v) is float for v in vc.white)
+        assert vc.white == (95.05, 100.0, 108.88)
+        assert Cam16ViewingConditions().white == d65_white_tristimulus()
 
     def test_rejects_out_of_range_d(self):
         with pytest.raises(ValueError):
@@ -91,7 +105,7 @@ class TestViewingConditions:
 
 class TestForward:
     def test_worked_example(self, worked_example_vc):
-        app = cam16_forward(Tristimulus(19.01, 20.0, 21.78), worked_example_vc)
+        app = cam16_forward((19.01, 20.0, 21.78), worked_example_vc)
         for name, expected in WORKED_EXAMPLE_EXPECTED.items():
             assert getattr(app, name) == pytest.approx(expected, abs=1e-3), name
 
@@ -102,19 +116,19 @@ class TestForward:
     def test_gray_is_achromatic(self):
         # under full adaptation the white-point ray is the achromatic axis
         vc = Cam16ViewingConditions(L_A=318.31, D=1.0)
-        app = cam16_forward(Tristimulus(*(0.2 * vc.white.as_array())), vc)
+        app = cam16_forward(0.2 * np.array(vc.white), vc)
         assert app.C == pytest.approx(0.0, abs=1e-6)
         assert to_ucs(app).a_M == pytest.approx(0.0, abs=1e-6)
         assert to_ucs(app).b_M == pytest.approx(0.0, abs=1e-6)
 
     def test_black_maps_to_zero(self, worked_example_vc):
-        app = cam16_forward(Tristimulus(0.0, 0.0, 0.0), worked_example_vc)
+        app = cam16_forward((0.0, 0.0, 0.0), worked_example_vc)
         assert app.J == 0.0 and app.Q == 0.0 and app.C == 0.0
 
     def test_lightness_monotonic_in_luminance(self):
         vc = Cam16ViewingConditions(L_A=50.0)
-        w = vc.white.as_array()
-        js = [cam16_forward(Tristimulus(*(f * w)), vc).J for f in np.linspace(0.05, 1.0, 12)]
+        w = np.array(vc.white)
+        js = [cam16_forward(f * w, vc).J for f in np.linspace(0.05, 1.0, 12)]
         assert all(a < b for a, b in zip(js, js[1:]))
 
     def test_hue_continuity_across_wrap(self):
@@ -125,7 +139,7 @@ class TestForward:
         hues = []
         for eps in np.linspace(-0.01, 0.01, 21):
             rgb = base + np.array([0.0, eps, -eps])
-            xyz = Tristimulus(*(gamut.rgb_to_xyz @ rgb))
+            xyz = gamut.rgb_to_xyz @ rgb
             hues.append(cam16_forward(xyz, vc).h)
         diffs = np.diff([(h + 180.0) % 360.0 - 180.0 for h in hues])
         assert np.max(np.abs(diffs)) < 5.0  # no jumps beyond smooth drift
@@ -133,11 +147,9 @@ class TestForward:
 
 class TestInverse:
     def test_round_trip_forward_then_inverse(self, worked_example_vc):
-        app = cam16_forward(Tristimulus(19.01, 20.0, 21.78), worked_example_vc)
+        app = cam16_forward((19.01, 20.0, 21.78), worked_example_vc)
         xyz = cam16_inverse(app.J, app.h, worked_example_vc, M=app.M)
-        np.testing.assert_allclose(
-            xyz.as_array(), [19.01, 20.0, 21.78], rtol=1e-6, atol=1e-9
-        )
+        np.testing.assert_allclose(xyz, [19.01, 20.0, 21.78], rtol=1e-6, atol=1e-9)
 
     def test_reverse_round_trip(self):
         vc = Cam16ViewingConditions(L_A=50.0)
@@ -150,8 +162,8 @@ class TestInverse:
     def test_achromatic_inverse_tracks_adapted_gray_axis(self):
         # under full adaptation the achromatic axis is the white-point ray
         vc = Cam16ViewingConditions(L_A=50.0, D=1.0)
-        xyz = cam16_inverse(40.0, 0.0, vc, M=0.0).as_array()
-        w = vc.white.as_array()
+        xyz = np.array(cam16_inverse(40.0, 0.0, vc, M=0.0))
+        w = np.array(vc.white)
         ratios = xyz / w
         assert ratios == pytest.approx([ratios[1]] * 3, rel=1e-9)
 
@@ -161,12 +173,11 @@ class TestInverse:
             cam16_inverse(J, 10.0, worked_example_vc, M=M)
 
     def test_black_inverse(self, worked_example_vc):
-        xyz = cam16_inverse(0.0, 0.0, worked_example_vc, M=0.0)
-        assert xyz.as_array() == pytest.approx([0.0, 0.0, 0.0])
+        assert cam16_inverse(0.0, 0.0, worked_example_vc, M=0.0) == (0.0, 0.0, 0.0)
 
     def test_lightness_that_underflows_is_black(self, worked_example_vc):
         # J / 100 rounds to 0, as for J = 0
-        assert cam16_inverse(5e-324, 0.0, worked_example_vc, M=0.0).as_array().tolist() == [0] * 3
+        assert cam16_inverse(5e-324, 0.0, worked_example_vc, M=0.0) == (0.0, 0.0, 0.0)
         with pytest.raises(ValueError, match="zero lightness"):
             cam16_inverse(5e-324, 0.0, worked_example_vc, M=1.0)
 
@@ -174,6 +185,20 @@ class TestInverse:
         vc = Cam16ViewingConditions(L_A=50.0)
         with pytest.raises(ValueError):
             cam16_inverse(95.0, 200.0, vc, M=500.0 * vc.F_L_root)
+
+    def test_non_finite_stimulus_is_an_error(self):
+        # L_A near its lower limit makes 100 / F_L about 1e305, and a hue just past the
+        # pole of gamma's denominator (11 cos h + 108 sin h = 0, near 354.18 degrees)
+        # gives responses near 400: the cone responses overflow and the XYZ is NaN
+        vc = Cam16ViewingConditions(L_A=1e-303)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match="^tristimulus components must be finite$"
+        ):
+            cam16_inverse(1.0, 354.1901, vc, M=1.0)
+
+    def test_returns_a_tuple_of_floats(self, worked_example_vc):
+        xyz = cam16_inverse(40.0, 120.0, worked_example_vc, M=20.0)
+        assert type(xyz) is tuple and all(type(v) is float for v in xyz)
 
 
 @pytest.mark.parametrize("surround", ["average", "dim", "dark"])
@@ -184,10 +209,10 @@ def test_round_trips_over_random_in_gamut_stimuli(surround):
     rgb = rng.uniform(0.001, 1.0, size=(1000, 3))
     worst = 0.0
     for row in rgb:
-        xyz = Tristimulus(*(gamut.rgb_to_xyz @ row))
+        xyz = gamut.rgb_to_xyz @ row
         app = cam16_forward(xyz, vc)
         back = cam16_inverse(app.J, app.h, vc, M=app.M)
-        rel = np.max(np.abs(back.as_array() - xyz.as_array()) / np.maximum(xyz.as_array(), 1e-9))
+        rel = np.max(np.abs(back - xyz) / np.maximum(xyz, 1e-9))
         worst = max(worst, rel)
     assert worst <= 1e-6
 
@@ -205,7 +230,7 @@ class TestUcs:
         assert u.a_M > 0.0
 
     def test_worked_example_projection(self, worked_example_vc):
-        app = cam16_forward(Tristimulus(19.01, 20.0, 21.78), worked_example_vc)
+        app = cam16_forward((19.01, 20.0, 21.78), worked_example_vc)
         u = to_ucs(app)
         m_prime = math.log1p(0.0228 * app.M) / 0.0228
         assert u.J_prime == pytest.approx(1.7 * app.J / (1 + 0.007 * app.J), abs=1e-12)

@@ -28,7 +28,6 @@ from colorbench import (
 )
 from colorbench.atlas import DisplayGamut
 from colorbench.chart import MAX_CHART_PIXELS, _png_chunk, patch_pixel_origin
-from colorbench.spectral import Tristimulus
 
 
 @pytest.fixture(scope="module")
@@ -266,8 +265,7 @@ class TestRenderChart:
         _, meta = rendered
         gamut = DisplayGamut()
         for p in meta["patches"]:
-            xyz = Tristimulus(*(gamut.rgb_to_xyz @ np.array(p["rgb_linear"])))
-            xy = xyz_to_chromaticity(xyz)
+            xy = xyz_to_chromaticity(gamut.rgb_to_xyz @ np.array(p["rgb_linear"]))
             stored = Chromaticity.from_xy(p["x"], p["y"])
             assert delta_e_xyz(stored, xy) < 1e-6
 
@@ -291,22 +289,19 @@ class TestRenderChartPatches:
         rgbs = rgbs + [(0.0, 0.0, 0.0)]
         names = [f"p{i}" for i in range(len(rgbs))]
         layout = _grid(len(rgbs))
-        try:
-            stimuli = [Tristimulus(*(gamut.rgb_to_xyz @ np.array(rgb))) for rgb in rgbs]
-        except ValueError:
-            # the P3 red primary's z is -5.6e-17, so a red-only patch has a
-            # slightly negative Z: the chart reads that rounding residue as 0
-            rows = [gamut.rgb_to_xyz @ np.array(rgb) for rgb in rgbs]
-            assert min(v.min() for v in rows) >= -1e-12 * gamut.white_luminance
-            stimuli = [Tristimulus(*np.where(v < 0, 0.0, v)) for v in rows]
+        rows = [gamut.rgb_to_xyz @ np.array(rgb) for rgb in rgbs]
+        # the P3 red primary's z is -5.6e-17, so a red-only patch has a
+        # slightly negative Z: the chart reads that rounding residue as 0
+        assert min(v.min() for v in rows) >= -1e-12 * gamut.white_luminance
+        stimuli = [np.where(v < 0, 0.0, v).tolist() for v in rows]
         png, meta = render_chart(names, np.array(rgbs), layout, transfer=transfer, gamut=gamut)
         img = decode_png_rgb16(png)
         encode = oetf_bt709 if transfer == BT709_TRANSFER else np.asarray
         for name, rgb, xyz, p in zip(names, rgbs, stimuli, meta["patches"], strict=True):
             # a black patch takes the white's chromaticity
-            xy = xyz_to_chromaticity(xyz) if xyz.X + xyz.Y + xyz.Z > 0 else gamut.white
+            xy = xyz_to_chromaticity(xyz) if sum(xyz) > 0 else gamut.white
             assert (p["name"], p["x"], p["y"]) == (name, xy.x, xy.y)
-            assert p["L_C"] == xyz.Y / gamut.white_luminance
+            assert p["L_C"] == xyz[1] / gamut.white_luminance
             assert p["rgb_linear"] == list(rgb)
             x0, y0 = patch_pixel_origin(layout, p["row"], p["col"])
             code = np.round(encode(np.array(rgb)) * 65535.0).astype(np.uint16)

@@ -227,7 +227,7 @@ def test_chart_from_matched_set(tmp_path):
     spectra = {row[0]: [float(v) for v in row[1:]] for row in rows}
     for p in patches:
         spd = to_working_grid(wavelengths, spectra[p["name"].split(":")[1]])
-        xyz = spd_to_xyz(spd).as_array()
+        xyz = spd_to_xyz(spd)
         assert p["rgb_linear"] == np.clip(DisplayGamut().linear_rgb(xyz), 0.0, 1.0).tolist()
 
 
@@ -325,6 +325,33 @@ def test_flag_prefix_is_usage_error(tmp_path, capsys, argv, named):
         run([*argv, "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
     assert f"error: unrecognized arguments: {named}\n" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve-optimal", "--tar", "0.3,0.5"], "unrecognized arguments: --tar 0.3,0.5"),
+        (["atlas", "--jay", "50", "--out", "a.csv"], "unrecognized arguments: --jay 50"),
+        (["--vers"], "unrecognized arguments: --vers"),
+        # after the cases above, the parser still requires what it did
+        (["solve-optimal", "--lc", "0.2"], "the following arguments are required: --target"),
+        (["atlas", "--out", "a.csv"], "the following arguments are required: --j"),
+        (["match"], "the following arguments are required: --db"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["solve_tar", "atlas_jay", "vers", "solve_target", "atlas_j", "match_db", "command"],
+)
+def test_unrecognized_flag_named_before_missing_required_one(
+    tmp_path, monkeypatch, capsys, argv, message
+):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}\n" in err
+    assert "[--target" not in err and "[--j " not in err
     assert not list(tmp_path.iterdir())
 
 

@@ -31,10 +31,10 @@ DATA = Path(__file__).parent / "data"
 
 
 def spectra_table(rows):
-    """A hand-built table of (id, Tristimulus or None, Chromaticity) rows; a
+    """A hand-built table of (id, (X, Y, Z) or None, Chromaticity) rows; a
     missing XYZ row is NaN, which ``match_nearest`` does not read."""
     ids, xyzs, xys = zip(*rows)
-    xyz = np.array([t.as_array() if t is not None else np.full(3, np.nan) for t in xyzs])
+    xyz = np.array([t if t is not None else (np.nan,) * 3 for t in xyzs])
     return SpectraTable(ids, xyz, np.array([c.as_array() for c in xys]))
 
 
@@ -92,7 +92,7 @@ class TestLoadDatabase:
         for k, (rid, wavelengths, samples) in enumerate(spectra_of(DATA / "fixture_wide.csv")):
             assert db.ids[k] == rid
             xyz = spd_to_xyz(to_working_grid(wavelengths, samples))
-            assert db.xyz[k].tolist() == xyz.as_array().tolist()
+            assert tuple(db.xyz[k].tolist()) == xyz
             fresh = xyz_to_chromaticity(xyz)
             assert delta_e_xyz(fresh, chromaticity(db, k)) < 1e-14
 
@@ -210,7 +210,7 @@ class TestLoadDatabase:
         for k, (_, grid, values) in enumerate(records):
             xyz = spd_to_xyz(to_working_grid(grid, values), illuminant, obs)
             xy = xyz_to_chromaticity(xyz)
-            assert table.xyz[k].tolist() == [xyz.X, xyz.Y, xyz.Z]
+            assert tuple(table.xyz[k].tolist()) == xyz
             assert table.chromaticity[k].tolist() == [xy.x, xy.y, xy.z]
 
 

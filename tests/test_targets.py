@@ -66,8 +66,8 @@ class TestTargetFromWeights:
 
     def test_tristimulus_is_y100_scaled(self):
         t = target_from_weights((1, 1, 1))
-        xyz = target_tristimulus(t)
-        assert xyz.Y == pytest.approx(100.0, abs=1e-9)
+        X, Y, Z = target_tristimulus(t)
+        assert Y == pytest.approx(100.0, abs=1e-9)
 
 
 class TestTargetColorInvariants:

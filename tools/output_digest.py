@@ -33,6 +33,7 @@ RUNS = [
     (["targets", "--json", "--out", "targets.json"], ["targets.json"]),
     (["table1", "--json", "--out", "table1.json"], ["table1.json"]),
     (["table1", "--out", "table1.txt"], ["table1.txt"]),
+    (["table1", "--illuminant", "e", "--json", "--out", "table1_e.json"], ["table1_e.json"]),
     *(
         (
             ["solve-optimal", "--target", xy, "--lc", "0.2", "--json", "--out", f"solve_{xy}.json"],
@@ -44,6 +45,10 @@ RUNS = [
         ["atlas", "--j", "50", "--out", "atlas.csv",
          "--svg", "atlas.svg", "--xy-svg", "atlas_xy.svg"],
         ["atlas.csv", "atlas.svg", "atlas_xy.svg"],
+    ),
+    (
+        ["atlas", "--j", "50", "--observer", "degree10", "--out", "atlas_10deg.csv"],
+        ["atlas_10deg.csv"],
     ),
     (
         ["atlas", "--j", "30", "--spacing", "1.5",
