@@ -233,7 +233,12 @@ def cam16_inverse(
     # numpy's array ** as in _adapt: Python's float ** differs in the last bit for ~5 % of inputs
     core = (np.array([27.13 * abs(v) / (400.0 - abs(v)) for v in rgb_a]) ** (1.0 / 0.42)).tolist()
     cone = [math.copysign(100.0 / vc.F_L * u, v) / d for u, v, d in zip(core, rgb_a, vc.d_rgb)]
-    rgb = M16_INV.dot(cone).tolist()
+    # |M16_INV|'s rows add up to 3.03 at most: only responses past 1e307 can overflow the dot
+    if abs(cone[0]) + abs(cone[1]) + abs(cone[2]) < 1e307:
+        rgb = M16_INV.dot(cone).tolist()
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            rgb = _finite_xyz(*M16_INV.dot(cone).tolist())
     if any(v < -1e-6 for v in rgb):
         raise ValueError("appearance inverts to a non-physical (negative) stimulus")
     return _finite_xyz(*(0.0 if v <= 0.0 else v for v in rgb))  # -0.0 becomes 0.0, as np.clip

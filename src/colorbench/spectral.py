@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import compress
 from pathlib import Path
 from typing import NamedTuple
 
@@ -155,12 +155,13 @@ class CsvTable(NamedTuple):
 def read_csv(path, header: str, numeric_columns: bool = False) -> CsvTable:
     """Read a comma-separated table of finite numbers.
 
-    ``#`` lines before the header are comments.  The header is ``header``;
-    if that starts with ``id``, so does every row.  With ``numeric_columns``
-    the header is ``id`` followed by one or more numbers (a wide database's
-    wavelengths).  Blank lines after the header are skipped, every other
-    line has the header's field count, at least one row follows the header,
-    and every error names its line.
+    ``#`` lines before the header are comments.  The header is ``header``; if
+    that starts with ``id``, so does every row.  With ``numeric_columns`` the
+    header is ``id`` followed by one or more numbers (a wide database's
+    wavelengths).  Blank lines after the header are skipped, every other line
+    has the header's field count, at least one row follows the header, and every
+    error names its line.  numpy's C parser reads the numbers: what ``float``
+    reads of ASCII text without '_'.
     """
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -193,22 +194,21 @@ def read_csv(path, header: str, numeric_columns: bool = False) -> CsvTable:
 
 
 def _parse_body(body: list[str], width: int, skip: int) -> tuple[list[str], np.ndarray]:
-    """The ids (the first field of each line, if ``skip``) and the numbers
-    of ``body``'s lines, all at once.  Raises ValueError, naming no line,
-    if any line is malformed."""
-    if list(map(str.count, body, repeat(","))).count(width - 1) != len(body):
-        raise ValueError("a line has the wrong field count")
-    fields = ",".join(body).split(",") if body else []
-    ids = []
-    if skip:
-        ids = list(map(str.strip, fields[::width]))
-        del fields[::width]
-    # float() would also read '0_5' as 5.0 and non-ASCII digits
-    numeric = ",".join(fields)
-    if "_" in numeric or not numeric.isascii():
-        raise ValueError("a number is not ASCII or holds '_'")
-    values = np.fromiter(map(float, fields), float, len(fields))
-    return ids, values.reshape(len(body), width - skip)
+    """The ids (the first field of each line, if ``skip``) and numbers of
+    ``body``'s lines, with no string or float() call per number.  Raises
+    ValueError, naming no line, if any line is malformed."""
+    if not body:
+        return [], np.empty((0, width - skip))
+    heads = [line.partition(",")[0] for line in body] if skip else []
+    text, id_text = "\n".join(body), "".join(heads)
+    # no number may hold '_' (float() reads '0_5'), non-ASCII (an extra UTF-8 byte) or '\x1f'
+    # (numpy strips it, float() does not); ids may, so the counts in ids and text must match
+    strays = [t.count("_") + t.count("\x1f") + len(t.encode()) - len(t) for t in (id_text, text)]
+    # loadtxt raises on too few fields, so the comma total rules out more (usecols drops them)
+    if strays[0] != strays[1] or text.count(",") != len(body) * (width - 1):
+        raise ValueError("a number holds '_', '\\x1f' or non-ASCII, or a field count is wrong")
+    kw = dict(delimiter=",", comments=None, quotechar=None, usecols=range(skip, width), ndmin=2)
+    return list(map(str.strip, heads)), np.loadtxt(body, float, **kw)
 
 
 def _raise_first_bad_line(path, rows, body, width: int, skip: int) -> None:

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -191,10 +192,18 @@ class TestInverse:
         # pole of gamma's denominator (11 cos h + 108 sin h = 0, near 354.18 degrees)
         # gives responses near 400: the cone responses overflow and the XYZ is NaN
         vc = Cam16ViewingConditions(L_A=1e-303)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            ValueError, match="^tristimulus components must be finite$"
-        ):
+        with pytest.raises(ValueError, match="^tristimulus components must be finite$"):
             cam16_inverse(1.0, 354.1901, vc, M=1.0)
+
+    def test_overflowing_cone_responses_raise_no_warning(self):
+        # every hue of the window past the pole, in 1e-5 degree steps; at some of them
+        # the dot overflows or meets inf - inf, which must be the error, not a warning
+        vc = Cam16ViewingConditions(L_A=1e-303)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in range(710):
+                with pytest.raises(ValueError, match="^tristimulus components must be finite$"):
+                    cam16_inverse(1.0, 354.19005 + k * 1e-5, vc, M=1.0)
 
     def test_returns_a_tuple_of_floats(self, worked_example_vc):
         xyz = cam16_inverse(40.0, 120.0, worked_example_vc, M=20.0)

@@ -1,11 +1,13 @@
 import importlib.util
 import math
 import re
+from itertools import repeat
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from colorbench import (
@@ -24,6 +26,7 @@ from colorbench import (
     xyz_to_chromaticity,
     y100_to_lc,
 )
+from colorbench import spectral
 from colorbench.spectral import (
     GRID_COUNT,
     GRID_START_NM,
@@ -744,6 +747,89 @@ def _outcome(read, path, kind):
     return table.header_line, table.lines, table.ids, values, columns
 
 
+def float_parse_body(body, width, skip):
+    """``spectral._parse_body`` as one ``float()`` call per number: the
+    oracle of the numpy reader."""
+    if list(map(str.count, body, repeat(","))).count(width - 1) != len(body):
+        raise ValueError("a line has the wrong field count")
+    fields = ",".join(body).split(",") if body else []
+    ids = []
+    if skip:
+        ids = list(map(str.strip, fields[::width]))
+        del fields[::width]
+    # float() would also read '0_5' as 5.0 and non-ASCII digits
+    numeric = ",".join(fields)
+    if "_" in numeric or not numeric.isascii():
+        raise ValueError("a number is not ASCII or holds '_'")
+    values = np.fromiter(map(float, fields), float, len(fields))
+    return ids, values.reshape(len(body), width - skip)
+
+
+# spellings the reader reads: padded finite numbers of every form
+finite_number = st.tuples(
+    st.sampled_from(["", " ", "\t", " \t "]),
+    st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.integers(-(10**20), 10**20).map(str),
+        st.sampled_from(["+1.5", ".5", "5.", "-.5e-3", "1e3", "2.5E+3", "-0", "-0.0", "+0", "1e-400"]),
+    ),
+    st.sampled_from(["", " ", "\t", "  "]),
+).map("".join)
+# and spellings float() reads that are not finite, that the reader rejects ('_', hex,
+# non-ASCII digits) or that float() rejects
+odd_number = st.sampled_from(
+    ["1e400", "-1e400", "inf", "-inf", "+Inf", "nan", "-nan", "NaN", "Infinity", "-infinity",
+     "0x10", "0x1p3", "0X1.8p1", "1_000", "0_5", "_1", "1_", "\u0661", "1\u0663", "\uff13",
+     "\u00b2", "", " ", "abc", "1e", "e3", "--1", "1.2.3", "#1", '"1"', "1 2", "1\x7f"]
+)
+# every control character, and non-ASCII spaces (U+0085 also ends a line)
+stray_char = st.one_of(
+    st.characters(min_codepoint=0, max_codepoint=0x1F),
+    st.sampled_from(["\xa0", "\u2003", "\u3000", "\x85"]),
+)
+stray_id = st.sampled_from(["a", " b ", "s1_5nm_00001", "\u00e9t\u00e9", "c\x1fd", "\x1fe", "f\xa0", ""])
+
+
+@st.composite
+def csv_bodies(draw):
+    """A header of 1-6 fields, with an id column or not (and then maybe
+    numeric columns), and 1-6 rows of padded finite numbers, with up to two
+    flaws drawn in: a number of another spelling, a control or non-ASCII
+    character inside a number, or one field too many or too few on a line."""
+    skip = draw(st.booleans())
+    width = draw(st.integers(1 + skip, 6))
+    numeric_columns = skip and draw(st.booleans())
+    names = [draw(finite_number) if numeric_columns else f"c{k}" for k in range(width - skip)]
+    header = "id" if numeric_columns else ",".join(["id"] * skip + names)
+    rows = [names] + [[draw(finite_number) for _ in names] for _ in range(draw(st.integers(1, 6)))]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2]))):
+        row = rows[draw(st.integers(0 if numeric_columns else 1, len(rows) - 1))]
+        k = draw(st.integers(0, max(len(row) - 1, 0)))
+        flaw = draw(st.sampled_from(["spelling", "character", "extra", "missing"]))
+        if flaw == "extra" or not row:
+            row.insert(k, draw(finite_number))
+        elif flaw == "missing":
+            del row[k]
+        elif flaw == "spelling":
+            row[k] = draw(odd_number)
+        else:
+            j = draw(st.integers(0, len(row[k])))
+            row[k] = row[k][:j] + draw(stray_char) + row[k][j:]
+    ids = ["id"] + [draw(stray_id) for _ in rows[1:]]
+    lines = [",".join([rid] * skip + row) for rid, row in zip(ids, rows)]
+    return header, numeric_columns, "\n".join(lines) + "\n"
+
+
+def _bits(path, header, numeric_columns):
+    """read_csv's table with its numbers as their bits, or its error."""
+    try:
+        table = read_csv(path, header, numeric_columns)
+    except ValueError as exc:
+        return str(exc)
+    columns = None if table.columns is None else table.columns.view(np.int64).tolist()
+    return table.lines, table.ids, table.values.shape, table.values.view(np.int64).tolist(), columns
+
+
 class TestReadCsv:
     def write(self, tmp_path, text):
         p = tmp_path / "t.csv"
@@ -788,6 +874,12 @@ class TestReadCsv:
             ("x,y\n1,\u0661\u0662\n", False, 2, "numbers must be ASCII"),
             ("id,400,5_00\na,2,3\n", True, 1, "without '_'"),
             ("id,400,500\na_1,2,\uff13\n", True, 2, "numbers must be ASCII"),
+            # numpy strips '\x1f' as whitespace, float() does not, and splitlines keeps it
+            pytest.param("id,400,500,600\na,0.1,\x1f0.2,0.3\n", True, 2,
+                         "could not convert string to float", id="unit-separator-in-a-number"),
+            # loadtxt with usecols drops an extra field
+            pytest.param("id,400,500,600\na,0.1,0.2,0.3,9\n", True, 2, "expected 4 fields, got 5",
+                         id="one-extra-field"),
         ],
     )
     def test_errors_name_the_line(self, tmp_path, text, numeric_columns, line, message):
@@ -812,6 +904,19 @@ class TestReadCsv:
         p = self.write(tmp_path, text)
         assert _outcome(read_csv, p, kind) == _outcome(reference_read_csv, p, kind)
 
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(csv_bodies())
+    def test_numpy_reader_equals_float_reader(self, tmp_path, drawn):
+        # the same bodies accepted, with bit-equal numbers and equal ids, and the
+        # same line-numbered error for the others
+        header, numeric_columns, text = drawn
+        p = self.write(tmp_path, text)
+        with mock.patch.object(spectral, "_parse_body", float_parse_body):
+            expected = _bits(p, header, numeric_columns)
+        assert _bits(p, header, numeric_columns) == expected
+        event("rejected" if isinstance(expected, str) else "accepted")
+
     def test_ids_may_hold_underscores_and_non_ascii(self, tmp_path):
         p = self.write(tmp_path, "id,400,500\ns1_fine_00001,0.5,0.25\n\u00e9t\u00e9,1,2\n")
         table = read_csv(p, "id", numeric_columns=True)
@@ -833,3 +938,4 @@ class TestReadCsv:
         p.write_text("id,400,500\na,1,1\nb,1,-1\n")
         with pytest.raises(ValueError, match="line 3: samples must be non-negative"):
             check_samples(read_csv(p, "id", numeric_columns=True))
+

@@ -1,5 +1,5 @@
-"""Regenerate the acceptance outputs, plus an atlas and charts with the
-benchmark's settings, and print one digest line per file.
+"""Regenerate the acceptance outputs, plus an atlas, charts and matches with
+the benchmark's settings, and print one digest line per file.
 
 Each line is ``<sha256> <exit code> <name>``.  The outputs are written into a
 temporary directory by ``colorbench.cli.run`` from the ``src/`` tree next to
@@ -19,12 +19,20 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from colorbench.cli import run  # noqa: E402
 
 FIXTURES = ROOT / "tests" / "data"
+
+# databases shaped like the benchmark's: (name, (first, last, step) in nm, records, layout)
+DATABASES = (
+    ("db_long_1nm", (360, 720, 1), 40, "long_csv"),
+    ("db_wide_5nm", (380, 780, 5), 300, "wide_csv"),
+)
 
 # (argv, output files the run writes); "{out}" in an argument is the output
 # directory, so a later run can read what an earlier one wrote
@@ -137,12 +145,61 @@ RUNS = [
          "--observer", "degree10", "--out", "matched_e_10deg.png"],
         ["matched_e_10deg.png", "matched_e_10deg.png.meta.json"],
     ),
+    *(
+        entry
+        for name, _, _, fmt in DATABASES
+        for entry in (
+            (
+                ["match", "--db", f"{{out}}/{name}.csv", "--format", fmt,
+                 "--out", f"match_{name}.csv"],
+                [f"match_{name}.csv"],
+            ),
+            (
+                ["chart", "--db", f"{{out}}/{name}.csv", "--format", fmt,
+                 "--out", f"matched_{name}.png"],
+                [f"matched_{name}.png", f"matched_{name}.png.meta.json"],
+            ),
+        )
+    ),
 ]
+
+
+def write_databases(out: Path) -> None:
+    """Write ``DATABASES`` into ``out`` from one seed: smooth reflectances
+    (a base level plus three Gaussian bands) as ``repr`` floats, with
+    comment lines before the header, blank lines, and spaces or tabs around
+    the numbers."""
+    rng = np.random.default_rng(15)
+    pads = ("", "", " ", "\t", "  ")
+
+    def number(v) -> str:
+        return pads[rng.integers(len(pads))] + repr(v) + pads[rng.integers(len(pads))]
+
+    for name, (first, last, step), n, fmt in DATABASES:
+        wl = np.arange(first, last + 1, step)
+        values = np.full((n, wl.size), 0.0) + rng.uniform(0.02, 0.3, (n, 1))
+        for _ in range(3):
+            centre, width = rng.uniform(380, 720, (n, 1)), rng.uniform(15, 80, (n, 1))
+            values += rng.uniform(0.0, 0.8, (n, 1)) * np.exp(-0.5 * ((wl - centre) / width) ** 2)
+        rows = np.clip(values, 0.0, 1.0).tolist()
+        lines = [f"# {n} synthetic reflectances, {step} nm", "# layout: " + fmt]
+        if fmt == "wide_csv":
+            lines.append("id," + ",".join(map(str, wl)))
+            for k, row in enumerate(rows):
+                lines.append(f"w{k:04d}," + ",".join(map(number, row)))
+                lines += [" \t"] * (k % 7 == 3)
+        else:
+            lines.append("id,wavelength_nm,value")
+            for k, row in enumerate(rows):
+                lines += (f"l{k:03d},{number(int(w))},{number(v)}" for w, v in zip(wl, row))
+                lines.append("")
+        (out / f"{name}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
+        write_databases(out)
         for argv, names in RUNS:
             code = run([*(a.format(out=out) for a in argv), "--out-dir", str(out)])
             for name in names:
