@@ -48,9 +48,16 @@ class DisplayGamut:
     def __post_init__(self):
         if not 0.0 < self.white_luminance < math.inf:
             raise ValueError("white luminance must be finite and positive")
-        m = rgb_to_xyz_matrix(self.primaries, self.white) * self.white_luminance
+        with np.errstate(over="ignore"):
+            m = rgb_to_xyz_matrix(self.primaries, self.white) * self.white_luminance
+        inverse = np.linalg.inv(m) if np.isfinite(m).all() else m
+        # a subnormal or near-overflow luminance leaves a matrix with inf or NaN
+        if not np.isfinite(inverse).all():
+            raise ValueError(
+                f"white luminance {self.white_luminance!r} is out of range for these primaries"
+            )
         object.__setattr__(self, "rgb_to_xyz", m)
-        object.__setattr__(self, "xyz_to_rgb", np.linalg.inv(m))
+        object.__setattr__(self, "xyz_to_rgb", inverse)
 
     def linear_rgb(self, xyz) -> np.ndarray:
         """Linear channel drive levels reproducing the rows of a ``(..., 3)`` XYZ array
@@ -63,7 +70,9 @@ class DisplayGamut:
 def gamut_contains(xyz, gamut: DisplayGamut) -> np.ndarray:
     """Per row of a ``(..., 3)`` XYZ array, whether it is reproducible with channel
     levels in [0, 1] (NaN: outside)."""
-    rgb = gamut.linear_rgb(xyz)
+    # a level beyond the float range is outside: inf, or NaN from inf - inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        rgb = gamut.linear_rgb(xyz)
     return ((rgb >= -_GAMUT_TOL) & (rgb <= 1.0 + _GAMUT_TOL)).all(axis=-1)
 
 

@@ -132,6 +132,18 @@ class TestAtlasSpec:
         with pytest.raises(ValueError, match="finite and positive"):
             DisplayGamut(white_luminance=value)
 
+    def test_subnormal_white_luminance_is_out_of_range(self):
+        # the inverse matrix of a 1e-310 white overflows to inf and NaN
+        with pytest.raises(ValueError, match="^white luminance 1e-310 is out of range"):
+            DisplayGamut(white_luminance=1e-310)
+
+    def test_overflowing_levels_are_outside(self, vc_avg):
+        # an inverse near 3e306 takes XYZ of tens past the float range
+        spec = AtlasSpec(vc=vc_avg, J=50.0, gamut=DisplayGamut(white_luminance=1e-306))
+        assert len(generate_atlas(spec).points) == 0
+        xyz = [[np.inf, 0.0, 0.0], [50.0, 50.0, 50.0]]
+        assert not gamut_contains(xyz, DisplayGamut(white_luminance=1e-306)).any()
+
 
 class TestGenerateAtlas:
     @pytest.mark.parametrize("J", [1e-310, 5e-324, 1e-190])
