@@ -18,16 +18,13 @@ from .spectral import (
     SpectralDistribution,
     delta_e_xyz,
     dominant_wavelength,
-    grid_wavelengths,
     illuminant_white,
-    lc_to_y100,
     load_illuminant,
     load_observer,
     read_spectrum_csv,
     spd_to_xyz,
     to_working_grid,
     xyz_to_chromaticity,
-    y100_to_lc,
 )
 from .targets import (
     LUMA_COEFFS,
@@ -35,7 +32,6 @@ from .targets import (
     TargetColor,
     rgb_to_xyz_matrix,
     target_from_weights,
-    target_tristimulus,
 )
 from .optimal import (
     BAND_PASS,
@@ -43,7 +39,6 @@ from .optimal import (
     TABLE1_COLUMNS,
     OptimalSpectrumParams,
     SolveReport,
-    pick_genus,
     rectangle_chromaticity,
     scale_to_luminance,
     solve_optimal,
@@ -53,15 +48,10 @@ from .optimal import (
 from .cam16 import (
     Cam16Appearance,
     Cam16ViewingConditions,
-    UcsPoint,
     cam16_forward,
     cam16_inverse,
     d65_white_tristimulus,
-    delta_e_ucs,
-    j_to_ucs_lightness,
-    to_ucs,
     ucs_colorfulness_to_m,
-    ucs_lightness_to_j,
 )
 from .atlas import (
     ATLAS_CSV_HEADER,
@@ -95,6 +85,5 @@ from .chart import (
     export_metadata,
     load_metadata,
     oetf_bt709,
-    oetf_bt709_inverse,
     render_chart,
 )

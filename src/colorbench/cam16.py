@@ -1,9 +1,8 @@
-"""CAM16 color appearance model and the CAM16-UCS uniform space.
+"""CAM16 color appearance model.
 
 Implements the forward model (XYZ plus viewing conditions to the appearance
-correlates J, C, h, M, s, Q), the analytic inverse, and the UCS coordinates
-(J', a'_M, b'_M) in which Euclidean distance approximates perceived color
-difference.
+correlates J, C, h, M, s, Q), the analytic inverse, and the inverse of the
+CAM16-UCS colorfulness compression, M' to M, for the atlas's UCS lattice.
 
 Viewing conditions:
 
@@ -144,19 +143,6 @@ class Cam16Appearance:
         object.__setattr__(self, "h", self.h % 360.0)
 
 
-@dataclass(frozen=True)
-class UcsPoint:
-    """CAM16-UCS coordinates (J', a'_M, b'_M)."""
-
-    J_prime: float
-    a_M: float
-    b_M: float
-
-    def __post_init__(self):
-        for name in ("J_prime", "a_M", "b_M"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-
-
 def _adapt(rgb, F_L: float) -> list[float]:
     """Post-adaptation cone compression; sign-preserving."""
     t = (np.array([F_L * abs(v) / 100.0 for v in rgb]) ** 0.42).tolist()
@@ -244,32 +230,6 @@ def cam16_inverse(
     return _finite_xyz(*(0.0 if v <= 0.0 else v for v in rgb))  # -0.0 becomes 0.0, as np.clip
 
 
-def to_ucs(app: Cam16Appearance) -> UcsPoint:
-    """Project appearance correlates into CAM16-UCS."""
-    M_prime = math.log1p(0.0228 * app.M) / 0.0228
-    h_rad = math.radians(app.h)
-    return UcsPoint(j_to_ucs_lightness(app.J), M_prime * math.cos(h_rad), M_prime * math.sin(h_rad))
-
-
-def j_to_ucs_lightness(J: float) -> float:
-    """The UCS lightness compression J' of CAM16 lightness J."""
-    return 1.7 * J / (1.0 + 0.007 * J)
-
-
-def ucs_lightness_to_j(J_prime: float) -> float:
-    """Invert the UCS lightness compression."""
-    return J_prime / (1.7 - 0.007 * J_prime)
-
-
 def ucs_colorfulness_to_m(M_prime: float) -> float:
     """Invert the UCS colorfulness compression."""
     return math.expm1(0.0228 * M_prime) / 0.0228
-
-
-def delta_e_ucs(p: UcsPoint, q: UcsPoint) -> float:
-    """Euclidean distance in (J', a'_M, b'_M)."""
-    return float(
-        math.sqrt(
-            (p.J_prime - q.J_prime) ** 2 + (p.a_M - q.a_M) ** 2 + (p.b_M - q.b_M) ** 2
-        )
-    )

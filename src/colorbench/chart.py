@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .atlas import DisplayGamut
+from .spectral import _read_text
 
 BT709_TRANSFER = "bt709"
 LINEAR_TRANSFER = "linear"
@@ -37,12 +38,6 @@ def oetf_bt709(linear):
     if not ((v >= 0) & (v <= 1)).all():
         raise ValueError("linear values must lie in [0, 1]")
     return np.where(v < 0.018, 4.5 * v, 1.099 * np.power(v, 0.45) - 0.099)
-
-
-def oetf_bt709_inverse(encoded):
-    """Invert the BT.709 OETF."""
-    v = np.asarray(encoded, dtype=float)
-    return np.where(v < 0.081, v / 4.5, np.power((v + 0.099) / 1.099, 1.0 / 0.45))
 
 
 @dataclass(frozen=True)
@@ -256,4 +251,4 @@ def export_metadata(meta: dict, path) -> None:
 
 
 def load_metadata(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    return json.loads(_read_text(path))

@@ -41,6 +41,7 @@ from .spectral import (
     OBSERVER_10DEG,
     OBSERVER_2DEG,
     Chromaticity,
+    _read_text,
     load_illuminant,
     load_observer,
     read_spectrum_csv,
@@ -461,9 +462,10 @@ def _load_config(args) -> RunConfig:
         path = Path(args.config)
         if not path.exists():
             raise FileNotFoundError(f"config file not found: {path}")
+        text = _read_text(path)  # its ValueErrors name the path
         try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError, RecursionError) as exc:
+            data = json.loads(text)
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{path}: {exc}") from None
         for key, value in _check_config(path, data).items():
             setattr(cfg, key, value)

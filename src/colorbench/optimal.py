@@ -249,17 +249,6 @@ def _genus_seeds(
     return sorted(seeds, key=lambda item: item[1].delta_e)
 
 
-def pick_genus(
-    target: Chromaticity,
-    illuminant: SpectralDistribution | None = None,
-    obs: ObserverTables | None = None,
-) -> str:
-    """The genus whose whole-nanometre rectangles come closest to ``target``."""
-    illuminant = illuminant if illuminant is not None else load_illuminant("D65")
-    obs = obs if obs is not None else load_observer(OBSERVER_2DEG)
-    return _genus_seeds(target, illuminant, obs)[0][0]
-
-
 def _seed_simplex(l1: float, l2: float) -> np.ndarray:
     """A 1 nm simplex at the seed that widens the band where the grid allows."""
     d1 = -1.0 if l1 > GRID_START_NM else 1.0
@@ -332,7 +321,7 @@ def solve_optimal(
     distance does not exceed ``tolerance``.
 
     ``genus="auto"`` solves the genus with the lower lattice minimum first
-    (see ``pick_genus``); if that misses the tolerance it solves the other
+    (band_pass on a tie); if that misses the tolerance it solves the other
     genus too and reports the closer result.
     """
     if genus not in (*_GENERA, AUTO_GENUS):

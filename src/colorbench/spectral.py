@@ -4,14 +4,11 @@ XYZ integration follows CIE 15: weighted sums of a sample spectrum against
 an illuminant and a standard observer, normalized so that a perfect
 reflector scores Y = 100 under the chosen illuminant.  One stimulus is an
 ``(X, Y, Z)`` tuple of floats, many are an ``(n, 3)`` array.
-
-Two luminance scales coexist in this package: the colorimetric Y on 0-100
-and the TV-side relative luminance on 0-1.  ``y100_to_lc`` / ``lc_to_y100``
-are the only sanctioned bridge between them.
 """
 from __future__ import annotations
 
 import math
+import stat
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
@@ -40,16 +37,14 @@ _GRID = np.arange(GRID_START_NM, GRID_STOP_NM + 1, GRID_STEP_NM, dtype=float)
 _GRID.flags.writeable = False
 _FLOAT64 = np.dtype(float)
 
-
-def grid_wavelengths() -> np.ndarray:
-    """Wavelengths of the working grid, in nm (one read-only array)."""
-    return _GRID
+# the largest file written and read back: an atlas CSV of MAX_ATLAS_CANDIDATES rows of 182 B, 46 MB
+MAX_INPUT_BYTES = 64 * 2**20
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralDistribution:
     """Non-negative spectral samples on the working grid, one per grid
-    wavelength (see ``grid_wavelengths``)."""
+    wavelength from ``GRID_START_NM`` to ``GRID_STOP_NM``."""
 
     values: np.ndarray
 
@@ -132,13 +127,27 @@ class Chromaticity:
     def from_xy(cls, x: float, y: float) -> "Chromaticity":
         return cls(x, y, 1.0 - x - y)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
 
 def line_error(path, line: int, message) -> ValueError:
     """The one form of an input-file error: ``<path>: line <n>: <message>``."""
     return ValueError(f"{path}: line {line}: {message}")
+
+
+def _read_text(path) -> str:
+    """The UTF-8 text of a regular file of at most ``MAX_INPUT_BYTES``, both checked
+    before it is opened; a ValueError names ``path``, an OSError passes through."""
+    info = Path(path).stat()
+    if not stat.S_ISREG(info.st_mode):
+        raise ValueError(f"{path}: not a regular file")
+    if info.st_size <= MAX_INPUT_BYTES:
+        with open(path, "rb") as fh:  # one byte more finds a file that grew since the stat
+            data = fh.read(MAX_INPUT_BYTES + 1)
+    if info.st_size > MAX_INPUT_BYTES or len(data) > MAX_INPUT_BYTES:
+        raise ValueError(f"{path}: larger than {MAX_INPUT_BYTES} bytes")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 class CsvTable(NamedTuple):
@@ -164,7 +173,7 @@ def read_csv(path, header: str, numeric_columns: bool = False) -> CsvTable:
     reads of ASCII text without '_'.
     """
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = _read_text(path).splitlines()
     first = next((n for n, line in enumerate(lines) if not line.startswith("#")), len(lines))
     expected = header + ",<wavelength>,..." * numeric_columns
     if first == len(lines):
@@ -356,16 +365,6 @@ def _xyz_distance(a, b) -> float:
     return math.sqrt((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2)
 
 
-def y100_to_lc(y100: float) -> float:
-    """Colorimetric Y (0-100) to TV relative luminance (0-1)."""
-    return y100 / 100.0
-
-
-def lc_to_y100(lc: float) -> float:
-    """TV relative luminance (0-1) to colorimetric Y (0-100)."""
-    return lc * 100.0
-
-
 @lru_cache(maxsize=None)
 def illuminant_white(name: str = "D65", observer_id: str = OBSERVER_2DEG) -> Chromaticity:
     """Chromaticity of a perfect reflector under the named bundled illuminant."""
@@ -373,10 +372,6 @@ def illuminant_white(name: str = "D65", observer_id: str = OBSERVER_2DEG) -> Chr
     return xyz_to_chromaticity(
         spd_to_xyz(flat, load_illuminant(name), load_observer(observer_id))
     )
-
-
-def _spectral_locus_xy(obs: ObserverTables) -> np.ndarray:
-    return obs.cmf[:, :2] / obs.cmf.sum(axis=1)[:, None]
 
 
 def dominant_wavelength(
@@ -396,7 +391,7 @@ def dominant_wavelength(
         raise ValueError("color coincides with the white point")
     # segment i runs from locus[i] to locus[i + 1]; the last one, the purple
     # line, closes the locus back to locus[0]
-    locus = _spectral_locus_xy(obs)
+    locus = obs.cmf[:, :2] / obs.cmf.sum(axis=1)[:, None]
     e = np.roll(locus, -1, axis=0) - locus
     rhs = locus - np.array([white.x, white.y])
     # solve white + t*d == locus[i] + u*e[i] with t > 0, u in [0, 1] for every i

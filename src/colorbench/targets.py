@@ -113,9 +113,3 @@ def target_from_weights(rgb_weights, name: str = "") -> TargetColor:
     xyz = _default_matrix() @ w
     chroma = xyz_to_chromaticity(xyz.tolist())
     return TargetColor(name, tuple(w), chroma.x, chroma.y, float(xyz[1]))
-
-
-def target_tristimulus(target: TargetColor) -> tuple[float, float, float]:
-    """(X, Y, Z) of a target color on the 0-100 scale."""
-    xyz = _default_matrix() @ np.asarray(target.rgb_weights)
-    return tuple((100.0 * xyz).tolist())

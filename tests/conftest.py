@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,32 @@ def worked_example_vc():
         L_A=318.31,
         surround="average",
     )
+
+
+@pytest.fixture
+def no_hang():
+    """Fail the test, instead of hanging, if it still runs after 10 s: an
+    open() of a FIFO that no process writes blocks for ever."""
+
+    def expire(signum, frame):
+        pytest.fail("still blocked after 10 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(scope="session")
+def oetf_bt709_inverse():
+    """The inverse of the BT.709 OETF, an oracle for decoded chart codes."""
+
+    def inverse(encoded):
+        v = np.asarray(encoded, dtype=float)
+        return np.where(v < 0.081, v / 4.5, np.power((v + 0.099) / 1.099, 1.0 / 0.45))
+
+    return inverse
 
 
 @pytest.fixture

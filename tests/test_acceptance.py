@@ -22,29 +22,24 @@ from colorbench import (
     Chromaticity,
     DisplayGamut,
     SpectralDistribution,
-    UcsPoint,
     atlas_csv,
     build_target_set,
     cam16_forward,
     cam16_inverse,
     decode_png_rgb16,
-    delta_e_ucs,
     delta_e_xyz,
     dominant_wavelength,
     gamut_contains,
     generate_atlas,
     illuminant_white,
-    j_to_ucs_lightness,
     load_illuminant,
     load_observer,
     match_nearest,
-    oetf_bt709_inverse,
     render_chart,
     spd_to_xyz,
     synthesize,
     table1_suite,
     target_from_weights,
-    to_ucs,
     xyz_to_chromaticity,
 )
 from colorbench.chart import patch_pixel_origin
@@ -209,12 +204,12 @@ class TestCriterion4Atlas:
                 problems.append(f"{key}: gamut violation")
         # (b) grid-adjacent points differ by exactly 2 UCS units
         res = results["J50_avg"]
-        j_prime = j_to_ucs_lightness(50.0)
-        index = {(a, b): UcsPoint(j_prime, a, b) for a, b in res.points[:, 1:3].tolist()}
+        j_prime = 1.7 * 50.0 / (1.0 + 0.007 * 50.0)  # the CAM16-UCS J' of J = 50
+        index = {(a, b): (j_prime, a, b) for a, b in res.points[:, 1:3].tolist()}
         for (a, b), p in index.items():
             for da, db in ((2.0, 0.0), (0.0, 2.0)):
                 n = index.get((a + da, b + db))
-                if n is not None and delta_e_ucs(p, n) != 2.0:
+                if n is not None and math.dist(p, n) != 2.0:
                     problems.append(f"adjacency {a},{b}")
         # (c) dim/dark ordering of point counts
         count = lambda key: len(results[key].points)
@@ -245,7 +240,7 @@ def spectra_table(rows):
     missing XYZ row is NaN, which ``match_nearest`` does not read."""
     ids, xyzs, xys = zip(*rows)
     xyz = np.array([t if t is not None else (np.nan,) * 3 for t in xyzs])
-    return SpectraTable(ids, xyz, np.array([c.as_array() for c in xys]))
+    return SpectraTable(ids, xyz, np.array([(c.x, c.y, c.z) for c in xys]))
 
 
 @pytest.fixture(scope="module")
@@ -341,7 +336,7 @@ class TestCriterion6Colorimetry:
 
 
 class TestCriterion7Chart:
-    def test_round_trip(self):
+    def test_round_trip(self, oetf_bt709_inverse):
         targets = build_target_set()
         names, rgb = [t.name for t in targets], [t.rgb_weights for t in targets]
         layout = ChartLayout(rows=4, cols=4, patch_px=24, gap_px=4)

@@ -15,22 +15,26 @@ from colorbench import (
     Cam16ViewingConditions,
     Chromaticity,
     DisplayGamut,
-    UcsPoint,
     atlas_csv,
     cam16_forward,
-    delta_e_ucs,
     gamut_contains,
     generate_atlas,
     illuminant_white,
-    j_to_ucs_lightness,
     scatter_svg,
-    to_ucs,
     write_atlas_csv,
 )
 from colorbench.atlas import MAX_ATLAS_CANDIDATES
 from colorbench.cam16 import cam16_inverse, ucs_colorfulness_to_m
 from colorbench.spectral import read_csv
 from colorbench.targets import REC709_PRIMARIES, point_in_triangle, rgb_to_xyz_matrix
+
+
+def ucs(J, M, h):
+    """The CAM16-UCS point (J', a'_M, b'_M) of lightness J, colorfulness M
+    and hue angle h (degrees)."""
+    m_prime = math.log1p(0.0228 * M) / 0.0228
+    h_rad = math.radians(h)
+    return 1.7 * J / (1.0 + 0.007 * J), m_prime * math.cos(h_rad), m_prime * math.sin(h_rad)
 
 
 @pytest.fixture(scope="module")
@@ -184,22 +188,23 @@ class TestGenerateAtlas:
                 assert not gamut_contains(xyz, g)
 
     def test_grid_neighbors_exactly_spacing_apart(self, atlas_j50):
-        j_prime = j_to_ucs_lightness(50.0)
-        index = {(a, b): UcsPoint(j_prime, a, b) for a, b in atlas_j50.points[:, 1:3].tolist()}
+        j_prime = ucs(50.0, 0.0, 0.0)[0]
+        index = {(a, b): (j_prime, a, b) for a, b in atlas_j50.points[:, 1:3].tolist()}
         checked = 0
         for (a, b), p in index.items():
             n = index.get((a + 2.0, b))
             if n is not None:
-                assert delta_e_ucs(p, n) == 2.0
+                assert math.dist(p, n) == 2.0
                 checked += 1
         assert checked > 50
 
     def test_appearance_consistent_with_ucs(self, vc_avg, atlas_j50):
         for row in atlas_j50.points[::37]:
-            u = to_ucs(cam16_forward(row[3:6], vc_avg))
-            assert u.J_prime == pytest.approx(j_to_ucs_lightness(50.0), abs=1e-9)
-            assert u.a_M == pytest.approx(row[1], abs=1e-9)
-            assert u.b_M == pytest.approx(row[2], abs=1e-9)
+            app = cam16_forward(row[3:6], vc_avg)
+            j_prime, a_m, b_m = ucs(app.J, app.M, app.h)
+            assert j_prime == pytest.approx(ucs(50.0, 0.0, 0.0)[0], abs=1e-9)
+            assert a_m == pytest.approx(row[1], abs=1e-9)
+            assert b_m == pytest.approx(row[2], abs=1e-9)
 
     def test_fixed_lightness(self, atlas_j50):
         for J in atlas_j50.points[:, 0]:

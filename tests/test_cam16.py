@@ -7,18 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from colorbench import (
-    Cam16Appearance,
     Cam16ViewingConditions,
     DisplayGamut,
-    UcsPoint,
     cam16_forward,
     cam16_inverse,
     d65_white_tristimulus,
-    delta_e_ucs,
-    j_to_ucs_lightness,
-    to_ucs,
     ucs_colorfulness_to_m,
-    ucs_lightness_to_j,
 )
 
 # worked example from the defining publication: sample XYZ (19.01, 20, 21.78)
@@ -119,8 +113,7 @@ class TestForward:
         vc = Cam16ViewingConditions(L_A=318.31, D=1.0)
         app = cam16_forward(0.2 * np.array(vc.white), vc)
         assert app.C == pytest.approx(0.0, abs=1e-6)
-        assert to_ucs(app).a_M == pytest.approx(0.0, abs=1e-6)
-        assert to_ucs(app).b_M == pytest.approx(0.0, abs=1e-6)
+        assert app.M == pytest.approx(0.0, abs=1e-6)
 
     def test_black_maps_to_zero(self, worked_example_vc):
         app = cam16_forward((0.0, 0.0, 0.0), worked_example_vc)
@@ -227,40 +220,7 @@ def test_round_trips_over_random_in_gamut_stimuli(surround):
 
 
 class TestUcs:
-    def test_achromatic_projects_to_origin(self):
-        app = Cam16Appearance(J=35.0, C=0.0, h=123.0, M=0.0, s=0.0, Q=80.0)
-        u = to_ucs(app)
-        assert (u.a_M, u.b_M) == (0.0, 0.0)
-
-    def test_zero_hue_splits_cosine_sine(self):
-        app = Cam16Appearance(J=50.0, C=20.0, h=0.0, M=20.0, s=40.0, Q=100.0)
-        u = to_ucs(app)
-        assert u.b_M == pytest.approx(0.0, abs=1e-12)
-        assert u.a_M > 0.0
-
-    def test_worked_example_projection(self, worked_example_vc):
-        app = cam16_forward((19.01, 20.0, 21.78), worked_example_vc)
-        u = to_ucs(app)
-        m_prime = math.log1p(0.0228 * app.M) / 0.0228
-        assert u.J_prime == pytest.approx(1.7 * app.J / (1 + 0.007 * app.J), abs=1e-12)
-        assert math.hypot(u.a_M, u.b_M) == pytest.approx(m_prime, abs=1e-12)
-
     def test_compression_inverses(self):
-        for j in (5.0, 41.7, 88.8):
-            assert ucs_lightness_to_j(j_to_ucs_lightness(j)) == pytest.approx(j, rel=1e-12)
         for m in (0.0, 0.5, 30.0, 90.0):
             m_prime = math.log1p(0.0228 * m) / 0.0228
             assert ucs_colorfulness_to_m(m_prime) == pytest.approx(m, rel=1e-12, abs=1e-12)
-
-
-class TestDeltaEUcs:
-    def test_identical_points(self):
-        p = UcsPoint(50.0, 3.0, -2.0)
-        assert delta_e_ucs(p, p) == 0.0
-
-    def test_symmetry(self):
-        p, q = UcsPoint(50.0, 3.0, -2.0), UcsPoint(48.0, -1.0, 7.0)
-        assert delta_e_ucs(p, q) == delta_e_ucs(q, p)
-
-    def test_axis_aligned_offset(self):
-        assert delta_e_ucs(UcsPoint(50.0, 0.0, 0.0), UcsPoint(50.0, 2.0, 0.0)) == 2.0

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import os
 import re
 import tracemalloc
 import warnings
@@ -22,7 +23,6 @@ from colorbench import (
     export_metadata,
     load_metadata,
     oetf_bt709,
-    oetf_bt709_inverse,
     render_chart,
     xyz_to_chromaticity,
 )
@@ -52,7 +52,7 @@ class TestTransferFunction:
         assert oetf_bt709(0.0) == 0.0
         assert oetf_bt709(1.0) == pytest.approx(1.0, abs=1e-12)
 
-    def test_round_trip(self):
+    def test_round_trip(self, oetf_bt709_inverse):
         lin = np.linspace(0.0, 1.0, 1001)
         back = oetf_bt709_inverse(oetf_bt709(lin))
         np.testing.assert_allclose(back, lin, atol=1e-12)
@@ -192,7 +192,7 @@ class TestRenderChart:
             expected = np.round(oetf_bt709(np.array(p["rgb_linear"])) * 65535)
             assert np.array_equal(q, expected)
 
-    def test_linear_recovery_within_one_code(self, rendered, layout):
+    def test_linear_recovery_within_one_code(self, rendered, layout, oetf_bt709_inverse):
         png, meta = rendered
         img = decode_png_rgb16(png)
         for p in meta["patches"]:
@@ -371,6 +371,13 @@ class TestMetadata:
         path = tmp_path / "chart.meta.json"
         export_metadata(meta, path)
         assert load_metadata(path) == meta
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_load_rejects_a_fifo_unopened(self, tmp_path, no_hang):
+        fifo = tmp_path / "chart.meta.json"
+        os.mkfifo(fifo)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(fifo))}: not a regular file$"):
+            load_metadata(fifo)
 
     def test_file_bytes_stable(self, rendered, tmp_path):
         _, meta = rendered

@@ -1,10 +1,15 @@
 import json
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import colorbench
 from colorbench import (
     ATLAS_CSV_HEADER,
     AtlasSpec,
@@ -25,6 +30,7 @@ from colorbench import (
     to_working_grid,
 )
 from colorbench.cli import run
+from colorbench.spectral import MAX_INPUT_BYTES
 
 DATA = Path(__file__).parent / "data"
 
@@ -641,6 +647,63 @@ def test_unreadable_config_names_the_file(tmp_path, capsys, text, message):
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
     assert message in err
     assert not out.exists()
+
+
+# every option that names an input file, with a command that reads it first
+INPUT_OPTIONS = {
+    "db": ["match", "--db"],
+    "config": ["targets", "--config"],
+    "illuminant": ["solve-optimal", "--target", "0.3,0.5", "--illuminant"],
+    "from_atlas": ["chart", "--from-atlas"],
+}
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+@pytest.mark.parametrize("option", list(INPUT_OPTIONS))
+def test_fifo_input_is_rejected_unopened(tmp_path, capsys, no_hang, option):
+    fifo = tmp_path / "input.fifo"
+    os.mkfifo(fifo)  # no process writes it, so an open() would block
+    out = tmp_path / "out"
+    assert run([*INPUT_OPTIONS[option], str(fifo), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {fifo}: not a regular file\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option", list(INPUT_OPTIONS))
+def test_input_over_the_size_bound_is_rejected_unread(tmp_path, capsys, option):
+    big = tmp_path / "big.csv"
+    big.touch()
+    os.truncate(big, MAX_INPUT_BYTES + 1)  # sparse: it takes no disk
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        assert run([*INPUT_OPTIONS[option], str(big), "--out", str(out)]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err == f"error: {big}: larger than {MAX_INPUT_BYTES} bytes\n"
+    assert peak < 2**20  # nothing of the file was read
+    assert not out.exists()
+
+
+def _limit_address_space():
+    import resource  # Unix only, as /dev/zero is
+
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+@pytest.mark.parametrize("option", ["db", "config"])
+def test_dev_zero_is_rejected_unread(tmp_path, option):
+    # a run that read the endless device would fill memory, so it runs in a
+    # child process with 1 GiB of address space and a time limit
+    src = Path(colorbench.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    argv = [sys.executable, "-m", "colorbench.cli", *INPUT_OPTIONS[option], "/dev/zero",
+            "--out", str(tmp_path / "out")]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60,
+                          preexec_fn=_limit_address_space)
+    assert (done.returncode, done.stderr) == (1, "error: /dev/zero: not a regular file\n")
 
 
 @pytest.mark.parametrize(

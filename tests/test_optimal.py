@@ -8,7 +8,6 @@ from colorbench import (
     Chromaticity,
     OptimalSpectrumParams,
     illuminant_white,
-    pick_genus,
     rectangle_chromaticity,
     scale_to_luminance,
     solve_optimal,
@@ -179,7 +178,7 @@ class TestSynthesize:
     def test_chromaticity_is_k_invariant(self, l1, l2, k):
         base = rectangle_chromaticity(OptimalSpectrumParams(BAND_PASS, l1, l2, 1.0))
         scaled = rectangle_chromaticity(OptimalSpectrumParams(BAND_PASS, l1, l2, k))
-        assert base.as_array() == pytest.approx(scaled.as_array(), abs=1e-14)
+        assert (base.x, base.y, base.z) == pytest.approx((scaled.x, scaled.y, scaled.z), abs=1e-14)
 
 
 class TestLattice:
@@ -273,8 +272,8 @@ class TestSolve:
         # near white: the band-stop lattice comes closer, but only a band
         # pass reaches the target
         target = Chromaticity.from_xy(0.31562650669408016, 0.3362552415462823)
-        assert pick_genus(target) == BAND_STOP
         stop = solve_optimal(target, BAND_STOP)
+        assert stop.lattice_delta_e < solve_optimal(target, BAND_PASS).lattice_delta_e
         assert not stop.converged
         report = solve_optimal(target, "auto")
         assert report.converged and report.params.genus == BAND_PASS
@@ -304,19 +303,33 @@ class TestSolve:
         assert 360.0 <= p.lambda1_nm <= p.lambda2_nm <= 720.0
 
 
-class TestPickGenus:
-    def test_band_stop_for_purples_and_red(self):
-        assert pick_genus(Chromaticity.from_xy(0.3209, 0.1542)) == BAND_STOP
-        assert pick_genus(Chromaticity.from_xy(0.64, 0.33)) == BAND_STOP
-        assert pick_genus(Chromaticity.from_xy(0.15, 0.06)) == BAND_STOP
+def lattice_minima(target: Chromaticity) -> tuple[float, float]:
+    """The whole-nanometre lattice minimum of (band_pass, band_stop) for ``target``."""
+    return tuple(solve_optimal(target, g).lattice_delta_e for g in (BAND_PASS, BAND_STOP))
+
+
+class TestAutoGenusChoice:
+    """``genus="auto"`` solves the genus with the lower lattice minimum first."""
+
+    @pytest.mark.parametrize("xy", [(0.3209, 0.1542), (0.64, 0.33), (0.15, 0.06)])
+    def test_band_stop_for_purples_and_red(self, xy):
+        target = Chromaticity.from_xy(*xy)
+        band_pass, band_stop = lattice_minima(target)
+        assert band_stop < band_pass
+        assert solve_optimal(target, "auto") == solve_optimal(target, BAND_STOP)
 
     def test_band_pass_for_green(self):
-        assert pick_genus(Chromaticity.from_xy(0.30, 0.60)) == BAND_PASS
+        target = Chromaticity.from_xy(0.30, 0.60)
+        band_pass, band_stop = lattice_minima(target)
+        assert band_pass < band_stop
+        assert solve_optimal(target, "auto") == solve_optimal(target, BAND_PASS)
 
     def test_white_tie_goes_to_band_pass(self):
-        # both genera hold the full spectrum, so both lattice minima are zero
+        # both genera hold the full spectrum, so both lattice minima are one rounding error
         white = illuminant_white("D65")
-        assert pick_genus(white) == BAND_PASS
+        band_pass, band_stop = lattice_minima(white)
+        assert band_pass == band_stop < 1e-15
+        assert solve_optimal(white, "auto").params.genus == BAND_PASS
 
 
 class TestScaleToLuminance:
@@ -352,7 +365,7 @@ class TestScaleToLuminance:
         scaled = scale_to_luminance(params, 0.213)
         a = rectangle_chromaticity(params)
         b = rectangle_chromaticity(scaled)
-        assert a.as_array() == pytest.approx(b.as_array(), abs=1e-14)
+        assert (a.x, a.y, a.z) == pytest.approx((b.x, b.y, b.z), abs=1e-14)
 
     def test_out_of_range_lc_rejected(self):
         params = OptimalSpectrumParams(BAND_PASS, 400.0, 600.0, 1.0)

@@ -35,7 +35,7 @@ def spectra_table(rows):
     missing XYZ row is NaN, which ``match_nearest`` does not read."""
     ids, xyzs, xys = zip(*rows)
     xyz = np.array([t if t is not None else (np.nan,) * 3 for t in xyzs])
-    return SpectraTable(ids, xyz, np.array([c.as_array() for c in xys]))
+    return SpectraTable(ids, xyz, np.array([(c.x, c.y, c.z) for c in xys]))
 
 
 def chromaticity(table, k):

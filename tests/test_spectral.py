@@ -17,14 +17,12 @@ from colorbench import (
     delta_e_xyz,
     dominant_wavelength,
     illuminant_white,
-    lc_to_y100,
     load_illuminant,
     load_observer,
     read_spectrum_csv,
     spd_to_xyz,
     to_working_grid,
     xyz_to_chromaticity,
-    y100_to_lc,
 )
 from colorbench import spectral
 from colorbench.spectral import (
@@ -33,7 +31,6 @@ from colorbench.spectral import (
     CsvTable,
     ObserverTables,
     check_samples,
-    grid_wavelengths,
     line_error,
     raw_tristimulus,
     read_csv,
@@ -271,13 +268,6 @@ class TestResample:
         out = to_working_grid([500, 510], [0.0, 1.0])
         assert out.values[505 - GRID_START_NM] == pytest.approx(0.5)
 
-    def test_grid_is_one_read_only_array(self):
-        grid = grid_wavelengths()
-        assert grid is grid_wavelengths()
-        assert grid.shape == (GRID_COUNT,) and (grid[0], grid[-1]) == (360.0, 720.0)
-        with pytest.raises(ValueError):
-            grid[0] = 0.0
-
 
 class TestSpdToXyz:
     def test_perfect_reflector_is_d65_white(self, flat_spd, d65, obs2):
@@ -413,7 +403,7 @@ class TestChromaticity:
     def test_scale_invariance(self):
         a = xyz_to_chromaticity((12.0, 34.0, 5.0))
         b = xyz_to_chromaticity(np.array([24.0, 68.0, 10.0]))
-        assert a.as_array() == pytest.approx(b.as_array(), rel=1e-14)
+        assert (a.x, a.y, a.z) == pytest.approx((b.x, b.y, b.z), rel=1e-14)
 
     def test_components_sum_to_one(self):
         rng = np.random.RandomState(5)
@@ -475,13 +465,6 @@ class TestDeltaE:
         assert ac <= ab + bc + 1e-12
         if p == q:
             assert ab == 0.0
-
-
-class TestLuminanceScales:
-    def test_round_trip(self):
-        assert lc_to_y100(y100_to_lc(73.2)) == pytest.approx(73.2)
-        assert y100_to_lc(100.0) == 1.0
-        assert lc_to_y100(0.464) == pytest.approx(46.4)
 
 
 class TestDominantWavelength:
@@ -585,7 +568,7 @@ class TestObserverTables:
     def test_y_bar_peaks_in_green(self, obs2, obs10):
         for obs in (obs2, obs10):
             peak_idx = int(np.argmax(obs.cmf[:, 1]))
-            peak_nm = grid_wavelengths()[peak_idx]
+            peak_nm = GRID_START_NM + peak_idx
             assert 550.0 <= peak_nm <= 560.0
 
     def test_tables_share_working_grid(self, obs2):
@@ -835,6 +818,33 @@ class TestReadCsv:
         p = tmp_path / "t.csv"
         p.write_text(text, encoding="utf-8")
         return p
+
+    def test_size_bound_is_inclusive(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(spectral, "MAX_INPUT_BYTES", 8)
+        p = self.write(tmp_path, "x,y\n1,2\n")  # 8 bytes
+        assert read_csv(p, "x,y").values.tolist() == [[1.0, 2.0]]
+        p.write_text("x,y\n1,2\n\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: larger than 8 bytes$"):
+            read_csv(p, "x,y")
+
+    def test_file_that_grows_past_the_bound_after_the_stat(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(spectral, "MAX_INPUT_BYTES", 8)
+        p = self.write(tmp_path, "x,y\n1,2\n")
+
+        def grow_then_open(path, mode):  # a writer appends between the stat and the read
+            with open(path, "ab") as fh:
+                fh.write(b"\n")
+            return open(path, mode)
+
+        monkeypatch.setattr(spectral, "open", grow_then_open, raising=False)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: larger than 8 bytes$"):
+            read_csv(p, "x,y")
+
+    def test_non_utf8_file_is_named(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_bytes(b"x,y\n1,\xff\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: 'utf-8' codec can't decode"):
+            read_csv(p, "x,y")
 
     def test_fields_lines_and_ids(self, tmp_path):
         p = self.write(tmp_path, "# c\nid,a,b\nr1,1,2\n\nr2, 3 ,4\n")

@@ -8,7 +8,6 @@ from colorbench import (
     illuminant_white,
     rgb_to_xyz_matrix,
     target_from_weights,
-    target_tristimulus,
 )
 
 
@@ -63,11 +62,6 @@ class TestTargetFromWeights:
         assert scaled.x == pytest.approx(base.x, abs=1e-12)
         assert scaled.y == pytest.approx(base.y, abs=1e-12)
         assert scaled.L_C == pytest.approx(alpha * base.L_C, rel=1e-12)
-
-    def test_tristimulus_is_y100_scaled(self):
-        t = target_from_weights((1, 1, 1))
-        X, Y, Z = target_tristimulus(t)
-        assert Y == pytest.approx(100.0, abs=1e-9)
 
 
 class TestTargetColorInvariants:
