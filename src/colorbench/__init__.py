@@ -82,7 +82,6 @@ from .chart import (
     ChartLayout,
     decode_png_rgb16,
     encode_png_rgb16,
-    export_metadata,
     load_metadata,
     oetf_bt709,
     render_chart,

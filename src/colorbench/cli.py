@@ -26,7 +26,7 @@ from .atlas import (
     write_atlas_csv,
 )
 from .cam16 import Cam16ViewingConditions, d65_white_tristimulus
-from .chart import BT709_TRANSFER, LINEAR_TRANSFER, ChartLayout, export_metadata, render_chart
+from .chart import BT709_TRANSFER, LINEAR_TRANSFER, ChartLayout, render_chart
 from .optimal import (
     AUTO_GENUS,
     BAND_PASS,
@@ -269,7 +269,7 @@ def _cmd_chart(cfg: RunConfig, args) -> int:
     rows = int(np.ceil(len(names) / args.cols)) if args.rows is None else args.rows
     layout = ChartLayout(rows=rows, cols=args.cols, patch_px=args.patch_px, gap_px=args.gap_px)
     transfer = LINEAR_TRANSFER if args.linear else BT709_TRANSFER
-    png, meta = render_chart(
+    png, sidecar = render_chart(
         names,
         rgb,
         layout,
@@ -277,17 +277,13 @@ def _cmd_chart(cfg: RunConfig, args) -> int:
         gamut=gamut,
         source=source,
         embed_primaries=args.embed_primaries,
-    )
-    meta["parameters"].update(
-        illuminant=cfg.illuminant,
-        observer=cfg.observer,
-        la=cfg.la,
-        yb=cfg.yb,
-        surround=cfg.surround,
+        settings=dict(
+            illuminant=cfg.illuminant, observer=cfg.observer, la=cfg.la, yb=cfg.yb, surround=cfg.surround
+        ),
     )
     out = cfg.out_path(args.out)
     out.write_bytes(png)
-    export_metadata(meta, out.with_suffix(out.suffix + ".meta.json"))
+    out.with_suffix(out.suffix + ".meta.json").write_text(sidecar, encoding="utf-8")
     return 0
 
 

@@ -8,6 +8,7 @@ and the printed Ye/C/M amplitudes correspond to doubled luminances).  Those
 are data defects in the source material, not solver regressions, and the
 strict markers guarantee we notice if they ever start passing.
 """
+import json
 import math
 import time
 from pathlib import Path
@@ -340,12 +341,12 @@ class TestCriterion7Chart:
         targets = build_target_set()
         names, rgb = [t.name for t in targets], [t.rgb_weights for t in targets]
         layout = ChartLayout(rows=4, cols=4, patch_px=24, gap_px=4)
-        png1, meta = render_chart(names, rgb, layout)
+        png1, text = render_chart(names, rgb, layout)
         png2, _ = render_chart(names, rgb, layout)
 
         img = decode_png_rgb16(png1)
         worst = 0.0
-        for p in meta["patches"]:
+        for p in json.loads(text)["patches"]:
             x0, y0 = patch_pixel_origin(layout, p["row"], p["col"])
             code = img[y0 + 1, x0 + 1].astype(float) / 65535.0
             lin = oetf_bt709_inverse(code)

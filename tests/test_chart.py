@@ -3,7 +3,10 @@ import json
 import math
 import os
 import re
+import threading
+import time
 import tracemalloc
+import types
 import warnings
 import zlib
 
@@ -20,12 +23,12 @@ from colorbench import (
     decode_png_rgb16,
     delta_e_xyz,
     encode_png_rgb16,
-    export_metadata,
     load_metadata,
     oetf_bt709,
     render_chart,
     xyz_to_chromaticity,
 )
+from colorbench import chart
 from colorbench.atlas import DisplayGamut
 from colorbench.chart import MAX_CHART_PIXELS, _png_chunk, patch_pixel_origin
 
@@ -170,32 +173,32 @@ class TestPngCodec:
 
 class TestRenderChart:
     def test_sixteen_patches(self, rendered, layout):
-        png, meta = rendered
-        assert len(meta["patches"]) == 16
+        png, text = rendered
+        assert len(json.loads(text)["patches"]) == 16
         img = decode_png_rgb16(png)
         w, h = layout.image_size
         assert img.shape == (h, w, 3)
 
     def test_first_patch_is_red_target(self, rendered, layout):
-        png, meta = rendered
+        png, _ = rendered
         img = decode_png_rgb16(png)
         x0, y0 = patch_pixel_origin(layout, 0, 0)
         expected = np.round(oetf_bt709(np.array([1.0, 0.0, 0.0])) * 65535).astype(np.uint16)
         assert np.array_equal(img[y0 + 2, x0 + 2], expected)
 
     def test_quantization_rule(self, rendered, layout):
-        png, meta = rendered
+        png, text = rendered
         img = decode_png_rgb16(png)
-        for p in meta["patches"]:
+        for p in json.loads(text)["patches"]:
             x0, y0 = patch_pixel_origin(layout, p["row"], p["col"])
             q = img[y0, x0].astype(float)
             expected = np.round(oetf_bt709(np.array(p["rgb_linear"])) * 65535)
             assert np.array_equal(q, expected)
 
     def test_linear_recovery_within_one_code(self, rendered, layout, oetf_bt709_inverse):
-        png, meta = rendered
+        png, text = rendered
         img = decode_png_rgb16(png)
-        for p in meta["patches"]:
+        for p in json.loads(text)["patches"]:
             x0, y0 = patch_pixel_origin(layout, p["row"], p["col"])
             code = img[y0 + 1, x0 + 1].astype(float) / 65535.0
             lin = oetf_bt709_inverse(code)
@@ -222,16 +225,16 @@ class TestRenderChart:
 
     def test_black_patch_takes_the_white_chromaticity(self, layout):
         gamut = DisplayGamut()
-        png, meta = render_chart(["k", "w"], [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0)], layout)
-        black, white = meta["patches"]
+        png, text = render_chart(["k", "w"], [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0)], layout)
+        black, white = json.loads(text)["patches"]
         assert (black["x"], black["y"], black["L_C"]) == (gamut.white.x, gamut.white.y, 0.0)
         assert delta_e_xyz(Chromaticity.from_xy(white["x"], white["y"]), gamut.white) < 1e-12
         x0, y0 = patch_pixel_origin(layout, 0, 0)
         assert not decode_png_rgb16(png)[y0, x0].any()
 
     def test_render_peak_memory_per_pixel(self):
-        # a 1.9 Mpx chart: the uint16 frame and its PNG scanlines, 6 bytes a
-        # pixel each, with no float frame
+        # a 1.9 Mpx chart: one frame, the PNG scanlines the patches are drawn
+        # into, at 6 bytes a pixel, with no float frame and no second copy
         layout = ChartLayout(rows=30, cols=30, patch_px=44, gap_px=2)
         rng = np.random.default_rng(5)
         rgb = rng.random((900, 3))
@@ -244,7 +247,7 @@ class TestRenderChart:
         finally:
             tracemalloc.stop()
         assert w * h >= 1_000_000
-        assert peak <= 24 * w * h
+        assert peak <= 8 * w * h
 
     def test_out_of_range_patch_rejected(self, layout):
         for name, rgb in (("hot", (1.2, 0.0, 0.0)), ("undefined", (0.5, float("nan"), 0.5))):
@@ -255,16 +258,15 @@ class TestRenderChart:
                     render_chart([name], [rgb], layout)
 
     def test_linear_escape_hatch(self, layout):
-        png, meta = render_chart(["gray"], [(0.25, 0.25, 0.25)], layout, transfer=LINEAR_TRANSFER)
+        png, text = render_chart(["gray"], [(0.25, 0.25, 0.25)], layout, transfer=LINEAR_TRANSFER)
         img = decode_png_rgb16(png)
         x0, y0 = patch_pixel_origin(layout, 0, 0)
         assert img[y0, x0, 0] == round(0.25 * 65535)
-        assert meta["parameters"]["transfer"] == LINEAR_TRANSFER
+        assert json.loads(text)["parameters"]["transfer"] == LINEAR_TRANSFER
 
     def test_metadata_chromaticity_consistent_with_gamut(self, rendered):
-        _, meta = rendered
         gamut = DisplayGamut()
-        for p in meta["patches"]:
+        for p in json.loads(rendered[1])["patches"]:
             xy = xyz_to_chromaticity(gamut.rgb_to_xyz @ np.array(p["rgb_linear"]))
             stored = Chromaticity.from_xy(p["x"], p["y"])
             assert delta_e_xyz(stored, xy) < 1e-6
@@ -294,10 +296,10 @@ class TestRenderChartPatches:
         # slightly negative Z: the chart reads that rounding residue as 0
         assert min(v.min() for v in rows) >= -1e-12 * gamut.white_luminance
         stimuli = [np.where(v < 0, 0.0, v).tolist() for v in rows]
-        png, meta = render_chart(names, np.array(rgbs), layout, transfer=transfer, gamut=gamut)
+        png, text = render_chart(names, np.array(rgbs), layout, transfer=transfer, gamut=gamut)
         img = decode_png_rgb16(png)
         encode = oetf_bt709 if transfer == BT709_TRANSFER else np.asarray
-        for name, rgb, xyz, p in zip(names, rgbs, stimuli, meta["patches"], strict=True):
+        for name, rgb, xyz, p in zip(names, rgbs, stimuli, json.loads(text)["patches"], strict=True):
             # a black patch takes the white's chromaticity
             xy = xyz_to_chromaticity(xyz) if sum(xyz) > 0 else gamut.white
             assert (p["name"], p["x"], p["y"]) == (name, xy.x, xy.y)
@@ -315,8 +317,8 @@ class TestRenderChartPatches:
         object.__setattr__(gamut, "rgb_to_xyz", m)
         red = (["red"], [(1.0, 0.0, 0.0)])
         if ok:
-            _, meta = render_chart(*red, _grid(1), gamut=gamut)
-            assert meta["patches"][0]["x"] == m[0, 0] / (m[0, 0] + m[1, 0])
+            _, text = render_chart(*red, _grid(1), gamut=gamut)
+            assert json.loads(text)["patches"][0]["x"] == m[0, 0] / (m[0, 0] + m[1, 0])
         else:
             with pytest.raises(ValueError, match="tristimulus components must be"):
                 render_chart(*red, _grid(1), gamut=gamut)
@@ -358,19 +360,18 @@ class TestRenderChartPatches:
 
 class TestMetadata:
     def test_json_round_trip(self, rendered, tmp_path):
-        _, meta = rendered
+        _, text = rendered
         path = tmp_path / "chart.meta.json"
-        export_metadata(meta, path)
-        again = tmp_path / "again.meta.json"
-        export_metadata(load_metadata(path), again)
-        assert again.read_bytes() == path.read_bytes()
-        assert len(load_metadata(again)["patches"]) == 16
+        path.write_text(text, encoding="utf-8")
+        again = json.dumps(load_metadata(path), indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        assert again == text
+        assert len(json.loads(again)["patches"]) == 16
 
-    def test_export_and_load(self, rendered, tmp_path):
-        _, meta = rendered
+    def test_load_reads_the_written_text(self, rendered, tmp_path):
+        _, text = rendered
         path = tmp_path / "chart.meta.json"
-        export_metadata(meta, path)
-        assert load_metadata(path) == meta
+        path.write_text(text, encoding="utf-8")
+        assert load_metadata(path) == json.loads(text)
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
     def test_load_rejects_a_fifo_unopened(self, tmp_path, no_hang):
@@ -379,22 +380,79 @@ class TestMetadata:
         with pytest.raises(ValueError, match=f"^{re.escape(str(fifo))}: not a regular file$"):
             load_metadata(fifo)
 
-    def test_file_bytes_stable(self, rendered, tmp_path):
-        _, meta = rendered
+    def test_file_bytes_stable(self, target_colors, layout, rendered, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        export_metadata(meta, a)
-        export_metadata(meta, b)
+        a.write_text(rendered[1], encoding="utf-8")
+        b.write_text(render_chart(*target_colors, layout)[1], encoding="utf-8")
         assert a.read_bytes() == b.read_bytes()
 
-    def test_json_is_sorted_and_parseable(self, rendered, tmp_path):
-        _, meta = rendered
-        path = tmp_path / "chart.meta.json"
-        export_metadata(meta, path)
-        text = path.read_text(encoding="utf-8")
+    def test_json_is_sorted_and_parseable(self, rendered):
+        _, text = rendered
         payload = json.loads(text)
         assert set(payload) == {"parameters", "patches"}
         assert payload["parameters"]["bit_depth"] == 16
         assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    def test_settings_are_recorded_among_the_parameters(self, target_colors, layout):
+        settings = {"illuminant": "e", "observer": "degree10", "la": 80.0, "yb": 30.0, "surround": "dark"}
+        _, text = render_chart(*target_colors, layout, settings=settings)
+        assert json.loads(text)["parameters"].items() >= settings.items()
+
+
+# names that JSON must escape or, with ensure_ascii=False, pass through
+awkward_name = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u2028é☃𝄞'), st.characters()), max_size=6)
+
+
+class TestOverlappedEncoding:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(awkward_name, good_patch), min_size=1, max_size=9),
+        st.integers(1, 3), st.integers(0, 1), st.integers(1, 4), st.integers(0, 3),
+        st.sampled_from(GAMUTS), st.sampled_from([BT709_TRANSFER, LINEAR_TRANSFER]), st.booleans(),
+    )
+    def test_png_and_sidecar_equal_the_public_encoders(
+        self, entries, cols, spare_rows, patch_px, gap_px, gamut, transfer, embed_primaries
+    ):
+        names, rgb = [name for name, _ in entries], np.array([rgb for _, rgb in entries])
+        rows = math.ceil(len(entries) / cols) + spare_rows
+        layout = ChartLayout(rows=rows, cols=cols, patch_px=patch_px, gap_px=gap_px)
+        png, text = render_chart(
+            names, rgb, layout, transfer=transfer, gamut=gamut, embed_primaries=embed_primaries
+        )
+        chrm = None
+        if embed_primaries:
+            chrm = ((gamut.white.x, gamut.white.y), *((p.x, p.y) for p in gamut.primaries))
+        # the frame drawn straight into the scanlines encodes as the public
+        # encoder encodes it
+        assert png == encode_png_rgb16(decode_png_rgb16(png), chrm)
+        payload = json.loads(text)
+        assert text == json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        assert [p["name"] for p in payload["patches"]] == names
+
+    def test_deflate_failure_raises_and_joins_the_worker(self, monkeypatch, target_colors, layout):
+        def compress(data, level):
+            raise MemoryError
+
+        monkeypatch.setattr(chart, "zlib", types.SimpleNamespace(crc32=zlib.crc32, compress=compress))
+        before = threading.active_count()
+        with pytest.raises(MemoryError):
+            render_chart(*target_colors, layout)
+        assert threading.active_count() == before
+
+    def test_unencodable_name_raises_after_the_worker_is_joined(self, monkeypatch, layout):
+        deflated = []
+
+        def compress(data, level):
+            time.sleep(0.2)  # still deflating when the sidecar fails
+            deflated.append(level)
+            return zlib.compress(data, level)
+
+        monkeypatch.setattr(chart, "zlib", types.SimpleNamespace(crc32=zlib.crc32, compress=compress))
+        before = threading.active_count()
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            render_chart([object()], [(0.1, 0.2, 0.3)], layout)
+        assert deflated == [9]
+        assert threading.active_count() == before
 
 
 class TestLayout:

@@ -212,8 +212,13 @@ def test_chart_writes_png_and_sidecar(tmp_path):
     assert out.exists() and sidecar.exists()
     targets = build_target_set()
     names, rgb = [t.name for t in targets], [t.rgb_weights for t in targets]
-    png, _ = render_chart(names, rgb, ChartLayout(rows=4, cols=4, patch_px=16, gap_px=2))
+    # the CLI's default session settings
+    settings = {"illuminant": "d65", "observer": "degree2", "la": 50.0, "yb": 20.0, "surround": "average"}
+    png, text = render_chart(
+        names, rgb, ChartLayout(rows=4, cols=4, patch_px=16, gap_px=2), settings=settings
+    )
     assert out.read_bytes() == png
+    assert sidecar.read_bytes() == text.encode("utf-8")
 
 
 def test_chart_from_matched_set(tmp_path):
