@@ -16,16 +16,18 @@ sums F of the tristimulus weight table: a band pass integrates to
 F(lambda2) - F(lambda1) and a band stop to the total minus that.  The
 rectangles include MacAdam's (1935) optimal colors, one of which has each
 chromaticity inside the spectral locus, so the scan gives a global start.
+scipy's ``minimize`` is imported at the first solve, because scipy.optimize
+is most of the package's import time and only the solver uses it.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .spectral import (
     GRID_COUNT,
@@ -62,6 +64,16 @@ _OUT_OF_RANGE_SLOPE = 1e-4
 # by row: row p holds q = p .. GRID_COUNT - 1 and starts at _ROW_STARTS[p].
 _ROW_STARTS = np.concatenate(([0], np.cumsum(np.arange(GRID_COUNT, 0, -1))))
 _SCAN_CHUNK = 8192
+
+
+def __getattr__(name: str):
+    """Import scipy's ``minimize`` on first access and bind it here.  The solver
+    looks it up through the module on every run, so a rebinding takes effect."""
+    if name != "minimize":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    global minimize
+    from scipy.optimize import minimize
+    return minimize
 
 
 @dataclass(frozen=True)
@@ -283,7 +295,7 @@ def _solve_genus(
 
     def polish(x0, simplex=None):
         options = dict(maxiter=MAX_ITERATIONS, xatol=1e-6, fatol=1e-14, initial_simplex=simplex)
-        res = minimize(objective, x0, method="Nelder-Mead", options=options)
+        res = sys.modules[__name__].minimize(objective, x0, method="Nelder-Mead", options=options)
         l1, l2 = sorted(float(v) for v in np.clip(res.x, GRID_START_NM, GRID_STOP_NM))
         params = OptimalSpectrumParams(genus, l1, l2, 1.0)
         return res, params, delta_e_xyz(rectangle_chromaticity(params, illuminant, obs), target)

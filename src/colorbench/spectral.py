@@ -141,7 +141,9 @@ def _read_text(path) -> str:
         raise ValueError(f"{path}: not a regular file")
     if info.st_size <= MAX_INPUT_BYTES:
         with open(path, "rb") as fh:  # one byte more finds a file that grew since the stat
-            data = fh.read(MAX_INPUT_BYTES + 1)
+            data = fh.read(info.st_size + 1)
+            if len(data) > info.st_size:  # read on to one byte past the bound
+                data += fh.read(MAX_INPUT_BYTES + 1 - len(data))
     if info.st_size > MAX_INPUT_BYTES or len(data) > MAX_INPUT_BYTES:
         raise ValueError(f"{path}: larger than {MAX_INPUT_BYTES} bytes")
     try:

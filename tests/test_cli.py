@@ -788,3 +788,56 @@ def test_chart_embed_primaries_chunk(tmp_path):
     assert (
         decode_png_rgb16(tagged.read_bytes()) == decode_png_rgb16(plain.read_bytes())
     ).all()
+
+
+_SCIPY_PROBE = """
+import sys, tempfile
+from colorbench.cli import run
+
+loaded = ["scipy" in sys.modules]
+with tempfile.TemporaryDirectory() as out:
+    for argv in (
+        ["targets", "--out", "t.csv"],
+        ["atlas", "--j", "50", "--spacing", "8", "--out", "a.csv"],
+        ["chart", "--from-atlas", out + "/a.csv", "--patch-px", "4", "--out", "c.png"],
+        ["match", "--db", sys.argv[1], "--out", "m.csv"],
+        ["solve-optimal", "--target", "0.3,0.5", "--out", "s.txt"],
+    ):
+        assert run([*argv, "--out-dir", out]) == 0, argv
+        loaded.append("scipy" in sys.modules)
+print(*loaded)
+"""
+
+
+def test_only_a_solve_imports_scipy():
+    # scipy.optimize is most of the import time, so the commands that never
+    # solve must not load it; a fresh interpreter sees what the import pulls in
+    src = Path(colorbench.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    argv = [sys.executable, "-c", _SCIPY_PROBE, str(DATA / "fixture_wide.csv")]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"] * 5 + ["True"]
+
+
+def test_solver_calls_the_bound_minimize(monkeypatch):
+    # whatever is bound at colorbench.optimal.minimize when a solve runs is
+    # what the solver calls, as a wrapper such as a tracer expects
+    import colorbench.optimal as optimal
+
+    runs = []
+
+    def counting(*args, **kwargs):
+        runs.append(scipy_minimize(*args, **kwargs))
+        return runs[-1]
+
+    scipy_minimize = optimal.minimize
+    assert scipy_minimize.__module__.startswith("scipy")
+    monkeypatch.setattr(optimal, "minimize", counting)
+    weights = {n: w for n, w, _ in TABLE1_COLUMNS}["Ye"]  # misses the tolerance: one restart
+    report = optimal.solve_optimal(
+        colorbench.target_from_weights(weights).chromaticity, optimal.BAND_PASS
+    )
+    assert report.restarts == 1 and len(runs) == report.restarts + 1
+    assert sum(int(r.nit) for r in runs) == report.iterations
+    assert sum(int(r.nfev) for r in runs) == report.evaluations

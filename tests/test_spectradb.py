@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -212,6 +213,44 @@ class TestLoadDatabase:
             xy = xyz_to_chromaticity(xyz)
             assert tuple(table.xyz[k].tolist()) == xyz
             assert table.chromaticity[k].tolist() == [xy.x, xy.y, xy.z]
+
+
+# ((first, last, step) in nm, records) of the benchmark's databases
+_BENCH_DATABASES = {
+    WIDE_CSV: [((380, 780, 5), 420), ((400, 700, 10), 440), ((360, 720, 1), 220)],
+    LONG_CSV: [((380, 780, 5), 220), ((400, 700, 10), 310), ((360, 720, 1), 70)],
+}
+# warm tracemalloc peak over file size: 3.14-3.80 wide and 9.90-10.18 long
+# on the benchmark's databases at seeds 1-3, so the bounds are about 1.3x that
+_PEAK_PER_BYTE = {WIDE_CSV: 5.0, LONG_CSV: 13.5}
+
+
+@pytest.mark.parametrize("fmt", [WIDE_CSV, LONG_CSV])
+def test_load_database_peak_memory_per_input_byte(tmp_path, fmt):
+    rng = np.random.default_rng(18)
+    for (first, last, step), n in _BENCH_DATABASES[fmt]:
+        wl = np.arange(first, last + 1, step)
+        rows = rng.uniform(0.0, 1.0, (n, wl.size))
+        ids = [f"s18_{step}nm_{k:05d}" for k in range(n)]  # the benchmark's id form
+        path = tmp_path / f"{fmt}_{step}nm.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            if fmt == WIDE_CSV:
+                fh.write("id," + ",".join(map(str, wl)) + "\n")
+                fh.writelines(rid + "," + ",".join(f"{v:.6f}" for v in row) + "\n"
+                              for rid, row in zip(ids, rows))
+            else:
+                fh.write("id,wavelength_nm,value\n")
+                for rid, row in zip(ids, rows):
+                    fh.writelines(f"{rid},{w},{v:.6f}\n" for w, v in zip(wl, row))
+        load_database(path, fmt)  # the tables and caches a load fills once
+        tracemalloc.start()
+        try:
+            table = load_database(path, fmt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table.ids) == n
+        assert peak <= _PEAK_PER_BYTE[fmt] * path.stat().st_size, path.name
 
 
 class TestMatchNearest:

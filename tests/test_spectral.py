@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import re
+import tracemalloc
 from itertools import repeat
 from pathlib import Path
 from unittest import mock
@@ -819,6 +820,15 @@ class TestReadCsv:
         p.write_text(text, encoding="utf-8")
         return p
 
+    @staticmethod
+    def grow_after_stat(monkeypatch, extra: bytes):
+        def grow_then_open(path, mode):  # a writer appends between the stat and the read
+            with open(path, "ab") as fh:
+                fh.write(extra)
+            return open(path, mode)
+
+        monkeypatch.setattr(spectral, "open", grow_then_open, raising=False)
+
     def test_size_bound_is_inclusive(self, tmp_path, monkeypatch):
         monkeypatch.setattr(spectral, "MAX_INPUT_BYTES", 8)
         p = self.write(tmp_path, "x,y\n1,2\n")  # 8 bytes
@@ -830,15 +840,38 @@ class TestReadCsv:
     def test_file_that_grows_past_the_bound_after_the_stat(self, tmp_path, monkeypatch):
         monkeypatch.setattr(spectral, "MAX_INPUT_BYTES", 8)
         p = self.write(tmp_path, "x,y\n1,2\n")
-
-        def grow_then_open(path, mode):  # a writer appends between the stat and the read
-            with open(path, "ab") as fh:
-                fh.write(b"\n")
-            return open(path, mode)
-
-        monkeypatch.setattr(spectral, "open", grow_then_open, raising=False)
+        self.grow_after_stat(monkeypatch, b"\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: larger than 8 bytes$"):
             read_csv(p, "x,y")
+
+    def test_file_that_grows_far_past_the_bound_after_the_stat(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(spectral, "MAX_INPUT_BYTES", 8)
+        p = self.write(tmp_path, "x,y\n")
+        self.grow_after_stat(monkeypatch, b"1,2\n" * 5)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: larger than 8 bytes$"):
+            read_csv(p, "x,y")
+
+    def test_file_that_grows_after_the_stat_is_read_in_full(self, tmp_path, monkeypatch):
+        p = self.write(tmp_path, "x,y\n")
+        self.grow_after_stat(monkeypatch, b"1,2\n3,4\n")
+        assert read_csv(p, "x,y").values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    @pytest.mark.skipif(not Path("/proc/version").is_file(), reason="no /proc/version")
+    def test_file_longer_than_its_stat_size_is_read_in_full(self):
+        # procfs reports size 0 for a file that holds text
+        assert Path("/proc/version").stat().st_size < len(Path("/proc/version").read_bytes())
+        assert spectral._read_text("/proc/version") == Path("/proc/version").read_text()
+
+    def test_read_allocates_about_the_file_size(self):
+        path = ROOT / "tests" / "data" / "fixture_wide.csv"  # 917 bytes
+        spectral._read_text(path)
+        tracemalloc.start()
+        try:
+            spectral._read_text(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10
 
     def test_non_utf8_file_is_named(self, tmp_path):
         p = tmp_path / "t.csv"
