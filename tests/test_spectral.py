@@ -856,12 +856,6 @@ class TestReadCsv:
         self.grow_after_stat(monkeypatch, b"1,2\n3,4\n")
         assert read_csv(p, "x,y").values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
-    @pytest.mark.skipif(not Path("/proc/version").is_file(), reason="no /proc/version")
-    def test_file_longer_than_its_stat_size_is_read_in_full(self):
-        # procfs reports size 0 for a file that holds text
-        assert Path("/proc/version").stat().st_size < len(Path("/proc/version").read_bytes())
-        assert spectral._read_text("/proc/version") == Path("/proc/version").read_text()
-
     def test_read_allocates_about_the_file_size(self):
         path = ROOT / "tests" / "data" / "fixture_wide.csv"  # 917 bytes
         spectral._read_text(path)

@@ -1,9 +1,9 @@
 """Time each CLI subcommand from a cold start: one fresh interpreter per run.
 
-    python tools/cold_start.py [--runs 7]
+    python tools/cold_start.py
 
 For ``targets``, ``atlas``, ``chart --from-atlas``, ``match`` (the wide
-fixture database) and ``solve-optimal``, the script starts ``--runs`` fresh
+fixture database) and ``solve-optimal``, the script starts ``RUNS`` (7) fresh
 interpreters one after another, each importing ``colorbench.cli`` from the
 ``src/`` tree next to this script and running one command into a temporary
 directory, after one untimed warm-up run of the same command.  A time is the
@@ -17,7 +17,6 @@ machine only, run close together: the times include the machine's load.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import statistics
@@ -29,6 +28,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "data"
+RUNS = 7  # timed runs per subcommand
 
 CHILD = """
 import json, sys
@@ -68,18 +68,12 @@ def run_once(argv: list[str], cwd: str, env: dict) -> tuple[float, bool]:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--runs", type=int, default=7,
-                        help="timed runs per subcommand, at least 2 (default 7)")
-    args = parser.parse_args()
-    if args.runs < 2:
-        parser.error("--runs must be at least 2")
     env = {**os.environ, **{k: "1" for k in THREAD_ENV}}
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv in COMMANDS:
             argv = [a.format(out=tmp) for a in argv]
             run_once(argv, tmp, env)  # warm-up: file cache, and the atlas the chart reads
-            runs = [run_once(argv, tmp, env) for _ in range(args.runs)]
+            runs = [run_once(argv, tmp, env) for _ in range(RUNS)]
             walls = [wall for wall, _ in runs]
             q1, median, q3 = statistics.quantiles(walls, n=4, method="inclusive")
             print(json.dumps({
