@@ -9,10 +9,15 @@ chart is signal-referred.
 The sidecar is JSON with a fixed key order, so rendering the same chart
 twice produces byte-identical image and metadata files.
 
-``render_chart`` fills the frame straight into the PNG scanline buffer, then
-deflates it on one worker thread while the calling thread serializes the
-sidecar: zlib releases the GIL, so the two overlap.  The worker is joined
-before ``render_chart`` returns or raises.
+Every image row of a chart is one of ``rows + 1`` distinct PNG scanlines:
+one per grid row of patches, and the background line of the gaps.
+``render_chart`` draws only those lines, and one worker thread feeds the
+image to a single compressor in blocks of whole rows copied from them, so
+the frame is never held at once; DEFLATE's output does not depend on how its
+input is split, so the bytes are those of one ``zlib.compress`` of the frame.
+Meanwhile the calling thread serializes the sidecar: zlib releases the GIL,
+so the two overlap.  The worker is joined before ``render_chart`` returns or
+raises.
 """
 from __future__ import annotations
 
@@ -32,8 +37,18 @@ LINEAR_TRANSFER = "linear"
 
 _PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 
-# the largest chart, a DCI 4K frame: rendering takes about 7 bytes a pixel
+# the largest chart, a DCI 4K frame (53 MB of scanlines).  Rendering holds no
+# frame but one 6-byte-a-pixel line per grid row (as large as the frame only
+# for 1 px patches with no gaps) and one deflate block.  The sidecar, about
+# 2.6 kB a patch, grows with the patches instead
 MAX_CHART_PIXELS = 4096 * 2160
+# the deflate reads the image in blocks of whole rows of at most this many
+# bytes (at least one row).  Each block is one compress call, after which the
+# worker needs the GIL back, and while the calling thread serializes the
+# sidecar that can take up to the 5 ms switch interval: so the calls must be
+# few.  2 MiB makes about 6 of a 2 Mpx chart's 12 MB and 26 of a
+# MAX_CHART_PIXELS chart's, while the block stays a sixth of a 2 Mpx frame
+_DEFLATE_BLOCK_BYTES = 2 * 1024 * 1024
 _BACKGROUND_RGB = (0.2, 0.2, 0.2)  # linear RGB of the gaps between patches
 
 
@@ -89,19 +104,26 @@ def encode_png_rgb16(image: np.ndarray, chrm: tuple | None = None) -> bytes:
     h, w = image.shape[:2]
     scanlines = np.zeros((h, 1 + 6 * w), dtype=np.uint8)
     scanlines[:, 1:].view(">u2")[:] = image.reshape(h, 3 * w)
-    return _png_rgb16(scanlines, chrm)
+    return _png_rgb16(w, h, (scanlines,), chrm)
 
 
-def _png_rgb16(scanlines: np.ndarray, chrm: tuple | None) -> bytes:
-    """The PNG of (H, 1 + 6W) uint8 scanlines: each a filter-type byte of 0,
-    then the row's big-endian 16-bit RGB samples."""
-    h, stride = scanlines.shape
-    ihdr = struct.pack(">IIBBBBB", (stride - 1) // 6, h, 16, 2, 0, 0, 0)
+def _png_rgb16(width: int, height: int, blocks, chrm: tuple | None) -> bytes:
+    """The PNG of ``height`` rows of ``width`` pixels whose scanlines
+    ``blocks`` yields in order, as uint8 arrays: each scanline is a
+    filter-type byte of 0, then the row's big-endian 16-bit RGB samples.
+
+    One compressor reads every block; it has ``zlib.compress``'s level, window
+    and memLevel, so the image data are those of one ``zlib.compress(scanlines,
+    9)`` however the blocks split the scanlines."""
+    ihdr = struct.pack(">IIBBBBB", width, height, 16, 2, 0, 0, 0)
     chunks = _PNG_SIGNATURE + _png_chunk(b"IHDR", ihdr)
     if chrm is not None:
         values = [int(round(coord * 100000)) for point in chrm for coord in point]
         chunks += _png_chunk(b"cHRM", struct.pack(">8I", *values))
-    return chunks + _png_chunk(b"IDAT", zlib.compress(scanlines, 9)) + _png_chunk(b"IEND", b"")
+    deflate = zlib.compressobj(9)
+    idat = b"".join([*map(deflate.compress, blocks), deflate.flush()])
+    return chunks + _png_chunk(b"IDAT", idat) + _png_chunk(b"IEND", b"")
+
 
 
 def decode_png_rgb16(data: bytes) -> np.ndarray:
@@ -198,11 +220,13 @@ def render_chart(
     # bit-equal to rounding every pixel
     quantize = lambda rgb: np.round(encode(rgb) * 65535.0).astype(np.uint16)
     w, h = layout.image_size
-    # the frame is a view of the PNG scanlines, behind each row's filter-type
-    # byte of 0: drawing it fills them
-    scanlines = np.zeros((h, 1 + 6 * w), np.uint8)
-    image = scanlines[:, 1:].view(">u2").reshape(h, w, 3)
-    image[:] = quantize(_BACKGROUND_RGB)
+    # the distinct PNG scanlines: one per grid row, then the background line.
+    # Their pixels are a view behind each line's filter-type byte of 0, and
+    # every image row maps to one line
+    lines = np.zeros((layout.rows + 1, 1 + 6 * w), np.uint8)
+    pixels = lines[:, 1:].view(">u2").reshape(layout.rows + 1, w, 3)
+    pixels[:] = quantize(_BACKGROUND_RGB)
+    line_of_row = np.full(h, layout.rows)
     # the stacked product: bit-equal, patch by patch, to ``rgb_to_xyz @ rgb``
     xyz = (gamut.rgb_to_xyz @ rgb[..., None])[..., 0]
     # a primary whose z rounds just below 0 (the DCI-P3 red's is -5.6e-17)
@@ -218,8 +242,11 @@ def render_chart(
     luminance = xyz[:, 1] / gamut.white_luminance
 
     for idx, code in enumerate(quantize(rgb)):
-        x0, y0 = patch_pixel_origin(layout, *divmod(idx, layout.cols))
-        image[y0 : y0 + layout.patch_px, x0 : x0 + layout.patch_px] = code
+        row, col = divmod(idx, layout.cols)
+        x0, y0 = patch_pixel_origin(layout, row, col)
+        pixels[row, x0 : x0 + layout.patch_px] = code
+        if not col:  # a grid row's first patch maps its band of image rows
+            line_of_row[y0 : y0 + layout.patch_px] = row
     chrm = None
     if embed_primaries:
         chrm = ((gamut.white.x, gamut.white.y),) + tuple(
@@ -229,7 +256,10 @@ def render_chart(
     # the calling thread calls no public function of the package while the
     # worker deflates: bench/tracer.py keeps one span stack for all threads
     with futures.ThreadPoolExecutor(max_workers=1) as worker:
-        deflated = worker.submit(_png_rgb16, scanlines, chrm)
+        # the worker copies each block of whole rows from the lines
+        step = max(1, _DEFLATE_BLOCK_BYTES // lines.shape[1])
+        blocks = (lines[line_of_row[k : k + step]] for k in range(0, h, step))
+        deflated = worker.submit(_png_rgb16, w, h, blocks, chrm)
         columns = (rgb.tolist(), *xy.T.tolist(), luminance.tolist())
         patches = [
             {"name": name, "row": idx // layout.cols, "col": idx % layout.cols, "x": x, "y": y,

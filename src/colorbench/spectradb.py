@@ -8,13 +8,13 @@ Each record is resampled to the working grid and integrated once at load
 time; a loaded database is one table of the ids and, row for row, their
 tristimulus and chromaticity.  Spectra are not kept.
 
-Matching is an exhaustive scan for the record minimizing the xyz
+Matching is an exhaustive search for the record minimizing the xyz
 chromaticity distance; ties break on the lexicographically smallest id.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, count, repeat
+from itertools import compress
 from operator import ne
 from pathlib import Path
 
@@ -23,7 +23,6 @@ import numpy as np
 from .spectral import (
     ObserverTables,
     SpectralDistribution,
-    _xyz_distance,
     check_samples,
     line_error,
     read_csv,
@@ -109,18 +108,31 @@ def load_database(
 def match_nearest(targets, table: SpectraTable) -> list[MatchResult]:
     """For each target, the database record with minimal chromaticity error.
 
-    Exhaustive scan; deterministic tie-break on the record id.
+    Exhaustive search over one (targets, records) distance array;
+    deterministic tie-break on the record id.
     """
     if not len(table):
         raise ValueError("cannot match against an empty database")
-    xys, ids = table.chromaticity.tolist(), table.ids
-    results = []
-    for target in targets:
-        tc = target.chromaticity
-        # min over (delta_e, id, index): the index keeps the first of equal keys
-        delta_e, rid, k = min(zip(map(_xyz_distance, repeat((tc.x, tc.y, tc.z)), xys), ids, count()))
-        results.append(MatchResult(target.name, rid, xys[k][0], xys[k][1], delta_e))
-    return results
+    targets = list(targets)
+    # records in id order (then file order): the first minimum of a row is
+    # then the smallest id among equal distances
+    order = sorted(range(len(table)), key=table.ids.__getitem__)
+    xyz = table.chromaticity[order]
+    tc = np.array([(t.chromaticity.x, t.chromaticity.y, t.chromaticity.z) for t in targets], float)
+    tc = tc.reshape(-1, 3)  # no targets: (0, 3)
+    # (dx**2 + dy**2) + dz**2, as _xyz_distance adds it, one component at a
+    # time.  float_power calls the C library's pow, as Python's ** does; d * d
+    # differs from it in the last bit for about 1 value in 1,000
+    sq = np.zeros((len(targets), len(table)))
+    for c in range(3):
+        sq += np.float_power(tc[:, c, None] - xyz[:, c], 2.0)
+    dist = np.sqrt(sq)
+    best = dist.argmin(axis=1)
+    delta_e = dist.min(axis=1).tolist()
+    return [
+        MatchResult(target.name, table.ids[order[j]], *xyz[j, :2].tolist(), de)
+        for target, j, de in zip(targets, best.tolist(), delta_e)
+    ]
 
 
 def match_csv(results) -> str:

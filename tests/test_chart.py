@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import struct
 import threading
 import time
 import tracemalloc
@@ -12,7 +13,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from colorbench import (
     BT709_TRANSFER,
@@ -233,8 +234,9 @@ class TestRenderChart:
         assert not decode_png_rgb16(png)[y0, x0].any()
 
     def test_render_peak_memory_per_pixel(self):
-        # a 1.9 Mpx chart: one frame, the PNG scanlines the patches are drawn
-        # into, at 6 bytes a pixel, with no float frame and no second copy
+        # a 1.9 Mpx chart, whose frame is never held: 31 grid row lines, one
+        # 2 MiB deflate block (1.1 B/px) and the 900-patch sidecar measured
+        # 2.17-2.31 B/px in all, against 7.25 for the whole frame it replaced
         layout = ChartLayout(rows=30, cols=30, patch_px=44, gap_px=2)
         rng = np.random.default_rng(5)
         rgb = rng.random((900, 3))
@@ -247,7 +249,7 @@ class TestRenderChart:
         finally:
             tracemalloc.stop()
         assert w * h >= 1_000_000
-        assert peak <= 8 * w * h
+        assert peak <= 3 * w * h
 
     def test_out_of_range_patch_rejected(self, layout):
         for name, rgb in (("hot", (1.2, 0.0, 0.0)), ("undefined", (0.5, float("nan"), 0.5))):
@@ -430,10 +432,14 @@ class TestOverlappedEncoding:
         assert [p["name"] for p in payload["patches"]] == names
 
     def test_deflate_failure_raises_and_joins_the_worker(self, monkeypatch, target_colors, layout):
-        def compress(data, level):
-            raise MemoryError
+        class Compressor:
+            def __init__(self, level):
+                pass
 
-        monkeypatch.setattr(chart, "zlib", types.SimpleNamespace(crc32=zlib.crc32, compress=compress))
+            def compress(self, data):
+                raise MemoryError
+
+        monkeypatch.setattr(chart, "zlib", types.SimpleNamespace(crc32=zlib.crc32, compressobj=Compressor))
         before = threading.active_count()
         with pytest.raises(MemoryError):
             render_chart(*target_colors, layout)
@@ -442,17 +448,78 @@ class TestOverlappedEncoding:
     def test_unencodable_name_raises_after_the_worker_is_joined(self, monkeypatch, layout):
         deflated = []
 
-        def compress(data, level):
-            time.sleep(0.2)  # still deflating when the sidecar fails
-            deflated.append(level)
-            return zlib.compress(data, level)
+        class Compressor:
+            def __init__(self, level):
+                self.level, self.inner = level, zlib.compressobj(level)
 
-        monkeypatch.setattr(chart, "zlib", types.SimpleNamespace(crc32=zlib.crc32, compress=compress))
+            def compress(self, data):
+                time.sleep(0.2)  # still deflating when the sidecar fails
+                return self.inner.compress(data)
+
+            def flush(self):
+                deflated.append(self.level)
+                return self.inner.flush()
+
+        monkeypatch.setattr(chart, "zlib", types.SimpleNamespace(crc32=zlib.crc32, compressobj=Compressor))
         before = threading.active_count()
         with pytest.raises(TypeError, match="not JSON serializable"):
             render_chart([object()], [(0.1, 0.2, 0.3)], layout)
         assert deflated == [9]
         assert threading.active_count() == before
+
+
+def idat_of(png: bytes) -> bytes:
+    """The concatenated IDAT chunk data of a PNG stream."""
+    pos, idat = 8, b""
+    while pos < len(png):
+        (length,) = struct.unpack(">I", png[pos : pos + 4])
+        if png[pos + 4 : pos + 8] == b"IDAT":
+            idat += png[pos + 8 : pos + 8 + length]
+        pos += 12 + length
+    return idat
+
+
+class TestStreamedScanlines:
+    @settings(max_examples=80, deadline=None)
+    @example(n=3, cols=1, spare_rows=2, patch_px=3, gap_px=0, block_rows=1, extra=0)
+    @example(n=4, cols=4, spare_rows=0, patch_px=5, gap_px=2, block_rows=3, extra=5)
+    @example(n=5, cols=2, spare_rows=1, patch_px=4, gap_px=0, block_rows=0, extra=7)
+    @given(
+        n=st.integers(1, 12), cols=st.integers(1, 4), spare_rows=st.integers(0, 2),
+        patch_px=st.integers(1, 6), gap_px=st.integers(0, 3),
+        block_rows=st.integers(0, 9), extra=st.integers(0, 10**6),
+    )
+    def test_image_data_are_one_compress_of_the_frame(
+        self, n, cols, spare_rows, patch_px, gap_px, block_rows, extra
+    ):
+        layout = ChartLayout(rows=math.ceil(n / cols) + spare_rows, cols=cols, patch_px=patch_px, gap_px=gap_px)
+        w, h = layout.image_size
+        stride = 1 + 6 * w
+        # blocks of one scanline (under one row's bytes) up to nine, and
+        # sizes that split the patch bands mid-band
+        block = block_rows * stride + extra % stride
+        calls = []
+
+        def compressobj(level):
+            inner = zlib.compressobj(level)
+            return types.SimpleNamespace(
+                compress=lambda data: calls.append(memoryview(data).nbytes) or inner.compress(data),
+                flush=inner.flush,
+            )
+
+        rgb = np.random.default_rng(n).random((n, 3))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chart, "_DEFLATE_BLOCK_BYTES", block)
+            mp.setattr(chart, "zlib", types.SimpleNamespace(crc32=zlib.crc32, compressobj=compressobj))
+            png, _ = render_chart([f"p{i}" for i in range(n)], rgb, layout)
+        frame = decode_png_rgb16(png)
+        # an independent one-shot oracle: every row's filter byte of 0, then
+        # its big-endian samples, compressed in one call
+        scanlines = np.zeros((h, stride), np.uint8)
+        scanlines[:, 1:] = frame.astype(">u2").view(np.uint8).reshape(h, 6 * w)
+        assert idat_of(png) == zlib.compress(scanlines.tobytes(), 9)
+        rows = max(1, block // stride)
+        assert calls == [min(rows, h - k) * stride for k in range(0, h, rows)]
 
 
 class TestLayout:

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from itertools import count, repeat
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -25,7 +26,8 @@ from colorbench import (
     to_working_grid,
     xyz_to_chromaticity,
 )
-from colorbench.spectradb import LONG_CSV, WIDE_CSV, SpectraTable
+from colorbench.spectradb import LONG_CSV, WIDE_CSV, MatchResult, SpectraTable
+from colorbench.spectral import _xyz_distance
 from colorbench.targets import REC709_PRIMARIES, point_in_triangle
 
 DATA = Path(__file__).parent / "data"
@@ -313,6 +315,48 @@ class TestMatchNearest:
                     if best is None or d < best[0] or (d == best[0] and rid < best[1]):
                         best = (d, rid)
                 assert (res.delta_e, res.record_id) == best
+
+    @staticmethod
+    def scan_nearest(targets, table):
+        """The per-pair scan the array search replaced: for each target the
+        min over (delta_e, id, index) of every record."""
+        xys, ids = table.chromaticity.tolist(), table.ids
+        results = []
+        for target in targets:
+            tc = target.chromaticity
+            delta_e, rid, k = min(zip(map(_xyz_distance, repeat((tc.x, tc.y, tc.z)), xys), ids, count()))
+            results.append(MatchResult(target.name, rid, xys[k][0], xys[k][1], delta_e))
+        return results
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equals_the_scan_with_forced_ties(self, data):
+        xy = st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.5))
+        pool = data.draw(st.lists(xy, min_size=1, max_size=5))
+        # records drawn from a small pool, some with x and y swapped, under
+        # few ids: equal points, equal ids and, around a target with x == y,
+        # distinct points at exactly equal distances
+        rows = data.draw(st.lists(
+            st.tuples(st.sampled_from("abcd"), st.sampled_from(pool), st.booleans()),
+            min_size=1, max_size=30,
+        ))
+        table = spectra_table(
+            (rid, None, Chromaticity.from_xy(*(p[::-1] if swap else p))) for rid, p, swap in rows
+        )
+        diagonal = st.floats(0.0, 0.5).map(lambda v: (v, v))
+        points = data.draw(st.lists(st.one_of(st.sampled_from(pool), diagonal, xy), min_size=1, max_size=6))
+        targets = [
+            SimpleNamespace(name=f"t{i}", chromaticity=Chromaticity.from_xy(*p))
+            for i, p in enumerate(points)
+        ]
+        assert match_nearest(targets, table) == self.scan_nearest(targets, table)
+
+    def test_distance_is_the_scans_to_the_last_bit(self):
+        # Python's ** 2 (the C library's pow) and d * d round this distance
+        # differently: 0.35646270492156673 against ...668
+        target = SimpleNamespace(name="t", chromaticity=Chromaticity.from_xy(0.1247, 0.2311))
+        table = spectra_table([("a", None, Chromaticity.from_xy(0.1309, 0.48))])
+        assert match_nearest([target], table) == self.scan_nearest([target], table)
 
     def test_results_follow_target_order(self):
         db = load_database(DATA / "fixture_wide.csv", WIDE_CSV)

@@ -97,6 +97,12 @@ RUNS = [
         ["from_atlas_linear.png", "from_atlas_linear.png.meta.json"],
     ),
     (
+        # 4044x2066 px, 8.35 Mpx: near MAX_CHART_PIXELS, in 25 deflate blocks
+        ["chart", "--from-atlas", "{out}/atlas.csv", "--rows", "24", "--cols", "47",
+         "--patch-px", "84", "--gap-px", "2", "--out", "from_atlas_8mpx.png"],
+        ["from_atlas_8mpx.png", "from_atlas_8mpx.png.meta.json"],
+    ),
+    (
         ["match", "--db", str(FIXTURES / "fixture_wide.csv"), "--out", "match_wide.csv"],
         ["match_wide.csv"],
     ),
