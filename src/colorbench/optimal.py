@@ -16,13 +16,14 @@ sums F of the tristimulus weight table: a band pass integrates to
 F(lambda2) - F(lambda1) and a band stop to the total minus that.  The
 rectangles include MacAdam's (1935) optimal colors, one of which has each
 chromaticity inside the spectral locus, so the scan gives a global start.
-scipy's ``minimize`` is imported at the first solve, because scipy.optimize
-is most of the package's import time and only the solver uses it.
+``minimize`` is a two-variable Nelder-Mead that repeats scipy's
+``minimize(method="Nelder-Mead")`` step for step on Python floats, so it
+returns the same vertices, values and counts to the bit without importing
+scipy.
 """
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple
@@ -64,16 +65,6 @@ _OUT_OF_RANGE_SLOPE = 1e-4
 # by row: row p holds q = p .. GRID_COUNT - 1 and starts at _ROW_STARTS[p].
 _ROW_STARTS = np.concatenate(([0], np.cumsum(np.arange(GRID_COUNT, 0, -1))))
 _SCAN_CHUNK = 8192
-
-
-def __getattr__(name: str):
-    """Import scipy's ``minimize`` on first access and bind it here.  The solver
-    looks it up through the module on every run, so a rebinding takes effect."""
-    if name != "minimize":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    global minimize
-    from scipy.optimize import minimize
-    return minimize
 
 
 @dataclass(frozen=True)
@@ -261,11 +252,96 @@ def _genus_seeds(
     return sorted(seeds, key=lambda item: item[1].delta_e)
 
 
-def _seed_simplex(l1: float, l2: float) -> np.ndarray:
+def _seed_simplex(l1: float, l2: float) -> list[tuple[float, float]]:
     """A 1 nm simplex at the seed that widens the band where the grid allows."""
     d1 = -1.0 if l1 > GRID_START_NM else 1.0
     d2 = 1.0 if l2 < GRID_STOP_NM else -1.0
-    return np.array([[l1, l2], [l1 + d1, l2], [l1, l2 + d2]])
+    return [(l1, l2), (l1 + d1, l2), (l1, l2 + d2)]
+
+
+class _NelderMeadResult(NamedTuple):
+    x: tuple[float, float]
+    fun: float
+    nit: int
+    nfev: int
+
+
+def _ranked(sim: list, f: list) -> tuple[list, list]:
+    """Vertices and values ordered by value, ties broken as ``np.argsort``
+    breaks them (scipy's order, which matters for inf vertices)."""
+    order = np.array(f).argsort().tolist()
+    return [sim[i] for i in order], [f[i] for i in order]
+
+
+def _affine(p: float, xbar: tuple, q: float, w: tuple) -> tuple[float, float]:
+    """p * xbar + q * w, each coordinate rounded as scipy's ``(1 + rho) * xbar
+    - rho * w`` and its kin round it (a - b is a + (-b) exactly)."""
+    return (p * xbar[0] + q * w[0], p * xbar[1] + q * w[1])
+
+
+def minimize(
+    fun, x0, initial_simplex=None, *, maxiter: int, xatol: float, fatol: float
+) -> _NelderMeadResult:
+    """Minimize ``fun((v1, v2))`` by Nelder-Mead, with scipy's
+    ``_minimize_neldermead`` steps (``adaptive=False``, no bounds) in its
+    operation order, so every vertex, value and count matches it to the bit.
+
+    Without ``initial_simplex`` the simplex is scipy's default: x0, then x0
+    with one coordinate at a time scaled by 1.05 (neither may be zero); with
+    it, x0 is ignored.  The search stops when every vertex lies within
+    ``xatol`` of the best in each coordinate and every value within
+    ``fatol`` of its value, or after ``maxiter`` iterations; ``nit`` starts
+    at 1 and ``nfev`` counts the calls of ``fun``.
+    """
+    if initial_simplex is None:
+        a, b = map(float, x0)
+        sim = [(a, b), (1.05 * a, b), (a, 1.05 * b)]
+    else:
+        sim = [(float(a), float(b)) for a, b in initial_simplex]
+    f = [fun(v) for v in sim]
+    nfev = 3
+    sim, f = _ranked(*_ranked(sim, f))  # scipy sorts twice: ties may move again
+    nit = 1
+    while nit < maxiter:
+        (s0, s1, w), (f0, f1, fw) = sim, f
+        if (
+            abs(s1[0] - s0[0]) <= xatol and abs(s1[1] - s0[1]) <= xatol
+            and abs(w[0] - s0[0]) <= xatol and abs(w[1] - s0[1]) <= xatol
+            and abs(f0 - f1) <= fatol and abs(f0 - fw) <= fatol
+        ):
+            break
+        xbar = ((s0[0] + s1[0]) / 2, (s0[1] + s1[1]) / 2)
+        xr = _affine(2, xbar, -1, w)
+        fr = fun(xr)
+        nfev += 1
+        if fr < f0:
+            xe = _affine(3, xbar, -2, w)
+            fe = fun(xe)
+            nfev += 1
+            sim[2], f[2] = (xe, fe) if fe < fr else (xr, fr)
+        elif fr < f1:
+            sim[2], f[2] = xr, fr
+        else:
+            if fr < fw:  # outside contraction
+                xc = _affine(1.5, xbar, -0.5, w)
+                fc = fun(xc)
+                keep = fc <= fr
+            else:  # inside contraction
+                xc = _affine(0.5, xbar, 0.5, w)
+                fc = fun(xc)
+                keep = fc < fw
+            nfev += 1
+            if keep:
+                sim[2], f[2] = xc, fc
+            else:  # shrink towards the best vertex
+                for j in (1, 2):
+                    sj = sim[j]
+                    sim[j] = (s0[0] + 0.5 * (sj[0] - s0[0]), s0[1] + 0.5 * (sj[1] - s0[1]))
+                    f[j] = fun(sim[j])
+                nfev += 2
+        nit += 1
+        sim, f = _ranked(sim, f)
+    return _NelderMeadResult(sim[0], f[0], nit, nfev)
 
 
 def _solve_genus(
@@ -278,8 +354,8 @@ def _solve_genus(
 ) -> SolveReport:
     tgt = (target.x, target.y, target.z)
 
-    def objective(lam: np.ndarray) -> float:
-        l1, l2 = a, b = lam.tolist()
+    def objective(lam: tuple[float, float]) -> float:
+        l1, l2 = a, b = lam
         penalty = 0.0
         if not GRID_START_NM <= a <= b <= GRID_STOP_NM:
             l1 = min(max(a, GRID_START_NM), GRID_STOP_NM)
@@ -294,14 +370,13 @@ def _solve_genus(
         return _xyz_distance((X / s, Y / s, Z / s), tgt) + penalty
 
     def polish(x0, simplex=None):
-        options = dict(maxiter=MAX_ITERATIONS, xatol=1e-6, fatol=1e-14, initial_simplex=simplex)
-        res = sys.modules[__name__].minimize(objective, x0, method="Nelder-Mead", options=options)
+        res = minimize(objective, x0, simplex, maxiter=MAX_ITERATIONS, xatol=1e-6, fatol=1e-14)
         l1, l2 = sorted(float(v) for v in np.clip(res.x, GRID_START_NM, GRID_STOP_NM))
         params = OptimalSpectrumParams(genus, l1, l2, 1.0)
         return res, params, delta_e_xyz(rectangle_chromaticity(params, illuminant, obs), target)
 
     cuts = (seed.lambda1_nm, seed.lambda2_nm)
-    runs = [polish(np.array(cuts), _seed_simplex(*cuts))]
+    runs = [polish(cuts, _seed_simplex(*cuts))]
     first, _, first_delta_e = runs[0]
     if first_delta_e > tolerance:
         runs.append(polish(np.clip(first.x, GRID_START_NM, GRID_STOP_NM)))
@@ -329,8 +404,8 @@ def solve_optimal(
     The bounded Nelder-Mead search starts from the whole-nanometre
     rectangle nearest to the target, with a 1 nm initial simplex.  If the
     result misses ``tolerance`` the search restarts once from its best
-    point, with scipy's default simplex.  Convergence means the achieved chromaticity
-    distance does not exceed ``tolerance``.
+    point, with the default simplex of ``minimize`` (5 % steps).  Convergence
+    means the achieved chromaticity distance does not exceed ``tolerance``.
 
     ``genus="auto"`` solves the genus with the lower lattice minimum first
     (band_pass on a tie); if that misses the tolerance it solves the other

@@ -809,15 +809,15 @@ print(*loaded)
 """
 
 
-def test_only_a_solve_imports_scipy():
-    # scipy.optimize is most of the import time, so the commands that never
-    # solve must not load it; a fresh interpreter sees what the import pulls in
+def test_no_command_imports_scipy():
+    # the solver carries its own Nelder-Mead, so no command loads scipy, not
+    # even a solve; a fresh interpreter sees what the import pulls in
     src = Path(colorbench.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
     argv = [sys.executable, "-c", _SCIPY_PROBE, str(DATA / "fixture_wide.csv")]
     done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False"] * 5 + ["True"]
+    assert done.stdout.split() == ["False"] * 6
 
 
 def test_solver_calls_the_bound_minimize(monkeypatch):
@@ -828,11 +828,11 @@ def test_solver_calls_the_bound_minimize(monkeypatch):
     runs = []
 
     def counting(*args, **kwargs):
-        runs.append(scipy_minimize(*args, **kwargs))
+        runs.append(minimize(*args, **kwargs))
         return runs[-1]
 
-    scipy_minimize = optimal.minimize
-    assert scipy_minimize.__module__.startswith("scipy")
+    minimize = optimal.minimize
+    assert minimize.__module__ == "colorbench.optimal"
     monkeypatch.setattr(optimal, "minimize", counting)
     weights = {n: w for n, w, _ in TABLE1_COLUMNS}["Ye"]  # misses the tolerance: one restart
     report = optimal.solve_optimal(

@@ -1,3 +1,6 @@
+import contextlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +19,7 @@ from colorbench import (
     table1_suite,
     target_from_weights,
 )
+import colorbench.optimal as optimal
 from colorbench.optimal import TABLE1_COLUMNS, _lattice_xyz, _prefix_sums
 from colorbench.spectral import (
     GRID_COUNT,
@@ -416,3 +420,116 @@ class TestTable1Suite:
         assert suite["M"].params.genus == BAND_STOP
         assert suite["G"].params.genus == BAND_PASS
         assert suite["B05"].params.genus == BAND_STOP
+
+
+def scipy_nelder_mead(fun, x0, initial_simplex=None, **options):
+    """scipy's Nelder-Mead, the reference for ``optimal.minimize``, on the
+    same objective (which takes a pair of floats) and options."""
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    return scipy_optimize.minimize(
+        lambda v: fun(tuple(v.tolist())),
+        np.asarray(x0, dtype=float),
+        method="Nelder-Mead",
+        options=dict(options, initial_simplex=initial_simplex),
+    )
+
+
+def assert_same_run(ours, theirs):
+    assert np.asarray(ours.x, dtype=float).tobytes() == theirs.x.tobytes()
+    assert np.float64(ours.fun).tobytes() == np.float64(theirs.fun).tobytes()
+    assert (ours.nit, ours.nfev) == (theirs.nit, theirs.nfev)
+
+
+@contextlib.contextmanager
+def solver_calls():
+    """Record ``(fun, x0, initial_simplex, options, result)`` for every call
+    the solver makes of ``optimal.minimize``."""
+    calls, minimize = [], optimal.minimize
+
+    def recording(fun, x0, initial_simplex=None, **options):
+        calls.append((fun, x0, initial_simplex, options, minimize(fun, x0, initial_simplex, **options)))
+        return calls[-1][-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimal, "minimize", recording)
+        yield calls
+
+
+def assert_solver_matches_scipy(calls):
+    for fun, x0, initial_simplex, options, ours in calls:
+        assert_same_run(ours, scipy_nelder_mead(fun, x0, initial_simplex, **options))
+
+
+quadratic = lambda v: v[0] ** 2 + v[1] ** 2  # noqa: E731
+concave = lambda v: -(v[0] ** 2) - v[1] ** 2  # noqa: E731
+linear = lambda v: -v[0] - 2 * v[1]  # noqa: E731
+
+# objective, simplex (no tied values), and the points the first pass
+# evaluates after the three vertices; the shrink's are rounded, so the
+# comparison with scipy pins its operation order
+FIRST_PASS = {
+    "reflection": (quadratic, [(0, 0.5), (1, 0.2), (0.5, 1.2)], [(0.5, -0.5)]),
+    "expansion": (linear, [(0, 0), (1, 0), (0, 1)], [(1, 1), (1.5, 1.5)]),
+    "outside contraction": (quadratic, [(0, 0), (2, 0), (1.5, 3)], [(0.5, -3), (0.75, -1.5)]),
+    "inside contraction": (quadratic, [(0, 0), (1, 0), (0, 1.2)], [(1, -1.2), (0.25, 0.6)]),
+    "shrink": (
+        concave,
+        [(-2.9, 0.4), (-3.2, -3.7), (-3.4, 2.9)],
+        [(-3.7, -1.2), (-3.5, -0.8), (-3.3, -0.4), (-3.05, -1.65)],
+    ),
+}
+
+
+class TestNelderMeadMatchesScipy:
+    """``optimal.minimize`` repeats scipy's Nelder-Mead: the same x, fun, nit
+    and nfev, bit for bit."""
+
+    @pytest.mark.parametrize("step", FIRST_PASS)
+    def test_each_step(self, step):
+        fun, simplex, expected = FIRST_PASS[step]
+        points = []
+
+        def recorded(v):
+            points.append(v)
+            return fun(v)
+
+        one_pass = optimal.minimize(recorded, None, simplex, maxiter=2, xatol=0.0, fatol=0.0)
+        assert one_pass.nfev == len(points)
+        np.testing.assert_allclose(points[3:], expected, rtol=1e-15)
+        for maxiter in range(2, 13):  # every pass: a later one may hide a rounding
+            options = dict(maxiter=maxiter, xatol=1e-8, fatol=1e-12)
+            assert_same_run(
+                optimal.minimize(fun, simplex[0], simplex, **options),
+                scipy_nelder_mead(fun, simplex[0], simplex, **options),
+            )
+
+    @given(
+        st.tuples(st.floats(0.1, 0.6), st.floats(0.05, 0.8)).filter(lambda xy: sum(xy) < 0.95),
+        st.sampled_from([BAND_PASS, BAND_STOP]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_solver_runs(self, xy, genus):
+        with solver_calls() as calls:
+            report = solve_optimal(Chromaticity.from_xy(*xy), genus)
+        assert len(calls) == report.restarts + 1
+        assert_solver_matches_scipy(calls)
+
+    def test_restart_from_the_default_simplex(self):
+        # the yellow half mix misses the tolerance as a band pass: one restart
+        with solver_calls() as calls:
+            report = solve_optimal(target_from_weights((0.5, 0.5, 0.0)).chromaticity, BAND_PASS)
+        assert report.restarts == 1 and [c[2] is None for c in calls] == [False, True]
+        assert_solver_matches_scipy(calls)
+
+    def test_tied_inf_vertices(self):
+        # a vertex with lambda1 > lambda2 is no rectangle: its value is inf,
+        # and the order of two such vertices decides the next steps
+        with solver_calls() as calls:
+            solve_optimal(Chromaticity.from_xy(0.64, 0.33), BAND_STOP)
+        fun, _, _, options, _ = calls[0]
+        simplex = [(600.0, 500.0), (650.0, 450.0), (500.0, 600.0)]
+        assert fun(simplex[0]) == fun(simplex[1]) == math.inf > fun(simplex[2])
+        assert_same_run(
+            optimal.minimize(fun, simplex[0], simplex, **options),
+            scipy_nelder_mead(fun, simplex[0], simplex, **options),
+        )
