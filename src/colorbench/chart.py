@@ -15,9 +15,9 @@ one per grid row of patches, and the background line of the gaps.
 image to a single compressor in blocks of whole rows copied from them, so
 the frame is never held at once; DEFLATE's output does not depend on how its
 input is split, so the bytes are those of one ``zlib.compress`` of the frame.
-Meanwhile the calling thread serializes the sidecar: zlib releases the GIL,
-so the two overlap.  The worker is joined before ``render_chart`` returns or
-raises.
+Meanwhile the calling thread formats the sidecar, one text piece per patch
+from a fixed-schema template: zlib releases the GIL, so the two overlap.  The
+worker is joined before ``render_chart`` returns or raises.
 """
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ import struct
 import zlib
 from concurrent import futures  # its thread module is imported at first use
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -39,17 +40,37 @@ _PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 
 # the largest chart, a DCI 4K frame (53 MB of scanlines).  Rendering holds no
 # frame but one 6-byte-a-pixel line per grid row (as large as the frame only
-# for 1 px patches with no gaps) and one deflate block.  The sidecar, about
-# 2.6 kB a patch, grows with the patches instead
+# for 1 px patches with no gaps) and one deflate block.  The sidecar grows with
+# the patches instead: its piece of a patch is about 310 characters (360 B as
+# an ASCII str, 8 B more in the list), and while the pieces are built each
+# patch's six Python floats and their lists (about 260 B) and its numpy columns
+# (about 80 B) are alive too.  That is about 710 B a patch, measured at 3,767
+# to 60,000 patches; a test holds it to 1,000 B
 MAX_CHART_PIXELS = 4096 * 2160
 # the deflate reads the image in blocks of whole rows of at most this many
 # bytes (at least one row).  Each block is one compress call, after which the
-# worker needs the GIL back, and while the calling thread serializes the
+# worker needs the GIL back, and while the calling thread formats the
 # sidecar that can take up to the 5 ms switch interval: so the calls must be
 # few.  2 MiB makes about 6 of a 2 Mpx chart's 12 MB and 26 of a
 # MAX_CHART_PIXELS chart's, while the block stays a sixth of a 2 Mpx frame
 _DEFLATE_BLOCK_BYTES = 2 * 1024 * 1024
 _BACKGROUND_RGB = (0.2, 0.2, 0.2)  # linear RGB of the gaps between patches
+# one patch as ``json.dumps(..., indent=2, sort_keys=True, ensure_ascii=False)``
+# writes it at the depth of the sidecar's patch list, comma included: keys in
+# sorted order, floats by repr as json writes them (render_chart checks that
+# they are finite) and strings from _json_str
+_PATCH = (
+    '    {\n      "L_C": %r,\n      "col": %d,\n      "name": %s,\n'
+    '      "rgb_linear": [\n        %r,\n        %r,\n        %r\n      ],\n'
+    '      "row": %d,\n      "source": %s,\n      "x": %r,\n      "y": %r\n    },\n'
+)
+
+
+def _json_str(value) -> str:
+    """``value`` as a JSON string literal, with json's error for a non-string."""
+    if not isinstance(value, str):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return encode_basestring(value)
 
 
 def oetf_bt709(linear):
@@ -184,15 +205,18 @@ def render_chart(
     source: str = "targets",
     embed_primaries: bool = False,
     settings: dict | None = None,
-) -> tuple[bytes, str]:
+) -> tuple[bytes, list[str]]:
     """Render named linear-RGB patches into a PNG chart plus its sidecar.
 
     ``rgb`` is an ``(n, 3)`` array of linear components in [0, 1], one row
     per name in ``names``; patches fill the grid row-major in input order.
     ``source`` labels where the colors came from (targets, optimal, matched,
-    atlas).  Returns ``(png_bytes, sidecar_text)``: the sidecar is
-    ``{"parameters": {...}, "patches": [...]}`` as JSON with sorted keys, so
-    equal sidecars give equal text.  ``settings`` (the session's illuminant,
+    atlas).  Returns ``(png_bytes, pieces)``: ``pieces`` is a list of strings,
+    one per patch between a head and a tail, whose concatenation is the
+    sidecar ``{"parameters": {...}, "patches": [...]}`` as
+    ``json.dumps(..., indent=2, sort_keys=True, ensure_ascii=False)`` writes
+    it, plus a final newline, so equal sidecars give equal text.  Names and
+    ``source`` must be strings.  ``settings`` (the session's illuminant,
     observer and viewing conditions) is recorded among the parameters.
     """
     rgb = np.asarray(rgb, dtype=float)
@@ -260,12 +284,6 @@ def render_chart(
         step = max(1, _DEFLATE_BLOCK_BYTES // lines.shape[1])
         blocks = (lines[line_of_row[k : k + step]] for k in range(0, h, step))
         deflated = worker.submit(_png_rgb16, w, h, blocks, chrm)
-        columns = (rgb.tolist(), *xy.T.tolist(), luminance.tolist())
-        patches = [
-            {"name": name, "row": idx // layout.cols, "col": idx % layout.cols, "x": x, "y": y,
-             "L_C": l_c, "rgb_linear": rgb_linear, "source": source}
-            for idx, (name, rgb_linear, x, y, l_c) in enumerate(zip(names, *columns))
-        ]
         params = {
             **(settings or {}),
             "transfer": transfer,
@@ -278,9 +296,19 @@ def render_chart(
             "gamut_white": [gamut.white.x, gamut.white.y],
             "white_luminance": gamut.white_luminance,
         }
-        meta = {"parameters": params, "patches": patches}
-        text = json.dumps(meta, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-        return deflated.result(), text
+        # the parameters' text indented two more spaces: json escapes every
+        # newline inside a string, so each "\n" starts a line
+        params_text = json.dumps(params, indent=2, sort_keys=True, ensure_ascii=False)
+        pieces = ['{\n  "parameters": %s,\n  "patches": [\n' % params_text.replace("\n", "\n  ")]
+        label, cols = _json_str(source), layout.cols
+        columns = (rgb.tolist(), *xy.T.tolist(), luminance.tolist())
+        pieces += [
+            _PATCH % (l_c, idx % cols, _json_str(name), *rgb_linear, idx // cols, label, x, y)
+            for idx, (name, rgb_linear, x, y, l_c) in enumerate(zip(names, *columns))
+        ]
+        pieces[-1] = pieces[-1][:-2] + "\n"  # no comma after the last patch
+        pieces.append("  ]\n}\n")
+        return deflated.result(), pieces
 
 
 def patch_pixel_origin(layout: ChartLayout, row: int, col: int) -> tuple[int, int]:

@@ -269,7 +269,7 @@ def _cmd_chart(cfg: RunConfig, args) -> int:
     rows = int(np.ceil(len(names) / args.cols)) if args.rows is None else args.rows
     layout = ChartLayout(rows=rows, cols=args.cols, patch_px=args.patch_px, gap_px=args.gap_px)
     transfer = LINEAR_TRANSFER if args.linear else BT709_TRANSFER
-    png, sidecar = render_chart(
+    png, pieces = render_chart(
         names,
         rgb,
         layout,
@@ -283,7 +283,8 @@ def _cmd_chart(cfg: RunConfig, args) -> int:
     )
     out = cfg.out_path(args.out)
     out.write_bytes(png)
-    out.with_suffix(out.suffix + ".meta.json").write_text(sidecar, encoding="utf-8")
+    with open(out.with_suffix(out.suffix + ".meta.json"), "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(pieces)
     return 0
 
 

@@ -341,12 +341,12 @@ class TestCriterion7Chart:
         targets = build_target_set()
         names, rgb = [t.name for t in targets], [t.rgb_weights for t in targets]
         layout = ChartLayout(rows=4, cols=4, patch_px=24, gap_px=4)
-        png1, text = render_chart(names, rgb, layout)
+        png1, pieces = render_chart(names, rgb, layout)
         png2, _ = render_chart(names, rgb, layout)
 
         img = decode_png_rgb16(png1)
         worst = 0.0
-        for p in json.loads(text)["patches"]:
+        for p in json.loads("".join(pieces))["patches"]:
             x0, y0 = patch_pixel_origin(layout, p["row"], p["col"])
             code = img[y0 + 1, x0 + 1].astype(float) / 65535.0
             lin = oetf_bt709_inverse(code)

@@ -48,7 +48,9 @@ def layout():
 
 @pytest.fixture(scope="module")
 def rendered(target_colors, layout):
-    return render_chart(*target_colors, layout)
+    """The target chart's PNG bytes and its sidecar pieces joined."""
+    png, pieces = render_chart(*target_colors, layout)
+    return png, "".join(pieces)
 
 
 class TestTransferFunction:
@@ -226,8 +228,8 @@ class TestRenderChart:
 
     def test_black_patch_takes_the_white_chromaticity(self, layout):
         gamut = DisplayGamut()
-        png, text = render_chart(["k", "w"], [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0)], layout)
-        black, white = json.loads(text)["patches"]
+        png, pieces = render_chart(["k", "w"], [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0)], layout)
+        black, white = json.loads("".join(pieces))["patches"]
         assert (black["x"], black["y"], black["L_C"]) == (gamut.white.x, gamut.white.y, 0.0)
         assert delta_e_xyz(Chromaticity.from_xy(white["x"], white["y"]), gamut.white) < 1e-12
         x0, y0 = patch_pixel_origin(layout, 0, 0)
@@ -235,8 +237,9 @@ class TestRenderChart:
 
     def test_render_peak_memory_per_pixel(self):
         # a 1.9 Mpx chart, whose frame is never held: 31 grid row lines, one
-        # 2 MiB deflate block (1.1 B/px) and the 900-patch sidecar measured
-        # 2.17-2.31 B/px in all, against 7.25 for the whole frame it replaced
+        # 2 MiB deflate block (1.1 B/px) and the 900-patch sidecar's pieces
+        # measured 1.75-1.82 B/px in all (2.25-2.63 with one dict a patch and
+        # one json.dumps text), against 7.25 for the whole frame it replaced
         layout = ChartLayout(rows=30, cols=30, patch_px=44, gap_px=2)
         rng = np.random.default_rng(5)
         rgb = rng.random((900, 3))
@@ -251,6 +254,22 @@ class TestRenderChart:
         assert w * h >= 1_000_000
         assert peak <= 3 * w * h
 
+    def test_render_peak_memory_per_patch(self):
+        # 14,641 patches of one pixel, so the sidecar's pieces outweigh the
+        # image: about 710 B a patch (see MAX_CHART_PIXELS), where one dict a
+        # patch and one json.dumps text took about 2,600
+        n = 121 * 121
+        layout = ChartLayout(rows=121, cols=121, patch_px=1, gap_px=0)
+        rgb = np.random.default_rng(7).random((n, 3))
+        names = [f"atlas_{i}" for i in range(n)]
+        tracemalloc.start()
+        try:
+            render_chart(names, rgb, layout)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_000 * n
+
     def test_out_of_range_patch_rejected(self, layout):
         for name, rgb in (("hot", (1.2, 0.0, 0.0)), ("undefined", (0.5, float("nan"), 0.5))):
             # the range check names the patch before any cast can warn
@@ -260,11 +279,11 @@ class TestRenderChart:
                     render_chart([name], [rgb], layout)
 
     def test_linear_escape_hatch(self, layout):
-        png, text = render_chart(["gray"], [(0.25, 0.25, 0.25)], layout, transfer=LINEAR_TRANSFER)
+        png, pieces = render_chart(["gray"], [(0.25, 0.25, 0.25)], layout, transfer=LINEAR_TRANSFER)
         img = decode_png_rgb16(png)
         x0, y0 = patch_pixel_origin(layout, 0, 0)
         assert img[y0, x0, 0] == round(0.25 * 65535)
-        assert json.loads(text)["parameters"]["transfer"] == LINEAR_TRANSFER
+        assert json.loads("".join(pieces))["parameters"]["transfer"] == LINEAR_TRANSFER
 
     def test_metadata_chromaticity_consistent_with_gamut(self, rendered):
         gamut = DisplayGamut()
@@ -298,10 +317,11 @@ class TestRenderChartPatches:
         # slightly negative Z: the chart reads that rounding residue as 0
         assert min(v.min() for v in rows) >= -1e-12 * gamut.white_luminance
         stimuli = [np.where(v < 0, 0.0, v).tolist() for v in rows]
-        png, text = render_chart(names, np.array(rgbs), layout, transfer=transfer, gamut=gamut)
+        png, pieces = render_chart(names, np.array(rgbs), layout, transfer=transfer, gamut=gamut)
         img = decode_png_rgb16(png)
         encode = oetf_bt709 if transfer == BT709_TRANSFER else np.asarray
-        for name, rgb, xyz, p in zip(names, rgbs, stimuli, json.loads(text)["patches"], strict=True):
+        patches = json.loads("".join(pieces))["patches"]
+        for name, rgb, xyz, p in zip(names, rgbs, stimuli, patches, strict=True):
             # a black patch takes the white's chromaticity
             xy = xyz_to_chromaticity(xyz) if sum(xyz) > 0 else gamut.white
             assert (p["name"], p["x"], p["y"]) == (name, xy.x, xy.y)
@@ -319,8 +339,8 @@ class TestRenderChartPatches:
         object.__setattr__(gamut, "rgb_to_xyz", m)
         red = (["red"], [(1.0, 0.0, 0.0)])
         if ok:
-            _, text = render_chart(*red, _grid(1), gamut=gamut)
-            assert json.loads(text)["patches"][0]["x"] == m[0, 0] / (m[0, 0] + m[1, 0])
+            _, pieces = render_chart(*red, _grid(1), gamut=gamut)
+            assert json.loads("".join(pieces))["patches"][0]["x"] == m[0, 0] / (m[0, 0] + m[1, 0])
         else:
             with pytest.raises(ValueError, match="tristimulus components must be"):
                 render_chart(*red, _grid(1), gamut=gamut)
@@ -385,7 +405,7 @@ class TestMetadata:
     def test_file_bytes_stable(self, target_colors, layout, rendered, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         a.write_text(rendered[1], encoding="utf-8")
-        b.write_text(render_chart(*target_colors, layout)[1], encoding="utf-8")
+        b.write_text("".join(render_chart(*target_colors, layout)[1]), encoding="utf-8")
         assert a.read_bytes() == b.read_bytes()
 
     def test_json_is_sorted_and_parseable(self, rendered):
@@ -397,30 +417,80 @@ class TestMetadata:
 
     def test_settings_are_recorded_among_the_parameters(self, target_colors, layout):
         settings = {"illuminant": "e", "observer": "degree10", "la": 80.0, "yb": 30.0, "surround": "dark"}
-        _, text = render_chart(*target_colors, layout, settings=settings)
-        assert json.loads(text)["parameters"].items() >= settings.items()
+        _, pieces = render_chart(*target_colors, layout, settings=settings)
+        assert json.loads("".join(pieces))["parameters"].items() >= settings.items()
 
 
 # names that JSON must escape or, with ensure_ascii=False, pass through
-awkward_name = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u2028é☃𝄞'), st.characters()), max_size=6)
+awkward_name = st.text(
+    st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u2028é☃𝄞\U0001F600\U0010FFFF'), st.characters()), max_size=6
+)
+# channel values whose repr is unusual: a negative zero, the least subnormal
+edge_channel = st.one_of(st.sampled_from([-0.0, 5e-324, 1.0]), channel)
+chart_settings = st.one_of(
+    st.none(), st.just({}),
+    st.dictionaries(awkward_name, st.one_of(awkward_name, st.floats(allow_nan=False), st.integers()),
+                    min_size=1, max_size=3),
+)
+
+
+def json_dumps_sidecar(names, rgb, layout, transfer, gamut, source, settings) -> str:
+    """The sidecar as the dict serializer wrote it: one dict per patch, then
+    one ``json.dumps`` of the whole (the colorimetry is render_chart's)."""
+    rgb = np.asarray(rgb, dtype=float)
+    xyz = (gamut.rgb_to_xyz @ rgb[..., None])[..., 0]
+    xyz[(xyz < 0) & (xyz >= -1e-12 * gamut.white_luminance)] = 0.0
+    total = xyz[:, 0] + xyz[:, 1] + xyz[:, 2]
+    lit = (total > 0)[:, None]
+    white = (gamut.white.x, gamut.white.y)
+    xy = np.where(lit, xyz[:, :2] / np.where(lit, total[:, None], 1.0), white)
+    luminance = xyz[:, 1] / gamut.white_luminance
+    columns = (rgb.tolist(), *xy.T.tolist(), luminance.tolist())
+    patches = [
+        {"name": name, "row": idx // layout.cols, "col": idx % layout.cols, "x": x, "y": y,
+         "L_C": l_c, "rgb_linear": rgb_linear, "source": source}
+        for idx, (name, rgb_linear, x, y, l_c) in enumerate(zip(names, *columns))
+    ]
+    params = {
+        **(settings or {}),
+        "transfer": transfer,
+        "bit_depth": 16,
+        "rows": layout.rows,
+        "cols": layout.cols,
+        "patch_px": layout.patch_px,
+        "gap_px": layout.gap_px,
+        "background_rgb": [0.2, 0.2, 0.2],
+        "gamut_white": [gamut.white.x, gamut.white.y],
+        "white_luminance": gamut.white_luminance,
+    }
+    meta = {"parameters": params, "patches": patches}
+    return json.dumps(meta, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
 class TestOverlappedEncoding:
     @settings(max_examples=60, deadline=None)
     @given(
-        st.lists(st.tuples(awkward_name, good_patch), min_size=1, max_size=9),
+        st.lists(st.tuples(awkward_name, st.tuples(edge_channel, edge_channel, edge_channel)),
+                 min_size=1, max_size=9),
         st.integers(1, 3), st.integers(0, 1), st.integers(1, 4), st.integers(0, 3),
         st.sampled_from(GAMUTS), st.sampled_from([BT709_TRANSFER, LINEAR_TRANSFER]), st.booleans(),
+        st.one_of(st.just("targets"), awkward_name), chart_settings,
     )
     def test_png_and_sidecar_equal_the_public_encoders(
-        self, entries, cols, spare_rows, patch_px, gap_px, gamut, transfer, embed_primaries
+        self, entries, cols, spare_rows, patch_px, gap_px, gamut, transfer, embed_primaries,
+        source, chart_settings,
     ):
         names, rgb = [name for name, _ in entries], np.array([rgb for _, rgb in entries])
         rows = math.ceil(len(entries) / cols) + spare_rows
         layout = ChartLayout(rows=rows, cols=cols, patch_px=patch_px, gap_px=gap_px)
-        png, text = render_chart(
-            names, rgb, layout, transfer=transfer, gamut=gamut, embed_primaries=embed_primaries
+        png, pieces = render_chart(
+            names, rgb, layout, transfer=transfer, gamut=gamut, embed_primaries=embed_primaries,
+            source=source, settings=chart_settings,
         )
+        # a head, one piece per patch and a tail, equal to the dict serializer
+        assert len(pieces) == len(names) + 2 and all(type(piece) is str for piece in pieces)
+        text = "".join(pieces)
+        assert text == json_dumps_sidecar(names, rgb, layout, transfer, gamut, source, chart_settings)
         chrm = None
         if embed_primaries:
             chrm = ((gamut.white.x, gamut.white.y), *((p.x, p.y) for p in gamut.primaries))
@@ -430,6 +500,15 @@ class TestOverlappedEncoding:
         payload = json.loads(text)
         assert text == json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
         assert [p["name"] for p in payload["patches"]] == names
+
+    @pytest.mark.parametrize(
+        "name, source, kind",
+        [(5, "targets", "int"), (None, "targets", "NoneType"), ("p0", b"atlas", "bytes")],
+        ids=["int_name", "none_name", "bytes_source"],
+    )
+    def test_non_string_name_or_source_is_json_type_error(self, layout, name, source, kind):
+        with pytest.raises(TypeError, match=f"^Object of type {kind} is not JSON serializable$"):
+            render_chart([name], [(0.1, 0.2, 0.3)], layout, source=source)
 
     def test_deflate_failure_raises_and_joins_the_worker(self, monkeypatch, target_colors, layout):
         class Compressor:

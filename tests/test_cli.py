@@ -214,11 +214,11 @@ def test_chart_writes_png_and_sidecar(tmp_path):
     names, rgb = [t.name for t in targets], [t.rgb_weights for t in targets]
     # the CLI's default session settings
     settings = {"illuminant": "d65", "observer": "degree2", "la": 50.0, "yb": 20.0, "surround": "average"}
-    png, text = render_chart(
+    png, pieces = render_chart(
         names, rgb, ChartLayout(rows=4, cols=4, patch_px=16, gap_px=2), settings=settings
     )
     assert out.read_bytes() == png
-    assert sidecar.read_bytes() == text.encode("utf-8")
+    assert sidecar.read_bytes() == "".join(pieces).encode("utf-8")
 
 
 def test_chart_from_matched_set(tmp_path):
@@ -394,6 +394,7 @@ def test_chart_takes_one_source(tmp_path, capsys):
     assert exc.value.code == 2
     assert "not allowed with argument" in capsys.readouterr().err
     assert not (tmp_path / "c.png").exists()
+    assert not (tmp_path / "c.png.meta.json").exists()
 
 
 @pytest.mark.parametrize("source", [[], ["--from-atlas", "a.csv"]], ids=["targets", "atlas"])
@@ -451,6 +452,7 @@ def test_chart_from_malformed_atlas_is_domain_error(tmp_path, capsys, text, line
     assert err.startswith(f"error: {acsv}: line {line}: ")
     assert err.count("\n") == 1
     assert not (tmp_path / "c.png").exists()
+    assert not (tmp_path / "c.png.meta.json").exists()
 
 
 def test_chart_from_atlas_renders_black_row(tmp_path):
@@ -622,6 +624,7 @@ def test_chart_checks_config_d(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+    assert not (tmp_path / "c.png.meta.json").exists()
 
 
 def test_missing_config_is_domain_error(capsys):
