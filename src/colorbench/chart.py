@@ -43,9 +43,10 @@ _PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 # for 1 px patches with no gaps) and one deflate block.  The sidecar grows with
 # the patches instead: its piece of a patch is about 310 characters (360 B as
 # an ASCII str, 8 B more in the list), and while the pieces are built each
-# patch's six Python floats and their lists (about 260 B) and its numpy columns
-# (about 80 B) are alive too.  That is about 710 B a patch, measured at 3,767
-# to 60,000 patches; a test holds it to 1,000 B
+# patch's numpy columns (about 80 B) are alive too; its six Python floats and
+# their lists (about 260 B) are, for one block of _PIECE_BLOCK_PATCHES patches.
+# That is about 450-500 B a patch, measured at 3,721 to 60,025 patches; a test
+# holds it to 600 B
 MAX_CHART_PIXELS = 4096 * 2160
 # the deflate reads the image in blocks of whole rows of at most this many
 # bytes (at least one row).  Each block is one compress call, after which the
@@ -54,6 +55,9 @@ MAX_CHART_PIXELS = 4096 * 2160
 # few.  2 MiB makes about 6 of a 2 Mpx chart's 12 MB and 26 of a
 # MAX_CHART_PIXELS chart's, while the block stays a sixth of a 2 Mpx frame
 _DEFLATE_BLOCK_BYTES = 2 * 1024 * 1024
+# the sidecar's pieces are formatted from Python floats, converted from the
+# patches' columns this many patches at a time
+_PIECE_BLOCK_PATCHES = 1024
 _BACKGROUND_RGB = (0.2, 0.2, 0.2)  # linear RGB of the gaps between patches
 # one patch as ``json.dumps(..., indent=2, sort_keys=True, ensure_ascii=False)``
 # writes it at the depth of the sidecar's patch list, comma included: keys in
@@ -300,12 +304,15 @@ def render_chart(
         # newline inside a string, so each "\n" starts a line
         params_text = json.dumps(params, indent=2, sort_keys=True, ensure_ascii=False)
         pieces = ['{\n  "parameters": %s,\n  "patches": [\n' % params_text.replace("\n", "\n  ")]
-        label, cols = _json_str(source), layout.cols
-        columns = (rgb.tolist(), *xy.T.tolist(), luminance.tolist())
-        pieces += [
-            _PATCH % (l_c, idx % cols, _json_str(name), *rgb_linear, idx // cols, label, x, y)
-            for idx, (name, rgb_linear, x, y, l_c) in enumerate(zip(names, *columns))
-        ]
+        label, cols, name_of = _json_str(source), layout.cols, iter(names)
+        for a in range(0, len(rgb), _PIECE_BLOCK_PATCHES):
+            b = a + _PIECE_BLOCK_PATCHES
+            columns = (rgb[a:b].tolist(), *xy[a:b].T.tolist(), luminance[a:b].tolist())
+            # the names come last: zip ends with the block's floats, before it takes a name
+            pieces += [
+                _PATCH % (l_c, idx % cols, _json_str(name), *rgb_linear, idx // cols, label, x, y)
+                for idx, (rgb_linear, x, y, l_c, name) in enumerate(zip(*columns, name_of), a)
+            ]
         pieces[-1] = pieces[-1][:-2] + "\n"  # no comma after the last patch
         pieces.append("  ]\n}\n")
         return deflated.result(), pieces

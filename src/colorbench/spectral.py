@@ -8,10 +8,11 @@ reflector scores Y = 100 under the chosen illuminant.  One stimulus is an
 from __future__ import annotations
 
 import math
+import re
 import stat
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import compress
+from functools import lru_cache, partial
+from itertools import chain, compress, starmap
 from pathlib import Path
 from typing import NamedTuple
 
@@ -37,7 +38,9 @@ _GRID = np.arange(GRID_START_NM, GRID_STOP_NM + 1, GRID_STEP_NM, dtype=float)
 _GRID.flags.writeable = False
 _FLOAT64 = np.dtype(float)
 
-# the largest file written and read back: an atlas CSV of MAX_ATLAS_CANDIDATES rows of 182 B, 46 MB
+# the largest file written and read back: an atlas CSV of MAX_ATLAS_CANDIDATES rows of 182 B, 46 MB.
+# A load of a 64 MiB database peaks at 128 MiB (tracemalloc), the file's bytes and its text,
+# in either layout; read_csv's parse after that holds about 1.9x the file size
 MAX_INPUT_BYTES = 64 * 2**20
 
 
@@ -153,14 +156,43 @@ def _read_text(path) -> str:
 
 
 class CsvTable(NamedTuple):
-    """Rows read by ``read_csv``, with the file line and id (if any) of each."""
+    """Rows read by ``read_csv``, with the file line and id (if any) of each.
+    ``lines`` is a ``range`` if no blank line was skipped, else a list."""
 
     path: Path
     header_line: int
-    lines: list[int]
+    lines: range | list[int]
     ids: list[str]
     values: np.ndarray
     columns: np.ndarray | None  # the numbers that end a numeric-columns header
+
+
+# the line ends of str.splitlines, "\r\n" first so that it is never split
+_LINE_END = re.compile("\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+# a body is parsed in blocks of whole lines of about this many characters:
+# numpy's reader runs on a few large blocks, and a load holds the per-line
+# strings of one block, not of the whole file
+_BLOCK_CHARS = 128 * 1024
+
+
+def _line_blocks(text: str):
+    """``(n, lines)`` for each block of ``text``: its lines as ``str.splitlines``
+    cuts them, and the number of lines before it.  Each block ends at the first
+    line end at or past ``size`` characters."""
+    # the fewest blocks of _BLOCK_CHARS, all of one size: a text a little over
+    # one block makes two halves, not a block and a scrap
+    count = max(1, -(-len(text) // _BLOCK_CHARS))
+    size = -(-len(text) // count)
+    n = pos = 0
+    while pos < len(text):
+        end = _LINE_END.search(text, pos + size - 1)
+        end = end.end() if end else len(text)
+        lines = text[pos:end].splitlines()
+        if end == len(text):  # the last block: the text is no longer needed
+            text = ""
+        yield n, lines
+        n, pos = n + len(lines), end
+        del lines  # before the next block is cut
 
 
 def read_csv(path, header: str, numeric_columns: bool = False) -> CsvTable:
@@ -173,35 +205,65 @@ def read_csv(path, header: str, numeric_columns: bool = False) -> CsvTable:
     has the header's field count, at least one row follows the header, and every
     error names its line.  numpy's C parser reads the numbers: what ``float``
     reads of ASCII text without '_'.
+
+    The lines are parsed in blocks of about ``_BLOCK_CHARS`` characters, so a
+    load holds the text, the numbers, the ids (one string per distinct id in a
+    block) and the lines of one block.  The table's ``lines`` is a ``range``,
+    or a list if a blank line was skipped.
     """
     path = Path(path)
-    lines = _read_text(path).splitlines()
-    first = next((n for n, line in enumerate(lines) if not line.startswith("#")), len(lines))
+    blocks = _line_blocks(_read_text(path))
+    n, lines, first = 0, [], 0
+    for n, lines in blocks:
+        first = next((k for k, line in enumerate(lines) if not line.startswith("#")), len(lines))
+        if first < len(lines):
+            break
+    header_line = n + first + 1
     expected = header + ",<wavelength>,..." * numeric_columns
     if first == len(lines):
-        raise line_error(path, first + 1, f"empty file, expected header {expected!r}")
+        raise line_error(path, header_line, f"empty file, expected header {expected!r}")
     names, fields = header.split(","), [f.strip() for f in lines[first].split(",")]
     if fields[: len(names)] != names or (len(fields) > len(names)) != numeric_columns:
-        raise line_error(path, first + 1, f"expected header {expected!r}")
+        raise line_error(path, header_line, f"expected header {expected!r}")
     width, skip = len(fields), int(names[0] == "id")
     # the numbers of a numeric-columns header parse as a first row
     start = first + 1 - numeric_columns
-    rows, body = list(range(start + 1, len(lines) + 1)), lines[start:]
-    if not all(map(str.strip, body)):  # blank lines are skipped
-        keep = list(map(str.strip, body))
-        rows, body = list(compress(rows, keep)), list(compress(body, keep))
-    try:
-        ids, values = _parse_body(body, width, skip)
-    except ValueError:
-        _raise_first_bad_line(path, rows, body, width, skip)
-        raise
+    # the header's block, then the others.  Through iter() the chain lets go of
+    # the header's block once it is parsed, as the loop does of every other
+    body = chain(iter([(n + start, lines[start:])]), blocks)
+    del lines
+    parsed = starmap(partial(_parse_lines, path, width, skip), body)
+    ends, rows, ids, values = zip(*parsed)  # one tuple of each, with an item per block
+    values = values[0] if len(values) == 1 else np.concatenate(values)
+    ids = list(chain.from_iterable(ids))
+    if all(type(block) is range for block in rows):
+        rows = range(rows[0].start, rows[-1].stop)
+    else:
+        rows = list(chain.from_iterable(rows))
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         raise line_error(path, rows[int(np.argmin(finite))], "numbers must be finite")
     if len(rows) == numeric_columns:
-        raise line_error(path, len(lines) + 1, "expected at least one row after the header")
+        raise line_error(path, ends[-1] + 1, "expected at least one row after the header")
     k = int(numeric_columns)
-    return CsvTable(path, first + 1, rows[k:], ids[k:], values[k:], values[0] if k else None)
+    return CsvTable(path, header_line, rows[k:], ids[k:], values[k:], values[0] if k else None)
+
+
+def _parse_lines(path, width: int, skip: int, n: int, lines: list[str]):
+    """``(end, rows, ids, values)`` of ``lines``, the file's lines ``n + 1`` to
+    ``end``: the line of each row that is not blank, and its id and numbers
+    (see ``_parse_body``)."""
+    end = n + len(lines)
+    rows = range(n + 1, end + 1)
+    if not all(map(str.strip, lines)):  # blank lines are skipped
+        keep = list(map(str.strip, lines))
+        rows, lines = list(compress(rows, keep)), list(compress(lines, keep))
+    try:
+        heads, values = _parse_body(lines, width, skip)
+    except ValueError:
+        _raise_first_bad_line(path, rows, lines, width, skip)
+        raise
+    return end, rows, heads, values
 
 
 def _parse_body(body: list[str], width: int, skip: int) -> tuple[list[str], np.ndarray]:
@@ -211,10 +273,14 @@ def _parse_body(body: list[str], width: int, skip: int) -> tuple[list[str], np.n
     if not body:
         return [], np.empty((0, width - skip))
     heads = [line.partition(",")[0] for line in body] if skip else []
+    heads = list(map({}.setdefault, heads, heads))  # one string per distinct id
     text, id_text = "\n".join(body), "".join(heads)
     # no number may hold '_' (float() reads '0_5'), non-ASCII (an extra UTF-8 byte) or '\x1f'
     # (numpy strips it, float() does not); ids may, so the counts in ids and text must match
-    strays = [t.count("_") + t.count("\x1f") + len(t.encode()) - len(t) for t in (id_text, text)]
+    strays = [
+        t.count("_") + t.count("\x1f") + (0 if t.isascii() else len(t.encode()) - len(t))
+        for t in (id_text, text)
+    ]
     # loadtxt raises on too few fields, so the comma total rules out more (usecols drops them)
     if strays[0] != strays[1] or text.count(",") != len(body) * (width - 1):
         raise ValueError("a number holds '_', '\\x1f' or non-ASCII, or a field count is wrong")

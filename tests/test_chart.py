@@ -256,8 +256,9 @@ class TestRenderChart:
 
     def test_render_peak_memory_per_patch(self):
         # 14,641 patches of one pixel, so the sidecar's pieces outweigh the
-        # image: about 710 B a patch (see MAX_CHART_PIXELS), where one dict a
-        # patch and one json.dumps text took about 2,600
+        # image: about 460 B a patch (see MAX_CHART_PIXELS).  Holding every
+        # patch's Python floats at once takes about 710, and one dict a patch
+        # and one json.dumps text about 2,600
         n = 121 * 121
         layout = ChartLayout(rows=121, cols=121, patch_px=1, gap_px=0)
         rgb = np.random.default_rng(7).random((n, 3))
@@ -268,7 +269,7 @@ class TestRenderChart:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1_000 * n
+        assert peak <= 600 * n
 
     def test_out_of_range_patch_rejected(self, layout):
         for name, rgb in (("hot", (1.2, 0.0, 0.0)), ("undefined", (0.5, float("nan"), 0.5))):
@@ -500,6 +501,18 @@ class TestOverlappedEncoding:
         payload = json.loads(text)
         assert text == json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
         assert [p["name"] for p in payload["patches"]] == names
+
+    @pytest.mark.parametrize("block", [1, 2, 4, 9])
+    def test_sidecar_in_blocks_of_patches_equals_the_dict_serializer(self, monkeypatch, block):
+        # nine patches in blocks of floats that divide them or leave a short last block
+        monkeypatch.setattr(chart, "_PIECE_BLOCK_PATCHES", block)
+        names = tuple(f"p{k}" for k in range(9))
+        rgb = np.random.default_rng(block).random((9, 3))
+        layout = ChartLayout(rows=3, cols=4, patch_px=2, gap_px=1)
+        _, pieces = render_chart(names, rgb, layout, source="atlas")
+        assert len(pieces) == len(names) + 2
+        expected = json_dumps_sidecar(names, rgb, layout, BT709_TRANSFER, DisplayGamut(), "atlas", None)
+        assert "".join(pieces) == expected
 
     @pytest.mark.parametrize(
         "name, source, kind",

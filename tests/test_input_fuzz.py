@@ -3,11 +3,13 @@ outcome is a result, one ``error:`` line or a usage error, never a
 traceback."""
 import json
 import re
+import shutil
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from colorbench import ATLAS_CSV_HEADER
+from colorbench import ATLAS_CSV_HEADER, spectral
 from colorbench.cli import run
 
 VALID = {
@@ -90,6 +92,29 @@ def test_mutated_files_fail_cleanly(tmp_path, capsys, kind, data):
     line = r"(line \d+: )?" if kind == "spectrum" else r"line \d+: "
     file_error = rf"error: {re.escape(str(path))}: {line}[^\n]+\n"
     assert err == "" or re.fullmatch(file_error, err), err
+
+
+@pytest.mark.parametrize("block_chars", [1, 7, 64])
+@pytest.mark.parametrize("kind", list(VALID))
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_mutated_files_read_alike_in_small_blocks(tmp_path, capsys, kind, block_chars, data):
+    # read in blocks of a few characters, every file gives the same exit code,
+    # output text and output files as in blocks of the default size
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(mutate(VALID[kind], data.draw))
+    out = tmp_path / "out" / "result"
+    outcomes = []
+    for size in (spectral._BLOCK_CHARS, block_chars):
+        shutil.rmtree(out.parent, ignore_errors=True)
+        out.parent.mkdir()
+        with mock.patch.object(spectral, "_BLOCK_CHARS", size):
+            code = run([*COMMANDS[kind], str(path), "--out", str(out)])
+        files = {p.name: p.read_bytes() for p in out.parent.iterdir()}
+        outcomes.append((code, capsys.readouterr(), files))
+    assert outcomes[0] == outcomes[1]
 
 
 # number spellings for the numeric settings: zero, negative, subnormal, huge,

@@ -26,6 +26,7 @@ from colorbench import (
     to_working_grid,
     xyz_to_chromaticity,
 )
+from colorbench import spectral
 from colorbench.spectradb import LONG_CSV, WIDE_CSV, MatchResult, SpectraTable
 from colorbench.spectral import _xyz_distance
 from colorbench.targets import REC709_PRIMARIES, point_in_triangle
@@ -172,6 +173,43 @@ class TestLoadDatabase:
         assert spaced.xyz.tolist() == plain.xyz.tolist()
         assert spaced.chromaticity.tolist() == plain.chromaticity.tolist()
 
+    @pytest.mark.parametrize("block_chars", [1, 7, 64, None])
+    def test_record_straddling_blocks_is_one_record(self, tmp_path, monkeypatch, block_chars):
+        rows = [f"{rid},{w},0.{w // 100}" for rid in ("a", "b") for w in (400, 500, 600)]
+        p = tmp_path / "db.csv"
+        p.write_text("\r\n".join(["id,wavelength_nm,value", *rows]) + "\r\n")
+        one_block = load_database(p, LONG_CSV)
+        text = p.read_bytes().decode()
+        # None: the first block's end is sought from inside the "\r\n" of a's second row
+        size = text.index("a,500") + len("a,500,0.5\r") + 1 if block_chars is None else block_chars
+        monkeypatch.setattr(spectral, "_BLOCK_CHARS", size)
+        blocks = [lines for _, lines in spectral._line_blocks(text)]
+        # some record's rows end one block and start the next
+        assert any(a[-1][:2] == b[0][:2] for a, b in zip(blocks, blocks[1:]))
+        table = load_database(p, LONG_CSV)
+        assert table.ids == one_block.ids == ("a", "b")
+        assert table.xyz.tobytes() == one_block.xyz.tobytes()
+        assert list(spectral.read_csv(p, "id,wavelength_nm,value").lines) == list(range(2, 8))
+
+    @pytest.mark.parametrize("block_chars", [1, 7, 64, 2**17])
+    @pytest.mark.parametrize(
+        "fmt, text, line",
+        [
+            (LONG_CSV, "id,wavelength_nm,value\n\n  \n\t\r\n", 5),
+            (LONG_CSV, "# c\r\nid,wavelength_nm,value\r\n\r\n\r\n", 5),
+            (WIDE_CSV, "id,400,500\n\n\n", 4),
+        ],
+    )
+    def test_all_blank_body_names_the_line_after_the_file(
+        self, tmp_path, monkeypatch, block_chars, fmt, text, line
+    ):
+        monkeypatch.setattr(spectral, "_BLOCK_CHARS", block_chars)
+        p = tmp_path / "db.csv"
+        p.write_text(text, newline="")
+        message = f"^{re.escape(str(p))}: line {line}: expected at least one row after the header$"
+        with pytest.raises(ValueError, match=message):
+            load_database(p, fmt)
+
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="format"):
             load_database(DATA / "fixture_wide.csv", "tall_csv")
@@ -222,9 +260,12 @@ _BENCH_DATABASES = {
     WIDE_CSV: [((380, 780, 5), 420), ((400, 700, 10), 440), ((360, 720, 1), 220)],
     LONG_CSV: [((380, 780, 5), 220), ((400, 700, 10), 310), ((360, 720, 1), 70)],
 }
-# warm tracemalloc peak over file size: 3.14-3.80 wide and 9.90-10.18 long
-# on the benchmark's databases at seeds 1-3, so the bounds are about 1.3x that
-_PEAK_PER_BYTE = {WIDE_CSV: 5.0, LONG_CSV: 13.5}
+# warm tracemalloc peak over file size on the benchmark's databases at seeds
+# 1-3: 2.20-3.74 wide (the top is a file of one block, whose lines are all
+# held) and 2.67-4.21 long (the top is a file of two blocks), so the bounds are
+# about 1.3x that.  Holding a string for every line of the file at once takes
+# 3.14-3.80 wide and 9.90-10.18 long
+_PEAK_PER_BYTE = {WIDE_CSV: 4.9, LONG_CSV: 5.5}
 
 
 @pytest.mark.parametrize("fmt", [WIDE_CSV, LONG_CSV])

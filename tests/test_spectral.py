@@ -717,7 +717,8 @@ def csv_texts(draw, number):
             fields.insert(0, draw(row_id))
         lines.append(",".join(fields))
         lines.extend(draw(st.lists(gap_line, max_size=1)))
-    return kind, "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"])), rows
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return kind, end.join(lines) + draw(st.sampled_from(["", "\n", "\r\n"])), rows
 
 
 def _outcome(read, path, kind):
@@ -728,7 +729,7 @@ def _outcome(read, path, kind):
         return str(exc)
     values = table.values.tobytes(), table.values.shape
     columns = None if table.columns is None else table.columns.tobytes()
-    return table.header_line, table.lines, table.ids, values, columns
+    return table.header_line, list(table.lines), table.ids, values, columns
 
 
 def float_parse_body(body, width, skip):
@@ -811,7 +812,8 @@ def _bits(path, header, numeric_columns):
     except ValueError as exc:
         return str(exc)
     columns = None if table.columns is None else table.columns.view(np.int64).tolist()
-    return table.lines, table.ids, table.values.shape, table.values.view(np.int64).tolist(), columns
+    values = table.values.view(np.int64).tolist()
+    return list(table.lines), table.ids, table.values.shape, values, columns
 
 
 class TestReadCsv:
@@ -886,7 +888,7 @@ class TestReadCsv:
         p = self.write(tmp_path, "id,400,500\nr1,0.1,0.2\n")
         table = read_csv(p, "id", numeric_columns=True)
         assert table.columns.tolist() == [400.0, 500.0]
-        assert table.lines == [2] and table.ids == ["r1"]
+        assert list(table.lines) == [2] and table.ids == ["r1"]
         assert table.values.tolist() == [[0.1, 0.2]]
 
     @pytest.mark.parametrize(
@@ -976,3 +978,43 @@ class TestReadCsv:
         with pytest.raises(ValueError, match="line 3: samples must be non-negative"):
             check_samples(read_csv(p, "id", numeric_columns=True))
 
+    def test_lines_are_a_range_unless_a_line_was_skipped(self, tmp_path):
+        p = self.write(tmp_path, "x,y\n1,2\n3,4\n")
+        assert read_csv(p, "x,y").lines == range(2, 4)
+        p.write_text("x,y\n1,2\n\n3,4\n")
+        assert read_csv(p, "x,y").lines == [2, 4]
+
+
+@pytest.mark.parametrize("block_chars", [1, 7, 64])
+class TestReadCsvInSmallBlocks(TestReadCsv):
+    """Every ``read_csv`` test again, with blocks of a few characters: block
+    ends then fall inside comments, blank runs and ``\\r\\n``."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch, block_chars):
+        monkeypatch.setattr(spectral, "_BLOCK_CHARS", block_chars)
+
+
+def test_equal_ids_in_a_block_are_one_string(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("id,w,v\n" + "".join(f"{r},{w},1\n" for r in "ab" for w in (400, 500)))
+    ids = read_csv(p, "id,w,v").ids
+    assert ids == ["a", "a", "b", "b"]
+    assert ids[0] is ids[1] and ids[2] is ids[3]
+
+
+# text with every line end of str.splitlines, "\r\n" included, among other characters
+line_text = st.lists(
+    st.sampled_from(["a", ",", "#", " ", "\r\n", "\n", "\r", "\v", "\f", "\x1c", "\x1d",
+                     "\x1e", "\x1f", "\x85", "\u2028", "\u2029", "\u00e9"])
+).map("".join)
+
+
+@settings(max_examples=300)
+@given(line_text, st.integers(1, 12))
+def test_line_blocks_cut_as_splitlines(text, block_chars):
+    with mock.patch.object(spectral, "_BLOCK_CHARS", block_chars):
+        blocks = list(spectral._line_blocks(text))
+    assert [line for _, lines in blocks for line in lines] == text.splitlines()
+    assert [n for n, _ in blocks] == [sum(len(b) for _, b in blocks[:k]) for k in range(len(blocks))]
+    assert all(lines for _, lines in blocks)
