@@ -38,6 +38,7 @@ from .spectral import (
     Chromaticity,
     ObserverTables,
     SpectralDistribution,
+    _built_spectrum,
     _xyz_distance,
     delta_e_xyz,
     load_illuminant,
@@ -128,7 +129,9 @@ def synthesize(params: OptimalSpectrumParams) -> SpectralDistribution:
     (clamped to 1).  The last bin, 720 nm, is full in a band stop and in a
     band pass reaching 720 nm; a band pass that ends in [719, 720] fills it
     by lambda2 - 719, so a cut at the end of the spectrum covers the last
-    sample completely.
+    sample completely.  The spectrum is not checked again: ``params`` has
+    checked the cuts and K, so every sample is a coverage in [0, 1] times a
+    finite K >= 0.
     """
     l1, l2 = params.lambda1_nm, params.lambda2_nm
     s1, s2 = math.floor(l1), math.floor(l2)
@@ -153,7 +156,7 @@ def synthesize(params: OptimalSpectrumParams) -> SpectralDistribution:
             values[i2] = (s2 + 1) - l2
     if params.K != 1.0:
         values *= params.K
-    return SpectralDistribution(values)
+    return _built_spectrum(values)
 
 
 def rectangle_chromaticity(

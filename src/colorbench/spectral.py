@@ -47,7 +47,10 @@ MAX_INPUT_BYTES = 64 * 2**20
 @dataclass(frozen=True, eq=False)
 class SpectralDistribution:
     """Non-negative spectral samples on the working grid, one per grid
-    wavelength from ``GRID_START_NM`` to ``GRID_STOP_NM``."""
+    wavelength from ``GRID_START_NM`` to ``GRID_STOP_NM``.
+
+    The constructor checks every sample; the one unchecked wrap is
+    ``_built_spectrum``, for samples built finite and non-negative by construction."""
 
     values: np.ndarray
 
@@ -68,6 +71,16 @@ class SpectralDistribution:
             raise ValueError("spectral samples must be finite")
         if lo < 0:
             raise ValueError("spectral samples must be non-negative")
+
+
+def _built_spectrum(values: np.ndarray) -> SpectralDistribution:
+    """``values`` as a SpectralDistribution without the constructor's checks.
+
+    The caller guarantees what the constructor would check: a float64 array of
+    shape ``(GRID_COUNT,)``, every sample finite and non-negative."""
+    spd = object.__new__(SpectralDistribution)
+    object.__setattr__(spd, "values", values)
+    return spd
 
 
 def to_working_grid(wavelengths, values) -> SpectralDistribution:

@@ -1,5 +1,6 @@
 import contextlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from colorbench.spectral import (
     GRID_COUNT,
     GRID_START_NM,
     GRID_STOP_NM,
+    SpectralDistribution,
     load_illuminant,
     load_observer,
     raw_tristimulus,
@@ -101,6 +103,8 @@ close_cuts = st.one_of(
     st.tuples(st.floats(719.0, 720.0), st.floats(719.0, 720.0)),
 )
 amplitude = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 3.0))
+# amplitudes up to the largest float, for tests that integrate nothing
+huge_amplitude = st.one_of(amplitude, st.sampled_from([1e300, sys.float_info.max]))
 
 
 class TestParams:
@@ -169,13 +173,17 @@ class TestSynthesize:
     @given(
         st.sampled_from([BAND_PASS, BAND_STOP]),
         st.one_of(st.tuples(cut_nm, cut_nm), close_cuts),
-        amplitude,
+        huge_amplitude,
     )
     @settings(max_examples=600, deadline=None)
     def test_matches_reference_coverage_bit_for_bit(self, genus, cuts, k):
         l1, l2 = sorted(cuts)
         got = synthesize(OptimalSpectrumParams(genus, l1, l2, k)).values
         assert got.tobytes() == reference_synthesize(genus, l1, l2, k).tobytes()
+        # synthesize skips the constructor's checks, so its samples must pass them
+        assert got.dtype == np.float64 and got.shape == (GRID_COUNT,)
+        assert np.isfinite(got).all() and got.min() >= 0.0
+        SpectralDistribution(got)
 
     @given(st.floats(400.0, 500.0), st.floats(550.0, 650.0), st.floats(0.01, 4.0))
     @settings(max_examples=40, deadline=None)
@@ -334,6 +342,48 @@ class TestAutoGenusChoice:
         band_pass, band_stop = lattice_minima(white)
         assert band_pass == band_stop < 1e-15
         assert solve_optimal(white, "auto").params.genus == BAND_PASS
+
+    # exact targets: at 5 decimals the second one converges
+    @pytest.mark.xfail(
+        strict=True,
+        reason="narrow band-stop miss: the 1 nm lattice holds no stop band under 1 nm wide, "
+        "so the seed lands about 10 nm off and Nelder-Mead stalls at a delta E of 5.6e-5 "
+        "and 1.5e-5, although band stops within 7.2e-6 exist",
+    )
+    @pytest.mark.parametrize(
+        "xy",
+        [(0.3135151902321221, 0.33071829745656656), (0.31366084833403796, 0.3310044455038143)],
+    )
+    def test_near_white_narrow_band_stop_converges(self, xy):
+        assert solve_optimal(Chromaticity.from_xy(*xy), "auto").converged
+
+
+class TestSynthesizeCalls:
+    """The benchmark's trace check needs at least one ``synthesize`` call per
+    Nelder-Mead iteration of a solve."""
+
+    @pytest.mark.parametrize(
+        "target, genus",
+        [
+            (target_from_weights((0.0, 1.0, 0.0)).chromaticity, BAND_PASS),  # G: converges
+            (target_from_weights((0.5, 0.5, 0.0)).chromaticity, BAND_PASS),  # Ye: restarts
+            (Chromaticity.from_xy(0.31562650669408016, 0.3362552415462823), "auto"),  # fallback
+        ],
+    )
+    def test_at_least_one_call_per_iteration(self, monkeypatch, target, genus):
+        calls = 0
+        real_synthesize = optimal.synthesize
+
+        def counting(params):
+            nonlocal calls
+            calls += 1
+            return real_synthesize(params)
+
+        monkeypatch.setattr(optimal, "synthesize", counting)
+        report = solve_optimal(target, genus)
+        # one call per evaluation, except those clamped out of order (inf without a
+        # spectrum), plus one per Nelder-Mead run for the reported delta E
+        assert report.iterations <= calls <= report.evaluations + report.restarts + 2
 
 
 class TestScaleToLuminance:
