@@ -97,9 +97,9 @@ class RunConfig:
     def display_gamut(self, white_luminance: float = 100.0) -> DisplayGamut:
         if self.primaries is None:
             return DisplayGamut(white_luminance=white_luminance)
-        parts = [float(v) for v in self.primaries.split(",")]
-        if len(parts) != 6:
-            raise ValueError("--primaries must be six numbers: rx,ry,gx,gy,bx,by")
+        parts = _parse_numbers(
+            self.primaries, 6, "--primaries must be six numbers: rx,ry,gx,gy,bx,by"
+        )
         prim = tuple(Chromaticity.from_xy(parts[i], parts[i + 1]) for i in (0, 2, 4))
         return DisplayGamut(primaries=prim, white_luminance=white_luminance)
 
@@ -112,11 +112,16 @@ def _sig6(value: float) -> str:
     return f"{value:.6g}"
 
 
-def _parse_pair(text: str, what: str) -> tuple[float, float]:
+def _parse_numbers(text: str, count: int, message: str) -> list[float]:
+    """The ``count`` comma-separated numbers of a flag's value, or a
+    ValueError with ``message`` when there are more, fewer or a non-number."""
     parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"{what} must be two comma-separated numbers, got {text!r}")
-    return float(parts[0]), float(parts[1])
+    if len(parts) == count:
+        try:
+            return [float(v) for v in parts]
+        except ValueError:
+            pass
+    raise ValueError(message)
 
 
 def _emit(text: str, out: str | None, cfg: RunConfig) -> None:
@@ -141,7 +146,9 @@ def _report_dict(name, report):
 
 
 def _cmd_solve_optimal(cfg: RunConfig, args) -> int:
-    x, y = _parse_pair(args.target, "--target")
+    x, y = _parse_numbers(
+        args.target, 2, f"--target must be two comma-separated numbers, got {args.target!r}"
+    )
     target = Chromaticity.from_xy(x, y)
     illuminant = cfg.resolve_illuminant()
     obs = cfg.resolve_observer()

@@ -95,9 +95,10 @@ class OptimalSpectrumParams:
 class SolveReport:
     """Outcome of a cut-wavelength solve.
 
-    ``iterations``, ``evaluations`` (objective calls) and ``restarts`` count
-    every Nelder-Mead run of the solve, for both genera when an automatic
-    genus choice fell back to the second one.  ``lattice_delta_e`` is the
+    ``iterations`` and ``evaluations`` (objective calls) sum over every
+    Nelder-Mead run of the solve, for both genera when an automatic genus
+    choice fell back to the second one; ``restarts`` counts the runs after
+    the first of each genus solved.  ``lattice_delta_e`` is the
     smallest distance to the target over the whole-nanometre rectangles of
     the reported genus: a value well above the tolerance shows the target
     is out of that genus's reach.
@@ -246,15 +247,6 @@ def _lattice_seed(
     )
 
 
-def _genus_seeds(
-    target: Chromaticity, illuminant: SpectralDistribution, obs: ObserverTables
-) -> list[tuple[str, _Seed]]:
-    """Both genera with their lattice seeds, the lower lattice minimum
-    first (band_pass on a tie)."""
-    seeds = [(genus, _lattice_seed(genus, target, illuminant, obs)) for genus in _GENERA]
-    return sorted(seeds, key=lambda item: item[1].delta_e)
-
-
 def _seed_simplex(l1: float, l2: float) -> list[tuple[float, float]]:
     """A 1 nm simplex at the seed that widens the band where the grid allows."""
     d1 = -1.0 if l1 > GRID_START_NM else 1.0
@@ -354,7 +346,10 @@ def _solve_genus(
     tolerance: float,
     illuminant: SpectralDistribution,
     obs: ObserverTables,
-) -> SolveReport:
+) -> list[tuple[_NelderMeadResult, OptimalSpectrumParams, float]]:
+    """The Nelder-Mead runs of one genus as ``(result, params, delta_e)``:
+    the polish from ``seed``, then, if it misses ``tolerance``, a restart
+    from its best point."""
     tgt = (target.x, target.y, target.z)
 
     def objective(lam: tuple[float, float]) -> float:
@@ -383,16 +378,7 @@ def _solve_genus(
     first, _, first_delta_e = runs[0]
     if first_delta_e > tolerance:
         runs.append(polish(np.clip(first.x, GRID_START_NM, GRID_STOP_NM)))
-    _, params, achieved = min(runs, key=lambda run: run[2])
-    return SolveReport(
-        params,
-        achieved,
-        iterations=sum(int(r.nit) for r, _, _ in runs),
-        converged=achieved <= tolerance,
-        evaluations=sum(int(r.nfev) for r, _, _ in runs),
-        restarts=len(runs) - 1,
-        lattice_delta_e=seed.delta_e,
-    )
+    return runs
 
 
 def solve_optimal(
@@ -412,7 +398,8 @@ def solve_optimal(
 
     ``genus="auto"`` solves the genus with the lower lattice minimum first
     (band_pass on a tie); if that misses the tolerance it solves the other
-    genus too and reports the closer result.
+    genus too.  The report gives the first run with the smallest distance
+    over every run made.
     """
     if genus not in (*_GENERA, AUTO_GENUS):
         raise ValueError(f"genus must be one of {(*_GENERA, AUTO_GENUS)}, got {genus!r}")
@@ -420,23 +407,22 @@ def solve_optimal(
         raise ValueError("tolerance must be finite and positive")
     illuminant = illuminant if illuminant is not None else load_illuminant("D65")
     obs = obs if obs is not None else load_observer(OBSERVER_2DEG)
-
-    def solve(g: str, seed: _Seed) -> SolveReport:
-        return _solve_genus(g, seed, target, tolerance, illuminant, obs)
-
-    if genus != AUTO_GENUS:
-        return solve(genus, _lattice_seed(genus, target, illuminant, obs))
-    (first_genus, first_seed), (second_genus, second_seed) = _genus_seeds(target, illuminant, obs)
-    first = solve(first_genus, first_seed)
-    if first.converged:
-        return first
-    second = solve(second_genus, second_seed)
-    best = second if second.achieved_delta_e < first.achieved_delta_e else first
-    return replace(
-        best,
-        iterations=first.iterations + second.iterations,
-        evaluations=first.evaluations + second.evaluations,
-        restarts=first.restarts + second.restarts,
+    genera = _GENERA if genus == AUTO_GENUS else (genus,)
+    seeds = {g: _lattice_seed(g, target, illuminant, obs) for g in genera}
+    runs = []
+    for solved, g in enumerate(sorted(seeds, key=lambda k: seeds[k].delta_e), 1):
+        runs += _solve_genus(g, seeds[g], target, tolerance, illuminant, obs)
+        _, params, achieved = min(runs, key=lambda run: run[2])
+        if achieved <= tolerance:
+            break
+    return SolveReport(
+        params,
+        achieved,
+        iterations=sum(int(r.nit) for r, _, _ in runs),
+        converged=achieved <= tolerance,
+        evaluations=sum(int(r.nfev) for r, _, _ in runs),
+        restarts=len(runs) - solved,
+        lattice_delta_e=seeds[params.genus].delta_e,
     )
 
 

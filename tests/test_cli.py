@@ -779,6 +779,22 @@ def test_bad_primaries_is_domain_error(capsys):
     assert "six numbers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve-optimal", "--target", "a,0.3"],
+         "--target must be two comma-separated numbers, got 'a,0.3'"),
+        (["atlas", "--j", "50", "--primaries", "0.64,0.33,0.3,0.6,0.15,x"],
+         "--primaries must be six numbers: rx,ry,gx,gy,bx,by"),
+    ],
+    ids=["target", "primaries"],
+)
+def test_non_number_in_a_number_list_names_the_flag(tmp_path, capsys, argv, message):
+    assert run([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_chart_embed_primaries_chunk(tmp_path):
     plain = tmp_path / "plain.png"
     tagged = tmp_path / "tagged.png"
@@ -823,24 +839,38 @@ def test_no_command_imports_scipy():
     assert done.stdout.split() == ["False"] * 6
 
 
-def test_solver_calls_the_bound_minimize(monkeypatch):
+@pytest.mark.parametrize(
+    "target, genus, genera, restarts",
+    [
+        # Ye as a band pass misses the tolerance: one restart
+        (
+            colorbench.target_from_weights({n: w for n, w, _ in TABLE1_COLUMNS}["Ye"]).chromaticity,
+            "band_pass", 1, 1,
+        ),
+        # the band stop is tried first and misses; the band pass converges
+        (colorbench.Chromaticity.from_xy(0.31562650669408016, 0.3362552415462823), "auto", 2, 1),
+        # both genera miss: one restart each
+        (colorbench.Chromaticity.from_xy(0.1, 0.1), "auto", 2, 2),
+    ],
+    ids=["Ye-band_pass", "auto-fallback", "auto-miss"],
+)
+def test_solver_calls_the_bound_minimize(monkeypatch, target, genus, genera, restarts):
     # whatever is bound at colorbench.optimal.minimize when a solve runs is
     # what the solver calls, as a wrapper such as a tracer expects
     import colorbench.optimal as optimal
 
-    runs = []
+    runs, seeded = [], []
 
-    def counting(*args, **kwargs):
-        runs.append(minimize(*args, **kwargs))
+    def counting(fun, x0, initial_simplex=None, **kwargs):
+        seeded.append(initial_simplex is not None)  # the first run of a genus
+        runs.append(minimize(fun, x0, initial_simplex, **kwargs))
         return runs[-1]
 
     minimize = optimal.minimize
     assert minimize.__module__ == "colorbench.optimal"
     monkeypatch.setattr(optimal, "minimize", counting)
-    weights = {n: w for n, w, _ in TABLE1_COLUMNS}["Ye"]  # misses the tolerance: one restart
-    report = optimal.solve_optimal(
-        colorbench.target_from_weights(weights).chromaticity, optimal.BAND_PASS
-    )
-    assert report.restarts == 1 and len(runs) == report.restarts + 1
+    report = optimal.solve_optimal(target, genus)
+    assert sum(seeded) == genera and seeded[0]
+    assert report.restarts == len(runs) - genera == restarts
     assert sum(int(r.nit) for r in runs) == report.iterations
     assert sum(int(r.nfev) for r in runs) == report.evaluations

@@ -1,10 +1,11 @@
 import contextlib
+import dataclasses
 import math
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from colorbench import (
     BAND_PASS,
@@ -342,6 +343,31 @@ class TestAutoGenusChoice:
         band_pass, band_stop = lattice_minima(white)
         assert band_pass == band_stop < 1e-15
         assert solve_optimal(white, "auto").params.genus == BAND_PASS
+
+    @given(
+        st.tuples(st.floats(0.05, 0.75), st.floats(0.02, 0.85)).filter(lambda xy: sum(xy) < 0.98)
+    )
+    @example((0.31562650669408016, 0.3362552415462823))  # the band pass converges second
+    @example((0.1, 0.1))  # both genera miss
+    @example((0.30, 0.60))  # the first genus converges
+    @settings(max_examples=30, deadline=None)
+    def test_auto_combines_the_two_genus_solves(self, xy):
+        target = Chromaticity.from_xy(*xy)
+        first, second = sorted(
+            (solve_optimal(target, g) for g in (BAND_PASS, BAND_STOP)),
+            key=lambda report: report.lattice_delta_e,
+        )
+        if first.converged:
+            expected = first
+        else:
+            closer = second if second.achieved_delta_e < first.achieved_delta_e else first
+            expected = dataclasses.replace(
+                closer,
+                iterations=first.iterations + second.iterations,
+                evaluations=first.evaluations + second.evaluations,
+                restarts=first.restarts + second.restarts,
+            )
+        assert solve_optimal(target, "auto") == expected
 
     # exact targets: at 5 decimals the second one converges
     @pytest.mark.xfail(

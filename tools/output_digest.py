@@ -133,6 +133,18 @@ RUNS = [
         ["solve_narrow_stop.json"],
     ),
     (
+        # auto: the band-stop lattice is closer, but only a band pass
+        # converges (1 restart)
+        ["solve-optimal", "--target", "0.31562650669408016,0.3362552415462823", "--json",
+         "--out", "solve_auto_fallback.json"],
+        ["solve_auto_fallback.json"],
+    ),
+    (
+        # auto: both genera miss, so the run exits 1 (2 restarts)
+        ["solve-optimal", "--target", "0.1,0.1", "--json", "--out", "solve_auto_miss.json"],
+        ["solve_auto_miss.json"],
+    ),
+    (
         ["solve-optimal", "--target", "0.3,0.5", "--lc", "0.2", "--illuminant", "e",
          "--json", "--out", "solve_0.3,0.5_e.json"],
         ["solve_0.3,0.5_e.json"],
