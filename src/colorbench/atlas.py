@@ -28,7 +28,7 @@ ATLAS_CSV_HEADER = "J,a_m_prime,b_m_prime,X,Y,Z,x,y,R_lin,G_lin,B_lin"
 
 _GAMUT_TOL = 1e-9
 
-# one slice's budget: at J = 50, about 25 µs and 60 bytes a candidate (6 s, 15 MB):
+# one slice's budget: at J = 50, about 10 µs and 60 bytes a candidate (2.5 s, 15 MB):
 # the XYZ scan and the gamut test's levels take 24 bytes each, a kept point's row 88
 MAX_ATLAS_CANDIDATES = 250_000
 

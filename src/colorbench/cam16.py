@@ -15,12 +15,14 @@ Viewing conditions:
               formula clamped to [0, 1].
 
 A constructed ``Cam16ViewingConditions`` precomputes every derived constant
-and is immutable, so one instance can be shared freely between threads.
+and is immutable, so one instance can be shared freely between threads.  The
+inverse's terms fixed by J and one instance are cached (``_slice_terms``).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -181,6 +183,14 @@ def cam16_forward(xyz, vc: Cam16ViewingConditions) -> Cam16Appearance:
     return Cam16Appearance(J, C, h, M, s, Q)
 
 
+@lru_cache(maxsize=8)
+def _slice_terms(J: float, vc: Cam16ViewingConditions) -> tuple[float, float, float, float]:
+    """``cam16_inverse``'s terms fixed by J and ``vc`` (one atlas slice): A / N_bb,
+    sqrt(J / 100), p1's (50000 / 13) N_c N_cb prefix and 100 / F_L."""
+    A = vc.A_w * (J / 100.0) ** (1.0 / (vc.c * vc.z))
+    return A / vc.N_bb, math.sqrt(J / 100.0), (50000.0 / 13.0) * vc.N_c * vc.N_cb, 100.0 / vc.F_L
+
+
 def cam16_inverse(
     J: float,
     h: float,
@@ -195,17 +205,14 @@ def cam16_inverse(
         if C > 0:
             raise ValueError("chromatic appearance with zero lightness is not invertible")
         return 0.0, 0.0, 0.0
+    p2, root_j, p1_prefix, scale = _slice_terms(J, vc)
 
     h_rad = math.radians(h % 360.0)
     cos_h, sin_h = math.cos(h_rad), math.sin(h_rad)
 
-    alpha = C / math.sqrt(J / 100.0)
+    alpha = C / root_j
     t = (alpha / vc.alpha_factor) ** (10.0 / 9.0)
-    e_t = 0.25 * (math.cos(h_rad + 2.0) + 3.8)
-
-    A = vc.A_w * (J / 100.0) ** (1.0 / (vc.c * vc.z))
-    p1 = (50000.0 / 13.0) * vc.N_c * vc.N_cb * e_t
-    p2 = A / vc.N_bb
+    p1 = p1_prefix * (0.25 * (math.cos(h_rad + 2.0) + 3.8))
 
     if t > 0.0:
         gamma = 23.0 * (p2 + 0.305) * t / (23.0 * p1 + t * (11.0 * cos_h + 108.0 * sin_h))
@@ -213,21 +220,27 @@ def cam16_inverse(
         gamma = 0.0
     a, b = gamma * cos_h, gamma * sin_h
 
-    rgb_a = [v / 1403.0 for v in _M_AB.dot([p2, a, b]).tolist()]
-    if any(abs(v) >= 400.0 for v in rgb_a):
+    ra, ga, ba = _M_AB.dot([p2, a, b]).tolist()
+    ra, ga, ba = ra / 1403.0, ga / 1403.0, ba / 1403.0
+    ar, ag, ab = abs(ra), abs(ga), abs(ba)
+    if ar >= 400.0 or ag >= 400.0 or ab >= 400.0:
         raise ValueError("appearance outside the invertible range (|response| >= 400)")
     # numpy's array ** as in _adapt: Python's float ** differs in the last bit for ~5 % of inputs
-    core = (np.array([27.13 * abs(v) / (400.0 - abs(v)) for v in rgb_a]) ** (1.0 / 0.42)).tolist()
-    cone = [math.copysign(100.0 / vc.F_L * u, v) / d for u, v, d in zip(core, rgb_a, vc.d_rgb)]
+    core = [27.13 * ar / (400.0 - ar), 27.13 * ag / (400.0 - ag), 27.13 * ab / (400.0 - ab)]
+    u, v, w = (np.array(core) ** (1.0 / 0.42)).tolist()
+    dr, dg, db = vc.d_rgb
+    cone = [math.copysign(scale * u, ra) / dr, math.copysign(scale * v, ga) / dg,
+            math.copysign(scale * w, ba) / db]
     # |M16_INV|'s rows add up to 3.03 at most: only responses past 1e307 can overflow the dot
     if abs(cone[0]) + abs(cone[1]) + abs(cone[2]) < 1e307:
-        rgb = M16_INV.dot(cone).tolist()
+        X, Y, Z = M16_INV.dot(cone).tolist()
     else:
         with np.errstate(over="ignore", invalid="ignore"):
-            rgb = _finite_xyz(*M16_INV.dot(cone).tolist())
-    if any(v < -1e-6 for v in rgb):
+            X, Y, Z = _finite_xyz(*M16_INV.dot(cone).tolist())
+    if X < -1e-6 or Y < -1e-6 or Z < -1e-6:
         raise ValueError("appearance inverts to a non-physical (negative) stimulus")
-    return _finite_xyz(*(0.0 if v <= 0.0 else v for v in rgb))  # -0.0 becomes 0.0, as np.clip
+    # -0.0 becomes 0.0, as np.clip
+    return _finite_xyz(0.0 if X <= 0.0 else X, 0.0 if Y <= 0.0 else Y, 0.0 if Z <= 0.0 else Z)
 
 
 def ucs_colorfulness_to_m(M_prime: float) -> float:

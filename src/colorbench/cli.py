@@ -97,9 +97,7 @@ class RunConfig:
     def display_gamut(self, white_luminance: float = 100.0) -> DisplayGamut:
         if self.primaries is None:
             return DisplayGamut(white_luminance=white_luminance)
-        parts = _parse_numbers(
-            self.primaries, 6, "--primaries must be six numbers: rx,ry,gx,gy,bx,by"
-        )
+        parts = _parse_numbers(self.primaries, 6, f"--primaries {_SIX_PRIMARIES}")
         prim = tuple(Chromaticity.from_xy(parts[i], parts[i + 1]) for i in (0, 2, 4))
         return DisplayGamut(primaries=prim, white_luminance=white_luminance)
 
@@ -425,6 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 _NUMBER = (int, float)
 _NULL = type(None)
+_SIX_PRIMARIES = "must be six numbers: rx,ry,gx,gy,bx,by"  # the --primaries or config value
 # the session settings a config file may set, with the JSON values each
 # accepts (null only where the setting has no default) and their name
 _CONFIG_KEYS = {
@@ -457,6 +456,8 @@ def _check_config(path: Path, data) -> dict:
             raise ValueError(
                 f"{path}: config key {key!r} must be {expected}, got {json.dumps(value)[:40]}"
             )
+    if data.get("primaries") is not None:
+        _parse_numbers(data["primaries"], 6, f"{path}: config key 'primaries' {_SIX_PRIMARIES}")
     return data
 
 

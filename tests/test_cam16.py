@@ -14,6 +14,8 @@ from colorbench import (
     d65_white_tristimulus,
     ucs_colorfulness_to_m,
 )
+from colorbench.cam16 import M16_INV, _M_AB
+from colorbench.spectral import _finite_xyz
 
 # worked example from the defining publication: sample XYZ (19.01, 20, 21.78)
 # under white (95.05, 100, 108.88), L_A = 318.31, Y_b = 20, average surround
@@ -217,6 +219,91 @@ def test_round_trips_over_random_in_gamut_stimuli(surround):
         rel = np.max(np.abs(back - xyz) / np.maximum(xyz, 1e-9))
         worst = max(worst, rel)
     assert worst <= 1e-6
+
+
+def reference_cam16_inverse(J, h, vc, M):
+    """The published inverse, one step at a time, with every slice term
+    computed again on each call: the oracle for ``cam16_inverse``."""
+    if J < 0 or M < 0:
+        raise ValueError("J and M must be non-negative")
+    C = M / vc.F_L_root
+    if J / 100.0 == 0.0:  # J is 0, or so small that J / 100 rounds to 0
+        if C > 0:
+            raise ValueError("chromatic appearance with zero lightness is not invertible")
+        return 0.0, 0.0, 0.0
+
+    h_rad = math.radians(h % 360.0)
+    cos_h, sin_h = math.cos(h_rad), math.sin(h_rad)
+
+    alpha = C / math.sqrt(J / 100.0)
+    t = (alpha / vc.alpha_factor) ** (10.0 / 9.0)
+    e_t = 0.25 * (math.cos(h_rad + 2.0) + 3.8)
+
+    A = vc.A_w * (J / 100.0) ** (1.0 / (vc.c * vc.z))
+    p1 = (50000.0 / 13.0) * vc.N_c * vc.N_cb * e_t
+    p2 = A / vc.N_bb
+
+    if t > 0.0:
+        gamma = 23.0 * (p2 + 0.305) * t / (23.0 * p1 + t * (11.0 * cos_h + 108.0 * sin_h))
+    else:
+        gamma = 0.0
+    a, b = gamma * cos_h, gamma * sin_h
+
+    rgb_a = [v / 1403.0 for v in _M_AB.dot([p2, a, b]).tolist()]
+    if any(abs(v) >= 400.0 for v in rgb_a):
+        raise ValueError("appearance outside the invertible range (|response| >= 400)")
+    core = (np.array([27.13 * abs(v) / (400.0 - abs(v)) for v in rgb_a]) ** (1.0 / 0.42)).tolist()
+    cone = [math.copysign(100.0 / vc.F_L * u, v) / d for u, v, d in zip(core, rgb_a, vc.d_rgb)]
+    if abs(cone[0]) + abs(cone[1]) + abs(cone[2]) < 1e307:
+        rgb = M16_INV.dot(cone).tolist()
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            rgb = _finite_xyz(*M16_INV.dot(cone).tolist())
+    if any(v < -1e-6 for v in rgb):
+        raise ValueError("appearance inverts to a non-physical (negative) stimulus")
+    return _finite_xyz(*(0.0 if v <= 0.0 else v for v in rgb))
+
+
+def inverse_outcome(inverse, *args):
+    """The result as ``float.hex`` strings, or the ValueError's message."""
+    try:
+        return tuple(v.hex() for v in inverse(*args))
+    except ValueError as exc:
+        return str(exc)
+
+
+ORACLE_CONDITIONS = {
+    (la, surround): Cam16ViewingConditions(L_A=la, surround=surround)
+    for la in (4.0, 50.0, 318.31)
+    for surround in ("average", "dim", "dark")
+}
+
+
+class TestInverseMatchesTheReference:
+    @given(
+        st.one_of(st.floats(0.0, 100.0), st.sampled_from([0.0, 5e-324, 1e-300, 100.0])),
+        st.floats(0.0, 360.0, exclude_max=True),
+        st.one_of(st.floats(0.0, 600.0), st.sampled_from([0.0, 5e-324])),
+        st.sampled_from(sorted(ORACLE_CONDITIONS)),
+    )
+    @settings(max_examples=2000, deadline=None)
+    def test_same_floats_or_same_error(self, J, h, M, key):
+        vc = ORACLE_CONDITIONS[key]
+        expected = inverse_outcome(reference_cam16_inverse, J, h, vc, M)
+        assert inverse_outcome(cam16_inverse, J, h, vc, M) == expected
+
+    @given(st.floats(0.5, 99.5), st.floats(0.0, 360.0, exclude_max=True), st.floats(0.0, 80.0))
+    @settings(max_examples=200, deadline=None)
+    def test_two_conditions_at_one_lightness(self, J, h, M):
+        # calls that alternate between two viewing conditions at one J must
+        # each see their own cached terms
+        first, second = ORACLE_CONDITIONS[4.0, "dark"], ORACLE_CONDITIONS[318.31, "average"]
+        assert reference_cam16_inverse(50.0, 120.0, first, 20.0) != reference_cam16_inverse(
+            50.0, 120.0, second, 20.0
+        )
+        for vc in (first, second, first, second):
+            expected = inverse_outcome(reference_cam16_inverse, J, h, vc, M)
+            assert inverse_outcome(cam16_inverse, J, h, vc, M) == expected
 
 
 class TestUcs:

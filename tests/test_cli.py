@@ -795,6 +795,21 @@ def test_non_number_in_a_number_list_names_the_flag(tmp_path, capsys, argv, mess
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", ["0.7,0.3", "0.64,0.33,0.3,0.6,0.15,x"], ids=["count", "text"])
+@pytest.mark.parametrize("command", ["atlas", "chart"])
+def test_bad_primaries_are_named_where_they_were_set(tmp_path, capsys, command, value):
+    argv = [command, *(["--j", "50"] if command == "atlas" else []), "--out", str(tmp_path / "o")]
+    assert run([*argv, "--primaries", value]) == 1
+    assert capsys.readouterr().err == "error: --primaries must be six numbers: rx,ry,gx,gy,bx,by\n"
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"primaries": value}))
+    assert run([*argv, "--config", str(config)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {config}: config key 'primaries' must be six numbers: rx,ry,gx,gy,bx,by\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
 def test_chart_embed_primaries_chunk(tmp_path):
     plain = tmp_path / "plain.png"
     tagged = tmp_path / "tagged.png"

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import functools
 import math
 import sys
 
@@ -28,6 +29,7 @@ from colorbench.spectral import (
     GRID_START_NM,
     GRID_STOP_NM,
     SpectralDistribution,
+    _xyz_distance,
     load_illuminant,
     load_observer,
     raw_tristimulus,
@@ -410,6 +412,52 @@ class TestSynthesizeCalls:
         # one call per evaluation, except those clamped out of order (inf without a
         # spectrum), plus one per Nelder-Mead run for the reported delta E
         assert report.iterations <= calls <= report.evaluations + report.restarts + 2
+
+
+def reference_objective(genus, target, illuminant, obs, lam):
+    """The solver objective on the spectrum path: ``_xyz_distance`` of
+    ``spd_to_xyz(synthesize(...))`` at the clamped cuts, plus the penalty."""
+    l1, l2 = a, b = lam
+    penalty = 0.0
+    if not GRID_START_NM <= a <= b <= GRID_STOP_NM:
+        l1 = min(max(a, GRID_START_NM), GRID_STOP_NM)
+        l2 = min(max(b, GRID_START_NM), GRID_STOP_NM)
+        if l1 > l2:
+            return math.inf
+        penalty = optimal._OUT_OF_RANGE_SLOPE * (abs(a - l1) + abs(b - l2))
+    X, Y, Z = spd_to_xyz(synthesize(OptimalSpectrumParams(genus, l1, l2, 1.0)), illuminant, obs)
+    s = X + Y + Z
+    if s <= 0:
+        return math.inf
+    return _xyz_distance((X / s, Y / s, Z / s), (target.x, target.y, target.z)) + penalty
+
+
+OBJECTIVE_TARGET = Chromaticity.from_xy(0.3, 0.45)
+
+
+@functools.lru_cache(maxsize=None)
+def solver_objective(genus, illuminant_name):
+    """The objective the solver hands to ``minimize`` for ``OBJECTIVE_TARGET``."""
+    with solver_calls() as calls:
+        solve_optimal(OBJECTIVE_TARGET, genus, illuminant=load_illuminant(illuminant_name))
+    return calls[0][0]
+
+
+class TestObjectiveMatchesTheSpectrumPath:
+    @given(
+        st.sampled_from([BAND_PASS, BAND_STOP]),
+        st.sampled_from(["D65", "E"]),
+        st.tuples(
+            st.one_of(st.floats(360.0, 720.0), st.floats(300.0, 780.0)),
+            st.one_of(st.floats(360.0, 720.0), st.floats(300.0, 780.0)),
+        ),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_same_value_to_the_bit(self, genus, illuminant_name, lam):
+        expected = reference_objective(
+            genus, OBJECTIVE_TARGET, load_illuminant(illuminant_name), load_observer(), lam
+        )
+        assert solver_objective(genus, illuminant_name)(lam).hex() == expected.hex()
 
 
 class TestScaleToLuminance:

@@ -255,6 +255,102 @@ class TestLoadDatabase:
             assert table.chromaticity[k].tolist() == [xy.x, xy.y, xy.z]
 
 
+def reference_load_database(path, fmt, illuminant=None, obs=None):
+    """``load_database`` as a per-record loop: each record resampled to a
+    checked spectrum, integrated and projected by ``xyz_to_chromaticity``,
+    every error raised at its record.  Returns the ids and the (n, 6) rows."""
+    if fmt == WIDE_CSV:
+        table = spectral.read_csv(path, "id", numeric_columns=True)
+        spectral.check_samples(table)
+        starts = range(len(table.ids))
+        spds = (to_working_grid(table.columns, row) for row in table.values)
+    else:
+        table = spectral.read_csv(path, "id,wavelength_nm,value")
+        ids = table.ids
+        starts = [0] + [k for k in range(1, len(ids)) if ids[k] != ids[k - 1]]
+        spectral.check_samples(table, starts)
+        ends = [*starts[1:], len(ids)]
+        spds = (to_working_grid(*table.values[a:b].T) for a, b in zip(starts, ends))
+    seen, rows = set(), []
+    with np.errstate(over="ignore"):
+        for k, spd in zip(starts, spds):
+            rid, line = table.ids[k], table.lines[k]
+            if rid in seen:
+                raise spectral.line_error(path, line, f"duplicate record id {rid!r}")
+            seen.add(rid)
+            try:
+                xyz = spd_to_xyz(spd, illuminant, obs)
+                xy = xyz_to_chromaticity(xyz)
+            except ValueError as exc:
+                raise spectral.line_error(path, line, f"record {rid!r}: {exc}") from None
+            rows.append((*xyz, xy.x, xy.y, xy.z))
+    return tuple(table.ids[k] for k in starts), np.array(rows)
+
+
+def write_database(path, fmt, wavelengths, records):
+    """Write ``(id, samples)`` records in a layout, one line per record or sample."""
+    if fmt == WIDE_CSV:
+        lines = ["id," + ",".join(map(str, wavelengths))]
+        lines += [",".join([rid, *map(repr, values)]) for rid, values in records]
+    else:
+        lines = ["id,wavelength_nm,value"]
+        lines += [f"{rid},{w},{v!r}" for rid, values in records for w, v in zip(wavelengths, values)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("ill, obs_id", [("D65", "degree2"), ("E", "degree10")])
+@pytest.mark.parametrize(
+    "fmt, grid, n", [(WIDE_CSV, (380, 780, 5), 400), (LONG_CSV, (360, 720, 1), 60)]
+)
+def test_tables_equal_the_per_record_loop(tmp_path, fmt, grid, n, ill, obs_id):
+    rng = np.random.default_rng(25)
+    wl = np.arange(grid[0], grid[1] + 1, grid[2])
+    values = rng.uniform(0.0, 0.2, (n, 1)) + np.zeros((n, wl.size))
+    for _ in range(3):  # smooth bands, and records dark over most of the grid
+        centre, width = rng.uniform(380, 720, (n, 1)), rng.uniform(5, 80, (n, 1))
+        values += rng.uniform(0.0, 0.8, (n, 1)) * np.exp(-0.5 * ((wl - centre) / width) ** 2)
+    values[::7] *= wl > rng.uniform(400, 700)
+    path = tmp_path / "db.csv"
+    write_database(path, fmt, wl, [(f"r{k:04d}", row) for k, row in enumerate(values.tolist())])
+    illuminant, obs = load_illuminant(ill), load_observer(obs_id)
+    table = load_database(path, fmt, illuminant, obs)
+    ids, rows = reference_load_database(path, fmt, illuminant, obs)
+    assert table.ids == ids
+    assert table.xyz.view(np.int64).tolist() == rows[:, :3].view(np.int64).tolist()
+    assert table.chromaticity.view(np.int64).tolist() == rows[:, 3:].view(np.int64).tolist()
+
+
+# (id, samples at 400, 500 and 600 nm) of records that load_database rejects
+_GOOD = [("g0", (0.1, 0.2, 0.3)), ("g1", (0.4, 0.5, 0.6))]
+_BAD_RECORDS = {
+    "zero sum": (("z", (0.0, 0.0, 0.0)), "record 'z': cannot normalize a zero-sum tristimulus"),
+    "duplicate": (_GOOD[0], "duplicate record id 'g0'"),
+    "overflow": (
+        ("o", (1e308, 1e308, 1e308)), "record 'o': tristimulus components must be finite"
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", [WIDE_CSV, LONG_CSV])
+@pytest.mark.parametrize(
+    "first, second",
+    [("zero sum", "duplicate"), ("duplicate", "zero sum"),
+     ("zero sum", "overflow"), ("overflow", "zero sum")],
+)
+def test_the_earlier_of_two_bad_records_is_named(tmp_path, fmt, first, second):
+    # a zero sum is found by the chromaticity pass over every record, a
+    # duplicate or an overflow by the record loop: the file order decides
+    (bad, message), (later, _) = _BAD_RECORDS[first], _BAD_RECORDS[second]
+    records = [_GOOD[0], _GOOD[1], bad, ("g2", (0.2, 0.2, 0.2)), later]
+    path = tmp_path / "db.csv"
+    write_database(path, fmt, (400, 500, 600), records)
+    line = 4 if fmt == WIDE_CSV else 2 + 3 * 2
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: line {line}: {message}')}$"):
+        load_database(path, fmt)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: line {line}: {message}')}$"):
+        reference_load_database(path, fmt)
+
+
 # ((first, last, step) in nm, records) of the benchmark's databases
 _BENCH_DATABASES = {
     WIDE_CSV: [((380, 780, 5), 420), ((400, 700, 10), 440), ((360, 720, 1), 220)],

@@ -74,6 +74,12 @@ RUNS = [
          "--out", "atlas_dim.csv", "--xy-svg", "atlas_dim_xy.svg"],
         ["atlas_dim.csv", "atlas_dim_xy.svg"],
     ),
+    (
+        # both failure branches of cam16_inverse: of 3,721 candidates, 34 have a
+        # response |R'_a|, |G'_a| or |B'_a| >= 400 and 1,987 a negative stimulus
+        ["atlas", "--j", "10", "--la", "318.31", "--surround", "dim", "--out", "atlas_j10.csv"],
+        ["atlas_j10.csv"],
+    ),
     (["chart", "--out", "chart.png"], ["chart.png", "chart.png.meta.json"]),
     (
         ["chart", "--linear", "--embed-primaries", "--out", "linear.png"],
