@@ -39,8 +39,6 @@ from .spectral import (
     ObserverTables,
     SpectralDistribution,
     _built_spectrum,
-    _finite_xyz,
-    _perfect_reflector_scale,
     _xyz_distance,
     delta_e_xyz,
     load_illuminant,
@@ -351,10 +349,8 @@ def _solve_genus(
 ) -> list[tuple[_NelderMeadResult, OptimalSpectrumParams, float]]:
     """The Nelder-Mead runs of one genus as ``(result, params, delta_e)``:
     the polish from ``seed``, then, if it misses ``tolerance``, a restart
-    from its best point.  The objective integrates each synthesized spectrum
-    as ``spd_to_xyz`` does, with the weight table and scale bound once here."""
+    from its best point."""
     tgt = (target.x, target.y, target.z)
-    W, k = tristimulus_weights(illuminant, obs), _perfect_reflector_scale(illuminant, obs)
 
     def objective(lam: tuple[float, float]) -> float:
         l1, l2 = a, b = lam
@@ -365,8 +361,7 @@ def _solve_genus(
             if l1 > l2:
                 return np.inf
             penalty = _OUT_OF_RANGE_SLOPE * (abs(a - l1) + abs(b - l2))
-        X, Y, Z = synthesize(OptimalSpectrumParams(genus, l1, l2, 1.0)).values.dot(W).tolist()
-        X, Y, Z = _finite_xyz(max(k * X, 0.0), max(k * Y, 0.0), max(k * Z, 0.0))
+        X, Y, Z = spd_to_xyz(synthesize(OptimalSpectrumParams(genus, l1, l2, 1.0)), illuminant, obs)
         s = X + Y + Z
         if s <= 0:
             return np.inf

@@ -6,9 +6,7 @@ headers.  Long CSV has columns ``id,wavelength_nm,value``; a record is a
 run of rows with one id.  Each record's wavelengths strictly increase.
 Each record is resampled to the working grid and integrated once at load
 time; a loaded database is one table of the ids and, row for row, their
-tristimulus and chromaticity.  Spectra are not kept.  The record loop
-checks ids and integrates; one array pass over its rows then gives the
-chromaticities and runs ``xyz_to_chromaticity``'s checks.
+tristimulus and chromaticity.  Spectra are not kept.
 
 Matching is an exhaustive search for the record minimizing the xyz
 chromaticity distance; ties break on the lexicographically smallest id.
@@ -25,12 +23,11 @@ import numpy as np
 from .spectral import (
     ObserverTables,
     SpectralDistribution,
-    _built_spectrum,
-    _grid_samples,
     check_samples,
     line_error,
     read_csv,
     spd_to_xyz,
+    to_working_grid,
     xyz_to_chromaticity,
 )
 from .targets import TargetColor, target_from_weights
@@ -78,7 +75,7 @@ def load_database(
         table = read_csv(path, "id", numeric_columns=True)
         check_samples(table)
         starts = range(len(table.ids))
-        samples = (_grid_samples(table.columns, row) for row in table.values)
+        spds = (to_working_grid(table.columns, row) for row in table.values)
     elif fmt == LONG_CSV:
         table = read_csv(path, "id,wavelength_nm,value")
         # a long record is a run of rows with one id
@@ -86,41 +83,24 @@ def load_database(
         starts = [0, *compress(range(1, len(ids)), map(ne, ids[1:], ids))]
         check_samples(table, starts)
         ends = [*starts[1:], len(ids)]
-        samples = (_grid_samples(*table.values[a:b].T) for a, b in zip(starts, ends))
+        spds = (to_working_grid(*table.values[a:b].T) for a, b in zip(starts, ends))
     else:
         raise ValueError(f"unknown database format {fmt!r}")
-    seen, rows, error = set(), [], None
+    seen, rows = set(), []
     # a record whose weighted sums overflow fails spd_to_xyz's finite check below
     with np.errstate(over="ignore"):
-        for k, values in zip(starts, samples):
+        for k, spd in zip(starts, spds):
             rid, line = table.ids[k], table.lines[k]
             if rid in seen:
-                error = line_error(path, line, f"duplicate record id {rid!r}")
-                break
+                raise line_error(path, line, f"duplicate record id {rid!r}")
             seen.add(rid)
-            try:  # resampled from samples read_csv and check_samples proved finite and >= 0
-                rows.append(spd_to_xyz(_built_spectrum(values), illuminant, obs))
+            try:
+                xyz = spd_to_xyz(spd, illuminant, obs)
+                xy = xyz_to_chromaticity(xyz)
             except ValueError as exc:
-                error = line_error(path, line, f"record {rid!r}: {exc}")
-                break
-    xyz = np.array(rows).reshape(-1, 3)
-    s = xyz[:, 0] + xyz[:, 1] + xyz[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x, y = xyz[:, 0] / s, xyz[:, 1] / s
-        z = 1.0 - x - y
-        # xyz_to_chromaticity's checks, each row: a zero sum, the range (NaN fails it), the sum
-        ok = (s > 0) & (-1e-12 <= np.minimum(np.minimum(x, y), z))
-        ok &= (np.maximum(np.maximum(x, y), z) <= 1 + 1e-12) & (abs(x + y + z - 1.0) <= 1e-12)
-    if not ok.all():  # it comes before the loop's error, if any: the scalar check's message
-        i = int(np.argmin(ok))
-        try:
-            xyz_to_chromaticity(rows[i])
-        except ValueError as exc:
-            k = starts[i]
-            raise line_error(path, table.lines[k], f"record {table.ids[k]!r}: {exc}") from None
-    if error:
-        raise error
-    rows = np.column_stack((xyz, x, y, z))
+                raise line_error(path, line, f"record {rid!r}: {exc}") from None
+            rows.append((*xyz, xy.x, xy.y, xy.z))
+    rows = np.array(rows)
     rows.flags.writeable = False  # and so are its views
     return SpectraTable(tuple(table.ids[k] for k in starts), rows[:, :3], rows[:, 3:])
 

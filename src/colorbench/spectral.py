@@ -83,16 +83,13 @@ def _built_spectrum(values: np.ndarray) -> SpectralDistribution:
     return spd
 
 
-def _grid_samples(wavelengths, values) -> np.ndarray:
+def to_working_grid(wavelengths, values) -> SpectralDistribution:
     """Interpolate samples taken at increasing ``wavelengths`` (nm) onto the
     working grid: linear inside the source support, zero outside it."""
-    wl, v = np.asarray(wavelengths, float), np.asarray(values, float)
-    return np.interp(_GRID, wl, v, left=0.0, right=0.0)
-
-
-def to_working_grid(wavelengths, values) -> SpectralDistribution:
-    """``_grid_samples`` as a checked SpectralDistribution."""
-    return SpectralDistribution(_grid_samples(wavelengths, values))
+    vals = np.interp(
+        _GRID, np.asarray(wavelengths, float), np.asarray(values, float), left=0.0, right=0.0
+    )
+    return SpectralDistribution(vals)
 
 
 @dataclass(frozen=True, eq=False)

@@ -338,8 +338,7 @@ _BAD_RECORDS = {
      ("zero sum", "overflow"), ("overflow", "zero sum")],
 )
 def test_the_earlier_of_two_bad_records_is_named(tmp_path, fmt, first, second):
-    # a zero sum is found by the chromaticity pass over every record, a
-    # duplicate or an overflow by the record loop: the file order decides
+    # whatever the check that finds each record, the file order decides
     (bad, message), (later, _) = _BAD_RECORDS[first], _BAD_RECORDS[second]
     records = [_GOOD[0], _GOOD[1], bad, ("g2", (0.2, 0.2, 0.2)), later]
     path = tmp_path / "db.csv"
@@ -349,6 +348,17 @@ def test_the_earlier_of_two_bad_records_is_named(tmp_path, fmt, first, second):
         load_database(path, fmt)
     with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: line {line}: {message}')}$"):
         reference_load_database(path, fmt)
+
+
+@pytest.mark.parametrize("samples", ["1e308,0", "0,1e308"])
+def test_a_resampled_record_that_overflows_is_not_finite(tmp_path, samples):
+    # finite, non-negative samples less than 1 nm apart: interpolating onto
+    # the 1 nm grid overflows to an infinity, which the resampled spectrum's
+    # own check reports
+    path = tmp_path / "db.csv"
+    path.write_text(f"id,399.9,400.1\na,{samples}\n")
+    with pytest.raises(ValueError, match="^spectral samples must be finite$"):
+        load_database(path, WIDE_CSV)
 
 
 # ((first, last, step) in nm, records) of the benchmark's databases
