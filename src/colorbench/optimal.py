@@ -39,11 +39,12 @@ from .spectral import (
     ObserverTables,
     SpectralDistribution,
     _built_spectrum,
+    _integrate,
+    _perfect_reflector_scale,
     _xyz_distance,
     delta_e_xyz,
     load_illuminant,
     load_observer,
-    raw_tristimulus,
     spd_to_xyz,
     tristimulus_weights,
     xyz_to_chromaticity,
@@ -65,7 +66,7 @@ _OUT_OF_RANGE_SLOPE = 1e-4
 # The lattice lists the rectangles with cuts at 360 + p <= 360 + q nm row
 # by row: row p holds q = p .. GRID_COUNT - 1 and starts at _ROW_STARTS[p].
 _ROW_STARTS = np.concatenate(([0], np.cumsum(np.arange(GRID_COUNT, 0, -1))))
-_SCAN_CHUNK = 8192
+_SCAN_CHUNK = 16384  # float32 temporaries of 64 KiB, under glibc's 128 KiB mmap threshold
 
 
 @dataclass(frozen=True)
@@ -181,7 +182,7 @@ def _prefix_sums(illuminant: SpectralDistribution, obs: ObserverTables) -> np.nd
 def _lattice_xyz(genus: str, p, q, prefix: np.ndarray) -> np.ndarray:
     """Raw XYZ of the rectangles with cuts at 360 + p and 360 + q nm, p <= q.
 
-    Equals ``raw_tristimulus(synthesize(...))`` up to rounding.  A band that
+    Equals the weighted sums of ``synthesize(...)`` up to rounding.  A band that
     reaches 720 nm also fills the last bin (see ``synthesize``); the
     right flank of a band stop always does.
     """
@@ -224,7 +225,7 @@ def _lattice_seed(
     x, y = _rectangle_lattice(genus, illuminant, obs)
     tx, ty = np.float32(target.x), np.float32(target.y)
     best, k = np.inf, 0
-    for start in range(0, x.size, _SCAN_CHUNK):  # chunks keep the temporaries small
+    for start in range(0, x.size, _SCAN_CHUNK):  # faster than 8192, 32768 or one pass
         dx = x[start : start + _SCAN_CHUNK] - tx
         dy = y[start : start + _SCAN_CHUNK] - ty
         dz = dx + dy  # z = 1 - x - y, so the z offset is -(dx + dy)
@@ -262,9 +263,12 @@ class _NelderMeadResult(NamedTuple):
 
 
 def _ranked(sim: list, f: list) -> tuple[list, list]:
-    """Vertices and values ordered by value, ties broken as ``np.argsort``
-    breaks them (scipy's order, which matters for inf vertices)."""
-    order = np.array(f).argsort().tolist()
+    """Vertices and values in ``np.argsort``'s order of the values (scipy's, which
+    matters for tied inf vertices).  Three strictly ordered values have one order,
+    so argsort runs only on a tie or a NaN."""
+    order = i, j, k = sorted(range(3), key=f.__getitem__)
+    if not f[i] < f[j] < f[k]:
+        order = np.array(f).argsort().tolist()
     return [sim[i] for i in order], [f[i] for i in order]
 
 
@@ -351,6 +355,7 @@ def _solve_genus(
     the polish from ``seed``, then, if it misses ``tolerance``, a restart
     from its best point."""
     tgt = (target.x, target.y, target.z)
+    weights, k = tristimulus_weights(illuminant, obs), _perfect_reflector_scale(illuminant, obs)
 
     def objective(lam: tuple[float, float]) -> float:
         l1, l2 = a, b = lam
@@ -361,7 +366,7 @@ def _solve_genus(
             if l1 > l2:
                 return np.inf
             penalty = _OUT_OF_RANGE_SLOPE * (abs(a - l1) + abs(b - l2))
-        X, Y, Z = spd_to_xyz(synthesize(OptimalSpectrumParams(genus, l1, l2, 1.0)), illuminant, obs)
+        X, Y, Z = _integrate(synthesize(OptimalSpectrumParams(genus, l1, l2)).values, weights, k)
         s = X + Y + Z
         if s <= 0:
             return np.inf
@@ -442,7 +447,8 @@ def scale_to_luminance(
         raise ValueError("target_L_C must lie in [0, 1]")
     illuminant = illuminant if illuminant is not None else load_illuminant("D65")
     obs = obs if obs is not None else load_observer(OBSERVER_2DEG)
-    _, y_raw, _ = raw_tristimulus(synthesize(params.with_k(1.0)), illuminant, obs)
+    weights = tristimulus_weights(illuminant, obs)  # y_raw is Y of spd_to_xyz before its scale
+    y_raw = float(synthesize(params.with_k(1.0)).values.dot(weights)[1])
     if y_raw <= 0:
         raise ValueError("spectrum has zero luminance; cannot scale")
     return params.with_k(target_L_C * 100.0 / y_raw)

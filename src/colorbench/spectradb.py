@@ -75,7 +75,7 @@ def load_database(
         table = read_csv(path, "id", numeric_columns=True)
         check_samples(table)
         starts = range(len(table.ids))
-        spds = (to_working_grid(table.columns, row) for row in table.values)
+        records = ((table.columns, row) for row in table.values)
     elif fmt == LONG_CSV:
         table = read_csv(path, "id,wavelength_nm,value")
         # a long record is a run of rows with one id
@@ -83,19 +83,19 @@ def load_database(
         starts = [0, *compress(range(1, len(ids)), map(ne, ids[1:], ids))]
         check_samples(table, starts)
         ends = [*starts[1:], len(ids)]
-        spds = (to_working_grid(*table.values[a:b].T) for a, b in zip(starts, ends))
+        records = (table.values[a:b].T for a, b in zip(starts, ends))
     else:
         raise ValueError(f"unknown database format {fmt!r}")
     seen, rows = set(), []
-    # a record whose weighted sums overflow fails spd_to_xyz's finite check below
+    # a record whose resampled samples or weighted sums overflow fails a finite check below
     with np.errstate(over="ignore"):
-        for k, spd in zip(starts, spds):
+        for k, (wavelengths, samples) in zip(starts, records):
             rid, line = table.ids[k], table.lines[k]
             if rid in seen:
                 raise line_error(path, line, f"duplicate record id {rid!r}")
             seen.add(rid)
             try:
-                xyz = spd_to_xyz(spd, illuminant, obs)
+                xyz = spd_to_xyz(to_working_grid(wavelengths, samples), illuminant, obs)
                 xy = xyz_to_chromaticity(xyz)
             except ValueError as exc:
                 raise line_error(path, line, f"record {rid!r}: {exc}") from None

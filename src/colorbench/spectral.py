@@ -365,16 +365,16 @@ def read_spectrum_csv(path) -> SpectralDistribution:
     increasing wavelengths and resample it to the working grid."""
     table = read_csv(path, "wavelength_nm,value")
     check_samples(table)
-    return to_working_grid(*table.values.T)
+    try:  # samples less than 1 nm apart may resample to an infinity
+        return to_working_grid(*table.values.T)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 @lru_cache(maxsize=8)
 def tristimulus_weights(illuminant: SpectralDistribution, obs: ObserverTables) -> np.ndarray:
-    """Read-only (GRID_COUNT, 3) table of S * {x_bar, y_bar, z_bar}.
-
-    ``raw_tristimulus(spd)`` is ``spd.values @ table``.  Cached per
-    (illuminant, observer) pair of objects.
-    """
+    """Read-only (GRID_COUNT, 3) table of S * {x_bar, y_bar, z_bar}, the weights
+    of ``_integrate``.  Cached per (illuminant, observer) pair of objects."""
     with np.errstate(over="ignore"):
         table = illuminant.values[:, None] * obs.cmf
         sums = table.sum(axis=0)
@@ -397,16 +397,6 @@ def _perfect_reflector_scale(illuminant: SpectralDistribution, obs: ObserverTabl
     return 100.0 / float(np.sum(tristimulus_weights(illuminant, obs)[:, 1]))
 
 
-def raw_tristimulus(
-    spd: SpectralDistribution,
-    illuminant: SpectralDistribution,
-    obs: ObserverTables,
-) -> tuple[float, float, float]:
-    """Unnormalized weighted sums of S * P * {x_bar, y_bar, z_bar}."""
-    # bit-equal to spd.values @ table, with less call overhead
-    return tuple(spd.values.dot(tristimulus_weights(illuminant, obs)).tolist())
-
-
 def spd_to_xyz(
     spd: SpectralDistribution,
     illuminant: SpectralDistribution | None = None,
@@ -415,8 +405,14 @@ def spd_to_xyz(
     """Integrate a spectrum to (X, Y, Z), normalized so a perfect reflector has Y=100."""
     illuminant = illuminant if illuminant is not None else load_illuminant("D65")
     obs = obs if obs is not None else load_observer(OBSERVER_2DEG)
-    X, Y, Z = raw_tristimulus(spd, illuminant, obs)
     k = _perfect_reflector_scale(illuminant, obs)
+    return _integrate(spd.values, tristimulus_weights(illuminant, obs), k)
+
+
+def _integrate(values: np.ndarray, weights: np.ndarray, k: float) -> tuple[float, float, float]:
+    """(X, Y, Z) of the grid samples ``values``: the sums weighted by ``weights``
+    times ``k``, clamped at 0; ValueError if a component is not finite."""
+    X, Y, Z = values.dot(weights).tolist()
     return _finite_xyz(max(k * X, 0.0), max(k * Y, 0.0), max(k * Z, 0.0))
 
 
@@ -450,9 +446,7 @@ def _xyz_distance(a, b) -> float:
 def illuminant_white(name: str = "D65", observer_id: str = OBSERVER_2DEG) -> Chromaticity:
     """Chromaticity of a perfect reflector under the named bundled illuminant."""
     flat = SpectralDistribution(np.ones(GRID_COUNT))
-    return xyz_to_chromaticity(
-        spd_to_xyz(flat, load_illuminant(name), load_observer(observer_id))
-    )
+    return xyz_to_chromaticity(spd_to_xyz(flat, load_illuminant(name), load_observer(observer_id)))
 
 
 def dominant_wavelength(

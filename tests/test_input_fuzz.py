@@ -37,7 +37,7 @@ COMMANDS = {
 }
 
 MUTATIONS = ("drop_field", "add_field", "text", "nan", "inf", "huge", "negative",
-             "underscore", "swap", "repeat_id", "blank", "comment")
+             "underscore", "swap", "repeat_id", "blank", "comment", "sub_nm")
 
 
 def mutate(text: str, draw) -> str:
@@ -60,6 +60,16 @@ def mutate(text: str, draw) -> str:
             continue
         elif kind == "repeat_id":
             fields[0] = lines[draw(st.integers(0, len(lines) - 1))].split(",")[0]
+        elif kind == "sub_nm":
+            # a huge sample at 399.9 nm and the next at 400.1 nm: finite numbers,
+            # but the 400 nm sample of the resampled spectrum overflows
+            if lines[0].startswith("id,400,450,"):  # wide: the header holds the wavelengths
+                lines[0] = lines[0].replace("id,400,450,", "id,399.9,400.1,")
+                fields[1] = "1e308"
+            elif i + 1 < len(lines) and len(fields) > 1:  # a wavelength, then a sample
+                fields[-2:] = "399.9", "1e308"
+                after = lines[i + 1].split(",")
+                lines[i + 1] = ",".join([*after[:-2], "400.1", *after[-1:]])
         else:
             lines.insert(i, "" if kind == "blank" else "# inserted")
             continue

@@ -32,7 +32,7 @@ from colorbench.spectral import (
     _xyz_distance,
     load_illuminant,
     load_observer,
-    raw_tristimulus,
+    tristimulus_weights,
 )
 
 # printed reference values: lambda1, lambda2, K (displayed row divided by 100,
@@ -209,7 +209,7 @@ class TestLattice:
         p, q = sorted((i, j))
         ill, obs = load_illuminant(ill_name), load_observer(obs_id)
         params = OptimalSpectrumParams(genus, float(GRID_START_NM + p), float(GRID_START_NM + q))
-        ref = np.array(raw_tristimulus(synthesize(params), ill, obs))
+        ref = synthesize(params).values.dot(tristimulus_weights(ill, obs))
         got = _lattice_xyz(genus, p, q, _prefix_sums(ill, obs))
         assert np.linalg.norm(got - ref) <= 1e-11 * np.linalg.norm(ref)
 
@@ -219,10 +219,55 @@ class TestLattice:
         for genus in (BAND_PASS, BAND_STOP):
             for p, q in ((0, 0), (0, last), (last, last), (5, last), (0, 5)):
                 params = OptimalSpectrumParams(genus, float(GRID_START_NM + p), float(GRID_START_NM + q))
-                ref = np.array(raw_tristimulus(synthesize(params), d65, obs2))
+                ref = synthesize(params).values.dot(tristimulus_weights(d65, obs2))
                 np.testing.assert_allclose(
                     _lattice_xyz(genus, p, q, prefix), ref, rtol=1e-11, atol=0.0
                 )
+
+
+def reference_lattice_seed(genus, target, illuminant, obs):
+    """The cuts of the first nearest rectangle in the lattice, by one argmin
+    over the whole lattice: the squares of the scan's float32 offsets added
+    in its order."""
+    x, y = optimal._rectangle_lattice(genus, illuminant, obs)
+    dx, dy = x - np.float32(target.x), y - np.float32(target.y)
+    dz = dx + dy
+    k = int(np.argmin(dx * dx + dy * dy + dz * dz))
+    p = int(np.searchsorted(optimal._ROW_STARTS, k, side="right")) - 1
+    return float(GRID_START_NM + p), float(GRID_START_NM + p + k - int(optimal._ROW_STARTS[p]))
+
+
+class TestLatticeSeed:
+    @given(
+        st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).filter(lambda xy: sum(xy) <= 1.0),
+        st.sampled_from([BAND_PASS, BAND_STOP]),
+        st.sampled_from(["D65", "E"]),
+        st.sampled_from(["degree2", "degree10"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_chunks_find_the_first_whole_lattice_minimum(self, xy, genus, ill_name, obs_id):
+        target = Chromaticity.from_xy(*xy)
+        ill, obs = load_illuminant(ill_name), load_observer(obs_id)
+        expected = reference_lattice_seed(genus, target, ill, obs)
+        # the chunk size, however it divides the lattice, moves no seed
+        for chunk in (optimal._SCAN_CHUNK, 1000, 8192, 2**20):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(optimal, "_SCAN_CHUNK", chunk)
+                seed = optimal._lattice_seed(genus, target, ill, obs)
+            assert (seed.lambda1_nm, seed.lambda2_nm) == expected
+
+    @pytest.mark.parametrize("ill_name, obs_id", [("D65", "degree2"), ("E", "degree10")])
+    def test_a_tie_across_chunks_keeps_the_first(self, ill_name, obs_id):
+        # a band stop with lambda1 == lambda2 passes the whole spectrum: every
+        # row of the lattice starts with one, so the white point ties in every chunk
+        white = illuminant_white(ill_name, obs_id)
+        ill, obs = load_illuminant(ill_name), load_observer(obs_id)
+        for chunk in (optimal._SCAN_CHUNK, 1000, 8192, 2**20):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(optimal, "_SCAN_CHUNK", chunk)
+                seed = optimal._lattice_seed(BAND_STOP, white, ill, obs)
+            assert (seed.lambda1_nm, seed.lambda2_nm) == (360.0, 360.0)
+        assert reference_lattice_seed(BAND_STOP, white, ill, obs) == (360.0, 360.0)
 
 
 class TestSolve:
@@ -602,6 +647,22 @@ FIRST_PASS = {
         [(-3.7, -1.2), (-3.5, -0.8), (-3.3, -0.4), (-3.05, -1.65)],
     ),
 }
+
+
+# values the objective returns, ties among them, and Python and numpy floats
+RANKED_POOL = [-math.inf, -1.0, -0.0, 0.0, 5e-324, 0.25, 0.25 + 2**-54, 1.0, math.inf,
+               np.float64(math.inf), math.nan, np.float64(0.25)]
+
+
+class TestRanked:
+    @given(st.lists(st.one_of(st.sampled_from(RANKED_POOL), st.floats()), min_size=3, max_size=3))
+    @settings(max_examples=500, deadline=None)
+    def test_argsorts_order(self, f):
+        sim = [(float(i), -float(i)) for i in range(3)]
+        order = np.array(f).argsort().tolist()
+        got_sim, got_f = optimal._ranked(sim, f)
+        assert got_sim == [sim[i] for i in order]
+        assert all(a is b for a, b in zip(got_f, [f[i] for i in order]))
 
 
 class TestNelderMeadMatchesScipy:

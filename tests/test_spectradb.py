@@ -263,23 +263,23 @@ def reference_load_database(path, fmt, illuminant=None, obs=None):
         table = spectral.read_csv(path, "id", numeric_columns=True)
         spectral.check_samples(table)
         starts = range(len(table.ids))
-        spds = (to_working_grid(table.columns, row) for row in table.values)
+        records = ((table.columns, row) for row in table.values)
     else:
         table = spectral.read_csv(path, "id,wavelength_nm,value")
         ids = table.ids
         starts = [0] + [k for k in range(1, len(ids)) if ids[k] != ids[k - 1]]
         spectral.check_samples(table, starts)
         ends = [*starts[1:], len(ids)]
-        spds = (to_working_grid(*table.values[a:b].T) for a, b in zip(starts, ends))
+        records = (table.values[a:b].T for a, b in zip(starts, ends))
     seen, rows = set(), []
     with np.errstate(over="ignore"):
-        for k, spd in zip(starts, spds):
+        for k, (wavelengths, samples) in zip(starts, records):
             rid, line = table.ids[k], table.lines[k]
             if rid in seen:
                 raise spectral.line_error(path, line, f"duplicate record id {rid!r}")
             seen.add(rid)
             try:
-                xyz = spd_to_xyz(spd, illuminant, obs)
+                xyz = spd_to_xyz(to_working_grid(wavelengths, samples), illuminant, obs)
                 xy = xyz_to_chromaticity(xyz)
             except ValueError as exc:
                 raise spectral.line_error(path, line, f"record {rid!r}: {exc}") from None
@@ -354,10 +354,11 @@ def test_the_earlier_of_two_bad_records_is_named(tmp_path, fmt, first, second):
 def test_a_resampled_record_that_overflows_is_not_finite(tmp_path, samples):
     # finite, non-negative samples less than 1 nm apart: interpolating onto
     # the 1 nm grid overflows to an infinity, which the resampled spectrum's
-    # own check reports
+    # own check reports at the record
     path = tmp_path / "db.csv"
     path.write_text(f"id,399.9,400.1\na,{samples}\n")
-    with pytest.raises(ValueError, match="^spectral samples must be finite$"):
+    message = f"{path}: line 2: record 'a': spectral samples must be finite"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_database(path, WIDE_CSV)
 
 

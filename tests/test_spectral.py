@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, event, given, settings, strategies as st
+from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from colorbench import (
@@ -31,9 +31,11 @@ from colorbench.spectral import (
     GRID_START_NM,
     CsvTable,
     ObserverTables,
+    _finite_xyz,
+    _integrate,
+    _perfect_reflector_scale,
     check_samples,
     line_error,
-    raw_tristimulus,
     read_csv,
     tristimulus_weights,
 )
@@ -245,10 +247,10 @@ class TestConstructorsAsBefore:
         st.sampled_from(["degree2", "degree10"]),
     )
     @settings(max_examples=200, deadline=None)
-    def test_raw_tristimulus_is_the_matrix_product(self, values, ill_name, obs_id):
+    def test_integrate_at_unit_scale_is_the_matrix_product(self, values, ill_name, obs_id):
         spd = SpectralDistribution(values)
         ill, obs = load_illuminant(ill_name), load_observer(obs_id)
-        got = raw_tristimulus(spd, ill, obs)
+        got = _integrate(spd.values, tristimulus_weights(ill, obs), 1.0)
         expected = tuple(float(v) for v in spd.values @ tristimulus_weights(ill, obs))
         _same_floats(got, expected)
 
@@ -338,6 +340,55 @@ class TestSpdToXyz:
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
+def reference_spd_to_xyz(spd, illuminant, obs):
+    """``spd_to_xyz``'s body before ``_integrate``: the weighted sums, then
+    the scale, the clamp at 0 and the finite check."""
+    X, Y, Z = tuple(spd.values.dot(tristimulus_weights(illuminant, obs)).tolist())
+    k = _perfect_reflector_scale(illuminant, obs)
+    return _finite_xyz(max(k * X, 0.0), max(k * Y, 0.0), max(k * Z, 0.0))
+
+
+def _hexed(result):
+    """The floats of a result of ``_made`` as hex strings, an error as it is."""
+    return [v.hex() if type(v) is float else v for v in result]
+
+
+class TestIntegrateAsBefore:
+    """``_integrate``, on its own and through ``spd_to_xyz``, returns the same
+    floats or raises the same error as the body it replaced."""
+
+    @given(
+        hnp.arrays(
+            np.float64,
+            GRID_COUNT,
+            elements=st.one_of(
+                st.floats(0.0, 1.0), st.floats(0.0, 1e308), st.sampled_from([5e-324, 1e305, 1e308])
+            ),
+        ),
+        st.sampled_from(["D65", "E"]),
+        st.sampled_from(["degree2", "degree10"]),
+    )
+    @example(np.full(GRID_COUNT, 1e305), "D65", "degree2")  # only the sums overflow
+    @example(np.zeros(GRID_COUNT), "E", "degree10")
+    @settings(max_examples=300, deadline=None)
+    def test_same_floats_or_error(self, values, ill_name, obs_id):
+        spd = SpectralDistribution(values)
+        ill, obs = load_illuminant(ill_name), load_observer(obs_id)
+        weights, k = tristimulus_weights(ill, obs), _perfect_reflector_scale(ill, obs)
+        with np.errstate(over="ignore"):
+            expected = _hexed(_made(reference_spd_to_xyz, spd, ill, obs))
+            assert _hexed(_made(_integrate, spd.values, weights, k)) == expected
+            assert _hexed(_made(spd_to_xyz, spd, ill, obs)) == expected
+
+    def test_overflowing_table_rejected(self, d65, obs2):
+        weights, k = tristimulus_weights(d65, obs2), _perfect_reflector_scale(d65, obs2)
+        for value in (1e305, 1e307):
+            with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="^tristimulus components must be finite$"
+            ):
+                _integrate(np.full(GRID_COUNT, value), weights, k)
+
+
 class TestTristimulusWeights:
     def test_cached_per_table_pair_and_read_only(self, d65, obs2, obs10):
         table = tristimulus_weights(d65, obs2)
@@ -390,7 +441,8 @@ class TestTristimulusWeights:
         k = 100.0 / np.sum(ill.values * obs.cmf[:, 1])
         # the largest component sets the scale: a norm would underflow
         scale = np.abs(raw).max()
-        np.testing.assert_allclose(raw_tristimulus(spd, ill, obs), raw, rtol=0, atol=1e-12 * scale)
+        unscaled = _integrate(spd.values, tristimulus_weights(ill, obs), 1.0)
+        np.testing.assert_allclose(unscaled, raw, rtol=0, atol=1e-12 * scale)
         np.testing.assert_allclose(
             spd_to_xyz(spd, ill, obs), k * raw, rtol=0, atol=1e-12 * k * scale
         )
@@ -625,6 +677,14 @@ class TestSpectrumCsv:
         p = tmp_path / "s.csv"
         p.write_text("wavelength_nm,value\n400,0.5\n500,-0.5\n")
         with pytest.raises(ValueError, match="line 3"):
+            read_spectrum_csv(p)
+
+    @pytest.mark.parametrize("a, b", [("1e308", "0"), ("0", "1e308")])
+    def test_samples_that_resample_to_an_infinity_name_the_file(self, tmp_path, a, b):
+        # finite samples 0.2 nm apart: the 400 nm grid sample overflows
+        p = tmp_path / "s.csv"
+        p.write_text(f"wavelength_nm,value\n399.9,{a}\n400.1,{b}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{p}: spectral samples must be finite')}$"):
             read_spectrum_csv(p)
 
     def test_no_luminous_power_rejected(self, tmp_path, flat_spd):

@@ -3,7 +3,8 @@ the benchmark's settings, and print one digest line per file.
 
 Each line is ``<sha256> <exit code> <name>``.  The outputs are written into a
 temporary directory by ``colorbench.cli.run`` from the ``src/`` tree next to
-this script, so two checkouts can be compared byte for byte with
+this script.  A last line, ``solve_sweep``, digests solver reports in process
+(see ``solve_sweep``).  Two checkouts can be compared byte for byte with
 
     python tools/output_digest.py > a.txt      # in the first checkout
     python tools/output_digest.py > b.txt      # in the second
@@ -24,6 +25,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from colorbench import Chromaticity, solve_optimal, table1_suite  # noqa: E402
 from colorbench.cli import run  # noqa: E402
 
 FIXTURES = ROOT / "tests" / "data"
@@ -220,6 +222,21 @@ def write_databases(out: Path) -> None:
         (out / f"{name}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def solve_sweep(count: int = 150) -> str:
+    """sha256 over ``repr`` of ``table1_suite()`` and of ``count`` solves of
+    seeded targets spread over the chromaticity diagram (inside and outside the
+    spectral locus), the genus cycling through auto, band_pass and band_stop."""
+    rng = np.random.default_rng(7)
+    reports = [table1_suite()]
+    for k in range(count):
+        u, v = rng.random(2)
+        if u + v > 1.0:  # fold onto the triangle u + v <= 1
+            u, v = 1.0 - u, 1.0 - v
+        target = Chromaticity.from_xy(0.02 + 0.76 * u, 0.02 + 0.82 * v)
+        reports.append(solve_optimal(target, ("auto", "band_pass", "band_stop")[k % 3]))
+    return hashlib.sha256(repr(reports).encode()).hexdigest()
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
@@ -229,6 +246,7 @@ def main() -> int:
             for name in names:
                 digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
                 print(f"{digest} {code} {name}")
+    print(f"{solve_sweep()} 0 solve_sweep")
     return 0
 
 
