@@ -30,7 +30,9 @@ from .targets import (
     LUMA_COEFFS,
     REC709_PRIMARIES,
     TargetColor,
+    build_target_set,
     rgb_to_xyz_matrix,
+    saturated_weights,
     target_from_weights,
 )
 from .optimal import (
@@ -70,11 +72,9 @@ from .spectradb import (
     MATCH_CSV_HEADER,
     WIDE_CSV,
     MatchResult,
-    build_target_set,
     load_database,
     match_csv,
     match_nearest,
-    saturated_weights,
 )
 from .chart import (
     BT709_TRANSFER,

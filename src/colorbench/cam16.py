@@ -239,8 +239,8 @@ def cam16_inverse(
             X, Y, Z = _finite_xyz(*M16_INV.dot(cone).tolist())
     if X < -1e-6 or Y < -1e-6 or Z < -1e-6:
         raise ValueError("appearance inverts to a non-physical (negative) stimulus")
-    # -0.0 becomes 0.0, as np.clip
-    return _finite_xyz(0.0 if X <= 0.0 else X, 0.0 if Y <= 0.0 else Y, 0.0 if Z <= 0.0 else Z)
+    # -0.0 becomes 0.0, as np.clip; both paths above leave X, Y and Z finite
+    return 0.0 if X <= 0.0 else X, 0.0 if Y <= 0.0 else Y, 0.0 if Z <= 0.0 else Z
 
 
 def ucs_colorfulness_to_m(M_prime: float) -> float:

@@ -25,7 +25,7 @@ import json
 import struct
 import zlib
 from concurrent import futures  # its thread module is imported at first use
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from json.encoder import encode_basestring
 
 import numpy as np
@@ -290,12 +290,9 @@ def render_chart(
         deflated = worker.submit(_png_rgb16, w, h, blocks, chrm)
         params = {
             **(settings or {}),
+            **asdict(layout),
             "transfer": transfer,
             "bit_depth": 16,
-            "rows": layout.rows,
-            "cols": layout.cols,
-            "patch_px": layout.patch_px,
-            "gap_px": layout.gap_px,
             "background_rgb": list(_BACKGROUND_RGB),
             "gamut_white": [gamut.white.x, gamut.white.y],
             "white_luminance": gamut.white_luminance,

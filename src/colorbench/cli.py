@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -47,28 +47,33 @@ from .spectral import (
     read_spectrum_csv,
     tristimulus_weights,
 )
-from .spectradb import (
-    LONG_CSV,
-    WIDE_CSV,
-    build_target_set,
-    load_database,
-    match_csv,
-    match_nearest,
-)
+from .spectradb import LONG_CSV, WIDE_CSV, load_database, match_csv, match_nearest
+from .targets import build_target_set
+
+
+def _setting(default, **flag):
+    """A RunConfig field: its default and its flag's argparse options."""
+    return field(default=default, metadata=flag)
 
 
 @dataclass
 class RunConfig:
-    """Session-wide settings resolved from config file and flags."""
+    """Session-wide settings resolved from config file and flags.
 
-    illuminant: str = "d65"
-    observer: str = OBSERVER_2DEG
-    la: float = 50.0
-    yb: float = 20.0
-    surround: str = "average"
-    d: float | None = None
-    primaries: str | None = None
-    out_dir: str = "."
+    Each field is the one declaration of a setting: its default, its flag's
+    argparse options and, by its annotation, the JSON a config may give it.
+    """
+
+    illuminant: str = _setting("d65", help="d65, e, or a wavelength_nm,value CSV path")
+    observer: str = _setting(OBSERVER_2DEG, choices=[OBSERVER_2DEG, OBSERVER_10DEG])
+    la: float = _setting(50.0, type=float, help="adapting luminance in cd/m2 (default 50)")
+    yb: float = _setting(20.0, type=float, help="background relative luminance 0-100 (default 20)")
+    surround: str = _setting("average", choices=["average", "dim", "dark"])
+    d: float | None = _setting(None, type=float, help="explicit degree of adaptation in [0, 1]")
+    primaries: str | None = _setting(
+        None, metavar="rx,ry,gx,gy,bx,by", help="display primaries (default BT.709)"
+    )
+    out_dir: str = _setting(".", help="base directory for relative output paths")
 
     def resolve_illuminant(self):
         key = self.illuminant.lower()
@@ -130,13 +135,9 @@ def _emit(text: str, out: str | None, cfg: RunConfig) -> None:
 
 
 def _report_dict(name, report):
-    p = report.params
     return {
         "name": name,
-        "genus": p.genus,
-        "lambda1_nm": p.lambda1_nm,
-        "lambda2_nm": p.lambda2_nm,
-        "K": p.K,
+        **asdict(report.params),
         "delta_e": report.achieved_delta_e,
         "iterations": report.iterations,
         "converged": report.converged,
@@ -193,16 +194,7 @@ def _cmd_table1(cfg: RunConfig, args) -> int:
 def _cmd_targets(cfg: RunConfig, args) -> int:
     targets = build_target_set()
     if args.json:
-        rows = [
-            {
-                "name": t.name,
-                "rgb_weights": list(t.rgb_weights),
-                "x": t.x,
-                "y": t.y,
-                "L_C": t.L_C,
-            }
-            for t in targets
-        ]
+        rows = [asdict(t) for t in targets]
         _emit(json.dumps(rows, indent=2, sort_keys=True) + "\n", args.out, cfg)
     else:
         lines = ["name,R,G,B,x,y,L_C"]
@@ -293,16 +285,7 @@ def _cmd_chart(cfg: RunConfig, args) -> int:
     return 0
 
 
-# the session flags, and the ones each subcommand reads (all take --config, --out-dir)
-_SESSION_FLAGS = {
-    "illuminant": dict(help="d65, e, or a wavelength_nm,value CSV path"),
-    "observer": dict(choices=[OBSERVER_2DEG, OBSERVER_10DEG]),
-    "la": dict(type=float, help="adapting luminance in cd/m2 (default 50)"),
-    "yb": dict(type=float, help="background relative luminance 0-100 (default 20)"),
-    "surround": dict(choices=["average", "dim", "dark"]),
-    "d": dict(type=float, help="explicit degree of adaptation in [0, 1]"),
-    "primaries": dict(metavar="rx,ry,gx,gy,bx,by", help="display primaries (default BT.709)"),
-}
+# each subcommand's session flags besides --config and --out-dir (RunConfig declares them)
 _SESSION_READS = {
     "solve-optimal": ("illuminant", "observer"),
     "table1": ("illuminant", "observer"),
@@ -412,29 +395,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_chart)
 
+    settings = {f.name: f.metadata for f in fields(RunConfig)}
     for name, p in sub.choices.items():
         p.allow_abbrev = False
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--out-dir", help="base directory for relative output paths")
-        for key in _SESSION_READS[name]:
-            p.add_argument(f"--{key}", **_SESSION_FLAGS[key])
+        for key in ("out_dir", *_SESSION_READS[name]):
+            p.add_argument(f"--{key.replace('_', '-')}", **settings[key])
     return parser
 
 
 _NUMBER = (int, float)
-_NULL = type(None)
 _SIX_PRIMARIES = "must be six numbers: rx,ry,gx,gy,bx,by"  # the --primaries or config value
-# the session settings a config file may set, with the JSON values each
-# accepts (null only where the setting has no default) and their name
-_CONFIG_KEYS = {
-    "illuminant": ((str,), "a string"),
-    "observer": ((str,), "a string"),
-    "la": (_NUMBER, "a finite number"),
-    "yb": (_NUMBER, "a finite number"),
-    "surround": ((str,), "a string"),
-    "d": ((*_NUMBER, _NULL), "a finite number or null"),
-    "primaries": ((str, _NULL), "a string or null"),
-    "out_dir": ((str,), "a string"),
+# the JSON values a config file may give a setting, by its RunConfig
+# annotation (null only where the default is None), and their name
+_CONFIG_KINDS = {
+    "str": ((str,), "a string"),
+    "float": (_NUMBER, "a finite number"),
+    "str | None": ((str, type(None)), "a string or null"),
+    "float | None": ((*_NUMBER, type(None)), "a finite number or null"),
 }
 
 
@@ -443,10 +421,11 @@ def _check_config(path: Path, data) -> dict:
     a value of the wrong kind."""
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config must be a JSON object")
+    kinds = {f.name: _CONFIG_KINDS[f.type] for f in fields(RunConfig)}
     for key, value in data.items():
-        if key not in _CONFIG_KEYS:
+        if key not in kinds:
             raise ValueError(f"{path}: unknown config key {key!r}")
-        types, expected = _CONFIG_KEYS[key]
+        types, expected = kinds[key]
         if (
             isinstance(value, bool)
             or not isinstance(value, types)
@@ -474,10 +453,10 @@ def _load_config(args) -> RunConfig:
             raise ValueError(f"{path}: {exc}") from None
         for key, value in _check_config(path, data).items():
             setattr(cfg, key, value)
-    for key in _CONFIG_KEYS:
-        value = getattr(args, key, None)
+    for f in fields(RunConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            setattr(cfg, key, value)
+            setattr(cfg, f.name, value)
     return cfg
 
 

@@ -30,7 +30,6 @@ from .spectral import (
     to_working_grid,
     xyz_to_chromaticity,
 )
-from .targets import TargetColor, target_from_weights
 
 WIDE_CSV = "wide_csv"
 LONG_CSV = "long_csv"
@@ -143,45 +142,3 @@ def match_csv(results) -> str:
         )
     return "\n".join(lines) + "\n"
 
-
-# unit weight patterns of the six fully saturated colors
-_PRIMARY_WEIGHTS = {
-    "R": (1.0, 0.0, 0.0),
-    "G": (0.0, 1.0, 0.0),
-    "B": (0.0, 0.0, 1.0),
-    "C": (0.0, 1.0, 1.0),
-    "M": (1.0, 0.0, 1.0),
-    "Ye": (1.0, 1.0, 0.0),
-}
-
-
-def saturated_weights(base: tuple[float, float, float], s: float) -> tuple[float, float, float]:
-    """Mix toward equal weights: s * base + (1 - s) * (1/3, 1/3, 1/3)."""
-    if not 0.0 <= s <= 1.0:
-        raise ValueError("saturation must lie in [0, 1]")
-    return tuple(s * w + (1.0 - s) / 3.0 for w in base)
-
-
-def build_target_set() -> list[TargetColor]:
-    """The sixteen-color assessment set.
-
-    R, G, B, C, M, Ye at full saturation, the same six at 90% saturation,
-    R, G, B at 50% saturation, plus white.
-    """
-    names = ("R", "G", "B", "C", "M", "Ye")
-    targets = []
-    for s, suffix in ((1.0, ""), (0.9, "_0.9")):
-        for name in names:
-            targets.append(
-                target_from_weights(
-                    saturated_weights(_PRIMARY_WEIGHTS[name], s), name=f"{name}{suffix}"
-                )
-            )
-    for name in ("R", "G", "B"):
-        targets.append(
-            target_from_weights(
-                saturated_weights(_PRIMARY_WEIGHTS[name], 0.5), name=f"{name}_0.5"
-            )
-        )
-    targets.append(target_from_weights((1.0, 1.0, 1.0), name="W"))
-    return targets

@@ -1,4 +1,5 @@
-"""HDTV (Rec. ITU-R BT.709) reference color arithmetic.
+"""HDTV (Rec. ITU-R BT.709) reference color arithmetic and the sixteen-color
+assessment set built from it.
 
 The RGB-to-XYZ matrix is derived from the BT.709 primaries, balanced so
 that unit weights reproduce the white of the session illuminant at Y = 1.
@@ -113,3 +114,41 @@ def target_from_weights(rgb_weights, name: str = "") -> TargetColor:
     xyz = _default_matrix() @ w
     chroma = xyz_to_chromaticity(xyz.tolist())
     return TargetColor(name, tuple(w), chroma.x, chroma.y, float(xyz[1]))
+
+
+# unit weight patterns of the six fully saturated colors
+_PRIMARY_WEIGHTS = {
+    "R": (1.0, 0.0, 0.0),
+    "G": (0.0, 1.0, 0.0),
+    "B": (0.0, 0.0, 1.0),
+    "C": (0.0, 1.0, 1.0),
+    "M": (1.0, 0.0, 1.0),
+    "Ye": (1.0, 1.0, 0.0),
+}
+# the saturated colors of the set, in its order: (saturation, name suffix, colors)
+_SATURATED_SET = (
+    (1.0, "", tuple(_PRIMARY_WEIGHTS)),
+    (0.9, "_0.9", tuple(_PRIMARY_WEIGHTS)),
+    (0.5, "_0.5", ("R", "G", "B")),
+)
+
+
+def saturated_weights(base: tuple[float, float, float], s: float) -> tuple[float, float, float]:
+    """Mix toward equal weights: s * base + (1 - s) * (1/3, 1/3, 1/3)."""
+    if not 0.0 <= s <= 1.0:
+        raise ValueError("saturation must lie in [0, 1]")
+    return tuple(s * w + (1.0 - s) / 3.0 for w in base)
+
+
+def build_target_set() -> list[TargetColor]:
+    """The sixteen-color assessment set.
+
+    R, G, B, C, M, Ye at full saturation, the same six at 90% saturation,
+    R, G, B at 50% saturation, plus white.
+    """
+    targets = [
+        target_from_weights(saturated_weights(_PRIMARY_WEIGHTS[name], s), name=name + suffix)
+        for s, suffix, names in _SATURATED_SET
+        for name in names
+    ]
+    return targets + [target_from_weights((1.0, 1.0, 1.0), name="W")]

@@ -366,12 +366,28 @@ def test_unrecognized_flag_named_before_missing_required_one(
     assert not list(tmp_path.iterdir())
 
 
-def test_targets_help_lists_only_its_flags(capsys):
+# the flags each subcommand's --help lists
+HELP_FLAGS = {
+    "solve-optimal": "--config --genus --help --illuminant --json --lc --observer --out "
+    "--out-dir --target --tolerance",
+    "table1": "--config --help --illuminant --json --observer --out --out-dir --tolerance",
+    "targets": "--config --help --json --out --out-dir",
+    "match": "--config --db --format --help --illuminant --observer --out --out-dir",
+    "atlas": "--bound --config --d --help --j --la --observer --out --out-dir --primaries "
+    "--spacing --surround --svg --white-luminance --xy-svg --yb",
+    "chart": "--cols --config --db --embed-primaries --format --from-atlas --gap-px --help "
+    "--illuminant --la --linear --observer --out --out-dir --patch-px --primaries --rows "
+    "--surround --yb",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_FLAGS))
+def test_help_lists_only_its_flags(capsys, command):
     with pytest.raises(SystemExit) as exc:
-        run(["targets", "--help"])
+        run([command, "--help"])
     assert exc.value.code == 0
     flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
-    assert flags == {"--help", "--config", "--out-dir", "--json", "--out"}
+    assert flags == set(HELP_FLAGS[command].split())
 
 
 @pytest.mark.parametrize(
@@ -723,6 +739,10 @@ def test_dev_zero_is_rejected_unread(tmp_path, option):
         ({"la": None}, "'la' must be a finite number, got null"),
         ({"d": "0.5"}, "'d' must be a finite number or null"),
         ({"primaries": ["0.64"]}, "'primaries' must be a string or null"),
+        ({"observer": None}, "'observer' must be a string, got null"),
+        ({"yb": "20"}, "'yb' must be a finite number, got \"20\""),
+        ({"surround": ["dim"]}, "'surround' must be a string, got [\"dim\"]"),
+        ({"out_dir": 1.5}, "'out_dir' must be a string, got 1.5"),
         ({"luminance": 80}, "unknown config key 'luminance'"),
         ([1, 2], "config must be a JSON object"),
     ],

@@ -64,8 +64,9 @@ def mutate(text: str, draw) -> str:
             # a huge sample at 399.9 nm and the next at 400.1 nm: finite numbers,
             # but the 400 nm sample of the resampled spectrum overflows
             if lines[0].startswith("id,400,450,"):  # wide: the header holds the wavelengths
-                lines[0] = lines[0].replace("id,400,450,", "id,399.9,400.1,")
-                fields[1] = "1e308"
+                if i > 0 and len(fields) > 1:  # a data row, not the header or an inserted line
+                    lines[0] = lines[0].replace("id,400,450,", "id,399.9,400.1,")
+                    fields[1] = "1e308"
             elif i + 1 < len(lines) and len(fields) > 1:  # a wavelength, then a sample
                 fields[-2:] = "399.9", "1e308"
                 after = lines[i + 1].split(",")
@@ -75,6 +76,16 @@ def mutate(text: str, draw) -> str:
             continue
         lines[i] = ",".join(fields)
     return "\n".join(lines) + "\n"
+
+
+def test_sub_nm_leaves_a_wide_line_without_samples_alone():
+    # draws that once raised IndexError: a blank line inserted at line 1,
+    # then sub_nm on that line
+    draws = iter([2, "blank", 1, 0, "sub_nm", 1, 0])
+    text = mutate(VALID["wide"], lambda strategy: next(draws))
+    assert next(draws, None) is None
+    header, *rows = VALID["wide"].splitlines()
+    assert text.splitlines() == [header, "", *rows]
 
 
 @pytest.mark.parametrize("kind", list(VALID))

@@ -88,6 +88,11 @@ RUNS = [
         ["linear.png", "linear.png.meta.json"],
     ),
     (
+        ["chart", "--primaries", "0.68,0.32,0.265,0.69,0.15,0.06", "--embed-primaries",
+         "--out", "chart_p3.png"],
+        ["chart_p3.png", "chart_p3.png.meta.json"],
+    ),
+    (
         ["chart", "--from-atlas", "{out}/atlas.csv", "--cols", "20", "--patch-px", "8",
          "--out", "from_atlas.png"],
         ["from_atlas.png", "from_atlas.png.meta.json"],
