@@ -25,6 +25,7 @@ from .spectral import (
 from .targets import REC709_PRIMARIES, rgb_to_xyz_matrix
 
 ATLAS_CSV_HEADER = "J,a_m_prime,b_m_prime,X,Y,Z,x,y,R_lin,G_lin,B_lin"
+_CSV_BLOCK_ROWS = 1024  # rows a piece of the CSV text holds
 
 _GAMUT_TOL = 1e-9
 
@@ -155,15 +156,23 @@ def generate_atlas(spec: AtlasSpec) -> AtlasResult:
     return AtlasResult(points, failures, candidates, candidates - failures - len(points))
 
 
+def _csv_blocks(points):
+    """``atlas_csv``'s text as the header line, then one piece per ``_CSV_BLOCK_ROWS`` rows."""
+    yield ATLAS_CSV_HEADER + "\n"
+    for start in range(0, len(points), _CSV_BLOCK_ROWS):
+        rows = points[start : start + _CSV_BLOCK_ROWS].tolist()
+        yield "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+
 def atlas_csv(points) -> str:
     """Serialize an atlas table under ``ATLAS_CSV_HEADER``, every value as its ``repr``."""
-    rows = (",".join(map(repr, row)) for row in points.tolist())
-    return "\n".join((ATLAS_CSV_HEADER, *rows)) + "\n"
+    return "".join(_csv_blocks(points))
 
 
 def write_atlas_csv(points, path) -> None:
+    """Write ``atlas_csv(points)`` a piece at a time, never holding the whole text."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(atlas_csv(points))
+        fh.writelines(_csv_blocks(points))
 
 
 def read_atlas_rgb(path) -> np.ndarray:

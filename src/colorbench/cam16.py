@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,10 +128,9 @@ class Cam16ViewingConditions:
             object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
-class Cam16Appearance:
-    """CAM16 correlates: lightness J, chroma C, hue angle h (degrees),
-    colorfulness M, saturation s, brightness Q."""
+class Cam16Appearance(NamedTuple):
+    """CAM16 correlates: lightness J, chroma C, hue angle h (degrees, in
+    [0, 360)), colorfulness M, saturation s, brightness Q."""
 
     J: float
     C: float
@@ -138,11 +138,6 @@ class Cam16Appearance:
     M: float
     s: float
     Q: float
-
-    def __post_init__(self):
-        for name in ("J", "C", "h", "M", "s", "Q"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        object.__setattr__(self, "h", self.h % 360.0)
 
 
 def _adapt(rgb, F_L: float) -> list[float]:
@@ -158,7 +153,7 @@ def cam16_forward(xyz, vc: Cam16ViewingConditions) -> Cam16Appearance:
     a = rgb_a[0] - 12.0 * rgb_a[1] / 11.0 + rgb_a[2] / 11.0
     b = (rgb_a[0] + rgb_a[1] - 2.0 * rgb_a[2]) / 9.0
     h_rad = math.atan2(b, a)
-    h = math.degrees(h_rad) % 360.0
+    h = math.degrees(h_rad) % 360.0 % 360.0  # once leaves 360.0 for a hue just below 0
 
     A = vc.N_bb * (2.0 * rgb_a[0] + rgb_a[1] + 0.05 * rgb_a[2])
     if A <= 0.0:

@@ -3,8 +3,8 @@
 Charts are written as 16-bit-per-channel RGB PNG.  Linear patch values are
 encoded with the Rec. BT.709 OETF by default (a ``linear`` escape hatch
 stores them unencoded) and quantized as q = round(65535 * encoded), the only
-lossy step in the pipeline.  No color-management chunks are embedded: the
-chart is signal-referred.
+lossy step in the pipeline.  The chart is signal-referred: its one
+color-management chunk, cHRM, is embedded only with ``embed_primaries``.
 
 The sidecar is JSON with a fixed key order, so rendering the same chart
 twice produces byte-identical image and metadata files.
@@ -214,14 +214,14 @@ def render_chart(
 
     ``rgb`` is an ``(n, 3)`` array of linear components in [0, 1], one row
     per name in ``names``; patches fill the grid row-major in input order.
-    ``source`` labels where the colors came from (targets, optimal, matched,
-    atlas).  Returns ``(png_bytes, pieces)``: ``pieces`` is a list of strings,
-    one per patch between a head and a tail, whose concatenation is the
-    sidecar ``{"parameters": {...}, "patches": [...]}`` as
-    ``json.dumps(..., indent=2, sort_keys=True, ensure_ascii=False)`` writes
-    it, plus a final newline, so equal sidecars give equal text.  Names and
-    ``source`` must be strings.  ``settings`` (the session's illuminant,
-    observer and viewing conditions) is recorded among the parameters.
+    ``source`` labels where the colors came from (targets, matched, atlas).
+    Returns ``(png_bytes, pieces)``: ``pieces`` is a list of strings, one per
+    patch between a head and a tail, whose concatenation is the sidecar
+    ``{"parameters": {...}, "patches": [...]}`` as ``json.dumps(..., indent=2,
+    sort_keys=True, ensure_ascii=False)`` writes it, plus a final newline, so
+    equal sidecars give equal text.  Names and ``source`` must be strings.
+    ``settings`` (the session's illuminant, observer and viewing conditions)
+    is recorded among the parameters.
     """
     rgb = np.asarray(rgb, dtype=float)
     if rgb.ndim != 2 or rgb.shape[1] != 3:

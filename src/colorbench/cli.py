@@ -222,14 +222,13 @@ def _cmd_atlas(cfg: RunConfig, args) -> int:
     )
     result = generate_atlas(spec)
     points = result.points
-    write_atlas_csv(points, cfg.out_path(args.out))
-    # the SVGs plot the (a'_M, b'_M) and (x, y) columns of the table
-    if args.svg:
-        cfg.out_path(args.svg).write_text(scatter_svg(points[:, 1:3]), encoding="utf-8")
+    # plot the (a'_M, b'_M) and (x, y) columns first: an empty slice writes no file
+    svgs = [(args.svg, scatter_svg(points[:, 1:3]))] if args.svg else []
     if args.xy_svg:
-        cfg.out_path(args.xy_svg).write_text(
-            scatter_svg(points[:, 6:8], labels=("x", "y")), encoding="utf-8"
-        )
+        svgs.append((args.xy_svg, scatter_svg(points[:, 6:8], labels=("x", "y"))))
+    write_atlas_csv(points, cfg.out_path(args.out))
+    for path, svg in svgs:
+        cfg.out_path(path).write_text(svg, encoding="utf-8")
     print(
         f"atlas J={_sig6(args.j)} spacing={_sig6(args.spacing)}: "
         f"{len(result.points)} points, {result.inversion_failures} inversion failures",

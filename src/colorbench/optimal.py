@@ -40,7 +40,6 @@ from .spectral import (
     SpectralDistribution,
     _built_spectrum,
     _integrate,
-    _perfect_reflector_scale,
     _xyz_distance,
     delta_e_xyz,
     load_illuminant,
@@ -87,9 +86,6 @@ class OptimalSpectrumParams:
             )
         if self.K < 0 or not math.isfinite(self.K):
             raise ValueError("K must be non-negative and finite")
-
-    def with_k(self, k: float) -> "OptimalSpectrumParams":
-        return OptimalSpectrumParams(self.genus, self.lambda1_nm, self.lambda2_nm, k)
 
 
 @dataclass(frozen=True)
@@ -167,16 +163,8 @@ def rectangle_chromaticity(
     obs: ObserverTables | None = None,
 ) -> Chromaticity:
     """Chromaticity of a rectangular spectrum (independent of K)."""
-    spd = synthesize(params.with_k(1.0))
+    spd = synthesize(replace(params, K=1.0))
     return xyz_to_chromaticity(spd_to_xyz(spd, illuminant, obs))
-
-
-def _prefix_sums(illuminant: SpectralDistribution, obs: ObserverTables) -> np.ndarray:
-    """F[k], the sum of the first k rows of the tristimulus weight table,
-    for k = 0 .. GRID_COUNT."""
-    prefix = np.zeros((GRID_COUNT + 1, 3))
-    np.cumsum(tristimulus_weights(illuminant, obs), axis=0, out=prefix[1:])
-    return prefix
 
 
 def _lattice_xyz(genus: str, p, q, prefix: np.ndarray) -> np.ndarray:
@@ -194,13 +182,15 @@ def _lattice_xyz(genus: str, p, q, prefix: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _rectangle_lattice(
     genus: str, illuminant: SpectralDistribution, obs: ObserverTables
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only chromaticity x and y (float32, in ``_ROW_STARTS`` order) of
-    every rectangle of a genus with whole-nanometre cuts; inf for black ones.
+    every rectangle of a genus with whole-nanometre cuts, inf for black ones,
+    and their prefix sums F: F[k] adds the first k rows of the weight table.
 
     Built a row at a time so the float64 temporaries stay small.
     """
-    prefix = _prefix_sums(illuminant, obs)
+    prefix = np.zeros((GRID_COUNT + 1, 3))
+    np.cumsum(tristimulus_weights(illuminant, obs)[0], axis=0, out=prefix[1:])
     x = np.empty(_ROW_STARTS[-1], dtype=np.float32)
     y = np.empty_like(x)
     for p in range(GRID_COUNT):
@@ -211,8 +201,8 @@ def _rectangle_lattice(
         row = slice(_ROW_STARTS[p], _ROW_STARTS[p + 1])
         x[row] = np.where(black, np.inf, xyz[:, 0] / total)
         y[row] = np.where(black, np.inf, xyz[:, 1] / total)
-    x.flags.writeable = y.flags.writeable = False
-    return x, y
+    x.flags.writeable = y.flags.writeable = prefix.flags.writeable = False
+    return x, y, prefix
 
 
 def _lattice_seed(
@@ -222,7 +212,7 @@ def _lattice_seed(
     obs: ObserverTables,
 ) -> _Seed:
     """Scan the lattice of a genus for the rectangle nearest to ``target``."""
-    x, y = _rectangle_lattice(genus, illuminant, obs)
+    x, y, prefix = _rectangle_lattice(genus, illuminant, obs)
     tx, ty = np.float32(target.x), np.float32(target.y)
     best, k = np.inf, 0
     for start in range(0, x.size, _SCAN_CHUNK):  # faster than 8192, 32768 or one pass
@@ -239,7 +229,7 @@ def _lattice_seed(
             best, k = dx[i], start + i
     p = int(np.searchsorted(_ROW_STARTS, k, side="right")) - 1
     q = p + k - int(_ROW_STARTS[p])
-    X, Y, Z = _lattice_xyz(genus, p, q, _prefix_sums(illuminant, obs))
+    X, Y, Z = _lattice_xyz(genus, p, q, prefix)
     s = X + Y + Z
     return _Seed(
         _xyz_distance((X / s, Y / s, Z / s), (target.x, target.y, target.z)),
@@ -355,7 +345,7 @@ def _solve_genus(
     the polish from ``seed``, then, if it misses ``tolerance``, a restart
     from its best point."""
     tgt = (target.x, target.y, target.z)
-    weights, k = tristimulus_weights(illuminant, obs), _perfect_reflector_scale(illuminant, obs)
+    weights, k = tristimulus_weights(illuminant, obs)
 
     def objective(lam: tuple[float, float]) -> float:
         l1, l2 = a, b = lam
@@ -447,11 +437,11 @@ def scale_to_luminance(
         raise ValueError("target_L_C must lie in [0, 1]")
     illuminant = illuminant if illuminant is not None else load_illuminant("D65")
     obs = obs if obs is not None else load_observer(OBSERVER_2DEG)
-    weights = tristimulus_weights(illuminant, obs)  # y_raw is Y of spd_to_xyz before its scale
-    y_raw = float(synthesize(params.with_k(1.0)).values.dot(weights)[1])
+    weights = tristimulus_weights(illuminant, obs)[0]  # y_raw is Y of spd_to_xyz before its scale
+    y_raw = float(synthesize(replace(params, K=1.0)).values.dot(weights)[1])
     if y_raw <= 0:
         raise ValueError("spectrum has zero luminance; cannot scale")
-    return params.with_k(target_L_C * 100.0 / y_raw)
+    return replace(params, K=target_L_C * 100.0 / y_raw)
 
 
 # Reference color suite: weights and genus per column.  Genus follows the

@@ -372,9 +372,12 @@ def read_spectrum_csv(path) -> SpectralDistribution:
 
 
 @lru_cache(maxsize=8)
-def tristimulus_weights(illuminant: SpectralDistribution, obs: ObserverTables) -> np.ndarray:
-    """Read-only (GRID_COUNT, 3) table of S * {x_bar, y_bar, z_bar}, the weights
-    of ``_integrate``.  Cached per (illuminant, observer) pair of objects."""
+def tristimulus_weights(
+    illuminant: SpectralDistribution, obs: ObserverTables
+) -> tuple[np.ndarray, float]:
+    """``(table, k)``, the weights and scale of ``_integrate``: the read-only
+    (GRID_COUNT, 3) table of S * {x_bar, y_bar, z_bar} and the factor that gives
+    a perfect reflector Y = 100.  Cached per (illuminant, observer) pair of objects."""
     with np.errstate(over="ignore"):
         table = illuminant.values[:, None] * obs.cmf
         sums = table.sum(axis=0)
@@ -384,17 +387,11 @@ def tristimulus_weights(illuminant: SpectralDistribution, obs: ObserverTables) -
         raise ValueError("the illuminant's weighted sums overflow the float range")
     if not sums[1] > 0:
         raise ValueError("the illuminant has no power where y_bar is positive")
-    if 100.0 / float(np.sum(table[:, 1])) == math.inf:  # _perfect_reflector_scale
+    k = 100.0 / float(np.sum(table[:, 1]))
+    if k == math.inf:
         raise ValueError("the illuminant's power is too small to scale to Y = 100")
     table.flags.writeable = False
-    return table
-
-
-@lru_cache(maxsize=8)
-def _perfect_reflector_scale(illuminant: SpectralDistribution, obs: ObserverTables) -> float:
-    """The factor that gives a perfect reflector Y = 100, keyed like
-    ``tristimulus_weights``."""
-    return 100.0 / float(np.sum(tristimulus_weights(illuminant, obs)[:, 1]))
+    return table, k
 
 
 def spd_to_xyz(
@@ -405,8 +402,7 @@ def spd_to_xyz(
     """Integrate a spectrum to (X, Y, Z), normalized so a perfect reflector has Y=100."""
     illuminant = illuminant if illuminant is not None else load_illuminant("D65")
     obs = obs if obs is not None else load_observer(OBSERVER_2DEG)
-    k = _perfect_reflector_scale(illuminant, obs)
-    return _integrate(spd.values, tristimulus_weights(illuminant, obs), k)
+    return _integrate(spd.values, *tristimulus_weights(illuminant, obs))
 
 
 def _integrate(values: np.ndarray, weights: np.ndarray, k: float) -> tuple[float, float, float]:

@@ -11,6 +11,7 @@ strict markers guarantee we notice if they ever start passing.
 import json
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -248,7 +249,7 @@ def spectra_table(rows):
 def optimal_db():
     records = []
     for (name, _, _), rep in zip(TABLE1_COLUMNS, table1_suite()):
-        xyz = spd_to_xyz(synthesize(rep.params.with_k(1.0)))
+        xyz = spd_to_xyz(synthesize(replace(rep.params, K=1.0)))
         records.append((name, xyz, xyz_to_chromaticity(xyz)))
     return spectra_table(records)
 

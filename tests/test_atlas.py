@@ -308,6 +308,21 @@ class TestSerialization:
         assert text.splitlines()[0] == "J,a_m_prime,b_m_prime,X,Y,Z,x,y,R_lin,G_lin,B_lin"
         assert len(text.splitlines()) == len(atlas_j50.points) + 1
 
+    def test_csv_written_in_blocks(self, tmp_path):
+        # 60,000 rows of about 200 characters: the whole text would take
+        # several hundred bytes a row
+        rows = 60_000
+        pts = np.random.default_rng(3).random((rows, 11))
+        path = tmp_path / "atlas.csv"
+        tracemalloc.start()
+        try:
+            write_atlas_csv(pts, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 150 * rows
+        assert path.read_text(encoding="utf-8") == atlas_csv(pts)
+
     def test_csv_round_trip_precision(self, atlas_j50):
         line = atlas_csv(atlas_j50.points).splitlines()[1]
         values = [float(v) for v in line.split(",")]

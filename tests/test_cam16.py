@@ -137,6 +137,9 @@ class TestForward:
             rgb = base + np.array([0.0, eps, -eps])
             xyz = gamut.rgb_to_xyz @ rgb
             hues.append(cam16_forward(xyz, vc).h)
+        # its hue angle is -1.5e-15 degrees, which one reduction mod 360 makes 360.0
+        assert cam16_forward((99.97878110872068, 20.0, 6.758793969849246), vc).h == 0.0
+        assert all(type(h) is float and 0.0 <= h < 360.0 for h in hues)
         diffs = np.diff([(h + 180.0) % 360.0 - 180.0 for h in hues])
         assert np.max(np.abs(diffs)) < 5.0  # no jumps beyond smooth drift
 

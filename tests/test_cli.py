@@ -201,8 +201,12 @@ def test_empty_atlas_svg_is_domain_error(tmp_path, capsys):
     argv = ["atlas", "--j", "50", "--white-luminance", "10", "--out", str(out)]
     assert run(argv) == 0
     assert out.read_text() == ATLAS_CSV_HEADER + "\n"
+    # the SVG is formatted before any file is written, so a failed run leaves none
+    fresh = tmp_path / "b.csv"
+    argv[-1] = str(fresh)
     assert run([*argv, "--xy-svg", str(tmp_path / "xy.svg")]) == 1
     assert "error: nothing to plot" in capsys.readouterr().err
+    assert not fresh.exists() and not (tmp_path / "xy.svg").exists()
 
 
 def test_chart_writes_png_and_sidecar(tmp_path):

@@ -23,7 +23,7 @@ from colorbench import (
     target_from_weights,
 )
 import colorbench.optimal as optimal
-from colorbench.optimal import TABLE1_COLUMNS, _lattice_xyz, _prefix_sums
+from colorbench.optimal import TABLE1_COLUMNS, _lattice_xyz, _rectangle_lattice
 from colorbench.spectral import (
     GRID_COUNT,
     GRID_START_NM,
@@ -209,17 +209,20 @@ class TestLattice:
         p, q = sorted((i, j))
         ill, obs = load_illuminant(ill_name), load_observer(obs_id)
         params = OptimalSpectrumParams(genus, float(GRID_START_NM + p), float(GRID_START_NM + q))
-        ref = synthesize(params).values.dot(tristimulus_weights(ill, obs))
-        got = _lattice_xyz(genus, p, q, _prefix_sums(ill, obs))
+        ref = synthesize(params).values.dot(tristimulus_weights(ill, obs)[0])
+        got = _lattice_xyz(genus, p, q, _rectangle_lattice(genus, ill, obs)[2])
         assert np.linalg.norm(got - ref) <= 1e-11 * np.linalg.norm(ref)
 
     def test_both_grid_ends(self, d65, obs2):
-        prefix = _prefix_sums(d65, obs2)
         last = GRID_COUNT - 1
         for genus in (BAND_PASS, BAND_STOP):
+            prefix = _rectangle_lattice(genus, d65, obs2)[2]
+            assert prefix.shape == (GRID_COUNT + 1, 3) and not prefix.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                prefix[0, 0] = 1.0
             for p, q in ((0, 0), (0, last), (last, last), (5, last), (0, 5)):
                 params = OptimalSpectrumParams(genus, float(GRID_START_NM + p), float(GRID_START_NM + q))
-                ref = synthesize(params).values.dot(tristimulus_weights(d65, obs2))
+                ref = synthesize(params).values.dot(tristimulus_weights(d65, obs2)[0])
                 np.testing.assert_allclose(
                     _lattice_xyz(genus, p, q, prefix), ref, rtol=1e-11, atol=0.0
                 )
@@ -229,7 +232,7 @@ def reference_lattice_seed(genus, target, illuminant, obs):
     """The cuts of the first nearest rectangle in the lattice, by one argmin
     over the whole lattice: the squares of the scan's float32 offsets added
     in its order."""
-    x, y = optimal._rectangle_lattice(genus, illuminant, obs)
+    x, y, _ = optimal._rectangle_lattice(genus, illuminant, obs)
     dx, dy = x - np.float32(target.x), y - np.float32(target.y)
     dz = dx + dy
     k = int(np.argmin(dx * dx + dy * dy + dz * dz))

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from dataclasses import replace
 from itertools import count, repeat
 from pathlib import Path
 from types import SimpleNamespace
@@ -530,7 +531,7 @@ def optimal_spectra_db():
 
     records = []
     for (name, _, _), report in zip(TABLE1_COLUMNS, table1_suite()):
-        xyz = spd_to_xyz(synthesize(report.params.with_k(1.0)))
+        xyz = spd_to_xyz(synthesize(replace(report.params, K=1.0)))
         records.append((name, xyz, xyz_to_chromaticity(xyz)))
     return spectra_table(records)
 

@@ -33,7 +33,6 @@ from colorbench.spectral import (
     ObserverTables,
     _finite_xyz,
     _integrate,
-    _perfect_reflector_scale,
     check_samples,
     line_error,
     read_csv,
@@ -250,8 +249,8 @@ class TestConstructorsAsBefore:
     def test_integrate_at_unit_scale_is_the_matrix_product(self, values, ill_name, obs_id):
         spd = SpectralDistribution(values)
         ill, obs = load_illuminant(ill_name), load_observer(obs_id)
-        got = _integrate(spd.values, tristimulus_weights(ill, obs), 1.0)
-        expected = tuple(float(v) for v in spd.values @ tristimulus_weights(ill, obs))
+        got = _integrate(spd.values, tristimulus_weights(ill, obs)[0], 1.0)
+        expected = tuple(float(v) for v in spd.values @ tristimulus_weights(ill, obs)[0])
         _same_floats(got, expected)
 
 
@@ -343,8 +342,8 @@ class TestSpdToXyz:
 def reference_spd_to_xyz(spd, illuminant, obs):
     """``spd_to_xyz``'s body before ``_integrate``: the weighted sums, then
     the scale, the clamp at 0 and the finite check."""
-    X, Y, Z = tuple(spd.values.dot(tristimulus_weights(illuminant, obs)).tolist())
-    k = _perfect_reflector_scale(illuminant, obs)
+    weights, k = tristimulus_weights(illuminant, obs)
+    X, Y, Z = tuple(spd.values.dot(weights).tolist())
     return _finite_xyz(max(k * X, 0.0), max(k * Y, 0.0), max(k * Z, 0.0))
 
 
@@ -374,14 +373,14 @@ class TestIntegrateAsBefore:
     def test_same_floats_or_error(self, values, ill_name, obs_id):
         spd = SpectralDistribution(values)
         ill, obs = load_illuminant(ill_name), load_observer(obs_id)
-        weights, k = tristimulus_weights(ill, obs), _perfect_reflector_scale(ill, obs)
+        weights, k = tristimulus_weights(ill, obs)
         with np.errstate(over="ignore"):
             expected = _hexed(_made(reference_spd_to_xyz, spd, ill, obs))
             assert _hexed(_made(_integrate, spd.values, weights, k)) == expected
             assert _hexed(_made(spd_to_xyz, spd, ill, obs)) == expected
 
     def test_overflowing_table_rejected(self, d65, obs2):
-        weights, k = tristimulus_weights(d65, obs2), _perfect_reflector_scale(d65, obs2)
+        weights, k = tristimulus_weights(d65, obs2)
         for value in (1e305, 1e307):
             with np.errstate(over="ignore"), pytest.raises(
                 ValueError, match="^tristimulus components must be finite$"
@@ -391,10 +390,13 @@ class TestIntegrateAsBefore:
 
 class TestTristimulusWeights:
     def test_cached_per_table_pair_and_read_only(self, d65, obs2, obs10):
-        table = tristimulus_weights(d65, obs2)
+        weights = tristimulus_weights(d65, obs2)
+        table, k = weights
         assert table.shape == (GRID_COUNT, 3)
-        assert tristimulus_weights(d65, obs2) is table
-        assert tristimulus_weights(d65, obs10) is not table
+        # the perfect reflector's scale, computed once with its table
+        assert type(k) is float and k == 100.0 / float(np.sum(table[:, 1]))
+        assert tristimulus_weights(d65, obs2) is weights
+        assert tristimulus_weights(d65, obs10)[0] is not table
         with pytest.raises(ValueError):
             table[0, 0] = 1.0
 
@@ -441,7 +443,7 @@ class TestTristimulusWeights:
         k = 100.0 / np.sum(ill.values * obs.cmf[:, 1])
         # the largest component sets the scale: a norm would underflow
         scale = np.abs(raw).max()
-        unscaled = _integrate(spd.values, tristimulus_weights(ill, obs), 1.0)
+        unscaled = _integrate(spd.values, tristimulus_weights(ill, obs)[0], 1.0)
         np.testing.assert_allclose(unscaled, raw, rtol=0, atol=1e-12 * scale)
         np.testing.assert_allclose(
             spd_to_xyz(spd, ill, obs), k * raw, rtol=0, atol=1e-12 * k * scale

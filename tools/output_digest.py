@@ -3,8 +3,9 @@ the benchmark's settings, and print one digest line per file.
 
 Each line is ``<sha256> <exit code> <name>``.  The outputs are written into a
 temporary directory by ``colorbench.cli.run`` from the ``src/`` tree next to
-this script.  A last line, ``solve_sweep``, digests solver reports in process
-(see ``solve_sweep``).  Two checkouts can be compared byte for byte with
+this script.  Two last lines, ``solve_sweep`` and ``cam16_sweep``, digest
+solver reports and CAM16 correlates in process (see those functions).  Two
+checkouts can be compared byte for byte with
 
     python tools/output_digest.py > a.txt      # in the first checkout
     python tools/output_digest.py > b.txt      # in the second
@@ -25,7 +26,15 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from colorbench import Chromaticity, solve_optimal, table1_suite  # noqa: E402
+from colorbench import (  # noqa: E402
+    Cam16ViewingConditions,
+    Chromaticity,
+    cam16_forward,
+    d65_white_tristimulus,
+    solve_optimal,
+    table1_suite,
+)
+from colorbench.cam16 import SURROUNDS  # noqa: E402
 from colorbench.cli import run  # noqa: E402
 
 FIXTURES = ROOT / "tests" / "data"
@@ -81,6 +90,12 @@ RUNS = [
         # response |R'_a|, |G'_a| or |B'_a| >= 400 and 1,987 a negative stimulus
         ["atlas", "--j", "10", "--la", "318.31", "--surround", "dim", "--out", "atlas_j10.csv"],
         ["atlas_j10.csv"],
+    ),
+    (
+        # at J = 50 every candidate is brighter than a 10 cd/m2 display white:
+        # a header-only CSV
+        ["atlas", "--j", "50", "--white-luminance", "10", "--out", "atlas_empty.csv"],
+        ["atlas_empty.csv"],
     ),
     (["chart", "--out", "chart.png"], ["chart.png", "chart.png.meta.json"]),
     (
@@ -242,6 +257,22 @@ def solve_sweep(count: int = 150) -> str:
     return hashlib.sha256(repr(reports).encode()).hexdigest()
 
 
+def cam16_sweep(count: int = 200) -> str:
+    """sha256 over ``repr`` of ``cam16_forward`` on ``count`` seeded (X, Y, Z)
+    in [0, 100], then a zero and two tiny stimuli, in each surround under the
+    D65 white of each observer."""
+    rng = np.random.default_rng(28)
+    stimuli = rng.uniform(0.0, 100.0, (count, 3)).tolist()
+    stimuli += [(0.0, 0.0, 0.0), (1e-12, 1e-12, 1e-12), (5e-324, 5e-324, 5e-324)]
+    conditions = [
+        Cam16ViewingConditions(white=d65_white_tristimulus(obs), surround=s)
+        for s in SURROUNDS
+        for obs in ("degree2", "degree10")
+    ]
+    appearances = [cam16_forward(xyz, vc) for vc in conditions for xyz in stimuli]
+    return hashlib.sha256(repr(appearances).encode()).hexdigest()
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
@@ -252,6 +283,7 @@ def main() -> int:
                 digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
                 print(f"{digest} {code} {name}")
     print(f"{solve_sweep()} 0 solve_sweep")
+    print(f"{cam16_sweep()} 0 cam16_sweep")
     return 0
 
 
