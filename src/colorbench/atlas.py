@@ -16,12 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cam16 import Cam16ViewingConditions, cam16_forward, cam16_inverse, ucs_colorfulness_to_m
-from .spectral import (
-    Chromaticity,
-    illuminant_white,
-    line_error,
-    read_csv,
-)
+from .spectral import Chromaticity, illuminant_white, line_error, read_csv
 from .targets import REC709_PRIMARIES, rgb_to_xyz_matrix
 
 ATLAS_CSV_HEADER = "J,a_m_prime,b_m_prime,X,Y,Z,x,y,R_lin,G_lin,B_lin"
@@ -57,8 +52,7 @@ class DisplayGamut:
             raise ValueError(
                 f"white luminance {self.white_luminance!r} is out of range for these primaries"
             )
-        object.__setattr__(self, "rgb_to_xyz", m)
-        object.__setattr__(self, "xyz_to_rgb", inverse)
+        self.__dict__.update(rgb_to_xyz=m, xyz_to_rgb=inverse)  # frozen: past its __setattr__
 
     def linear_rgb(self, xyz) -> np.ndarray:
         """Linear channel drive levels reproducing the rows of a ``(..., 3)`` XYZ array
@@ -203,12 +197,6 @@ def scatter_svg(xy_pairs, labels: tuple[str, str] = ("a'_M", "b'_M")) -> str:
     x0, x1 = x0 - pad_x, x1 + pad_x
     y0, y1 = y0 - pad_y, y1 + pad_y
 
-    def px(x):
-        return (x - x0) / (x1 - x0) * width
-
-    def py(y):
-        return height - (y - y0) / (y1 - y0) * height
-
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
@@ -216,6 +204,7 @@ def scatter_svg(xy_pairs, labels: tuple[str, str] = ("a'_M", "b'_M")) -> str:
         f'<text x="8" y="16" font-size="12" font-family="monospace">{labels[0]} vs {labels[1]}</text>',
     ]
     for x, y in zip(xs, ys):
-        parts.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="2.5" fill="black"/>')
+        cx, cy = (x - x0) / (x1 - x0) * width, height - (y - y0) / (y1 - y0) * height
+        parts.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="2.5" fill="black"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -30,23 +30,19 @@ import numpy as np
 from .spectral import OBSERVER_2DEG, _finite_xyz, illuminant_white
 
 # CAT16 chromatic adaptation matrix and its inverse
-M16 = np.array(
-    [
-        [0.401288, 0.650173, -0.051461],
-        [-0.250268, 1.204414, 0.045854],
-        [-0.002079, 0.048952, 0.953127],
-    ]
-)
+M16 = np.array([
+    [0.401288, 0.650173, -0.051461],
+    [-0.250268, 1.204414, 0.045854],
+    [-0.002079, 0.048952, 0.953127],
+])
 M16_INV = np.linalg.inv(M16)
 
 # opponent decomposition used by the inverse, scaled by 1/1403
-_M_AB = np.array(
-    [
-        [460.0, 451.0, 288.0],
-        [460.0, -891.0, -261.0],
-        [460.0, -220.0, -6300.0],
-    ]
-)
+_M_AB = np.array([
+    [460.0, 451.0, 288.0],
+    [460.0, -891.0, -261.0],
+    [460.0, -220.0, -6300.0],
+])
 
 SURROUNDS = {
     "average": (1.0, 0.69, 1.0),
@@ -77,7 +73,6 @@ class Cam16ViewingConditions:
         white = tuple(map(float, self.white))
         if len(white) != 3 or not all(0.0 <= v < math.inf for v in white):
             raise ValueError("reference white must be three finite, non-negative numbers")
-        object.__setattr__(self, "white", white)
         if abs(white[1] - 100.0) > 1e-6:
             raise ValueError("reference white must be scaled to Y_w = 100")
         # N_bb raises n = Y_b / Y_w to a negative power, so n must not round to 0
@@ -111,21 +106,12 @@ class Cam16ViewingConditions:
         rgb_aw = _adapt(d_rgb * rgb_w, F_L)
         A_w = float(N_bb * (2.0 * rgb_aw[0] + rgb_aw[1] + 0.05 * rgb_aw[2]))
 
-        for name, value in (
-            ("c", c),
-            ("N_c", N_c),
-            ("D_eff", d),
-            ("F_L", F_L),
-            ("F_L_root", F_L**0.25),
-            ("n", n),
-            ("z", z),
-            ("N_bb", N_bb),
-            ("N_cb", N_bb),
-            ("alpha_factor", (1.64 - 0.29**n) ** 0.73),
-            ("d_rgb", tuple(d_rgb.tolist())),
-            ("A_w", A_w),
-        ):
-            object.__setattr__(self, name, value)
+        # frozen: the fields and derived constants are set past its __setattr__
+        self.__dict__.update(
+            white=white, c=c, N_c=N_c, D_eff=d, F_L=F_L, F_L_root=F_L**0.25, n=n, z=z,
+            N_bb=N_bb, N_cb=N_bb, alpha_factor=(1.64 - 0.29**n) ** 0.73,
+            d_rgb=tuple(d_rgb.tolist()), A_w=A_w,
+        )
 
 
 class Cam16Appearance(NamedTuple):
@@ -147,7 +133,8 @@ def _adapt(rgb, F_L: float) -> list[float]:
 
 
 def cam16_forward(xyz, vc: Cam16ViewingConditions) -> Cam16Appearance:
-    """An (X, Y, Z) sequence (Y on 0-100) to CAM16 appearance correlates."""
+    """An (X, Y, Z) sequence (Y on 0-100) to CAM16 appearance correlates;
+    ValueError for a non-physical stimulus that has no real chroma."""
     rgb_a = _adapt([d * v for d, v in zip(vc.d_rgb, M16.dot(xyz).tolist())], vc.F_L)
 
     a = rgb_a[0] - 12.0 * rgb_a[1] / 11.0 + rgb_a[2] / 11.0
@@ -163,14 +150,12 @@ def cam16_forward(xyz, vc: Cam16ViewingConditions) -> Cam16Appearance:
     Q = (4.0 / vc.c) * math.sqrt(J / 100.0) * (vc.A_w + 4.0) * vc.F_L_root
 
     e_t = 0.25 * (math.cos(h_rad + 2.0) + 3.8)
-    t = (
-        (50000.0 / 13.0)
-        * vc.N_c
-        * vc.N_cb
-        * e_t
-        * math.hypot(a, b)
-        / (rgb_a[0] + rgb_a[1] + 1.05 * rgb_a[2] + 0.305)
-    )
+    chroma_base = rgb_a[0] + rgb_a[1] + 1.05 * rgb_a[2] + 0.305
+    if chroma_base <= 0:  # t would be negative and t ** 0.9 complex, or divided by 0
+        raise ValueError(
+            "non-physical stimulus: R'_a + G'_a + 1.05 B'_a + 0.305 <= 0 leaves no real chroma"
+        )
+    t = (50000.0 / 13.0) * vc.N_c * vc.N_cb * e_t * math.hypot(a, b) / chroma_base
     alpha = t**0.9 * vc.alpha_factor
     C = alpha * math.sqrt(J / 100.0)
     M = C * vc.F_L_root

@@ -109,12 +109,8 @@ class ChartLayout:
 
 
 def _png_chunk(kind: bytes, data: bytes) -> bytes:
-    return (
-        struct.pack(">I", len(data))
-        + kind
-        + data
-        + struct.pack(">I", zlib.crc32(kind + data) & 0xFFFFFFFF)
-    )
+    crc = zlib.crc32(kind + data) & 0xFFFFFFFF
+    return struct.pack(">I", len(data)) + kind + data + struct.pack(">I", crc)
 
 
 def encode_png_rgb16(image: np.ndarray, chrm: tuple | None = None) -> bytes:
@@ -148,7 +144,6 @@ def _png_rgb16(width: int, height: int, blocks, chrm: tuple | None) -> bytes:
     deflate = zlib.compressobj(9)
     idat = b"".join([*map(deflate.compress, blocks), deflate.flush()])
     return chunks + _png_chunk(b"IDAT", idat) + _png_chunk(b"IEND", b"")
-
 
 
 def decode_png_rgb16(data: bytes) -> np.ndarray:
@@ -277,9 +272,7 @@ def render_chart(
             line_of_row[y0 : y0 + layout.patch_px] = row
     chrm = None
     if embed_primaries:
-        chrm = ((gamut.white.x, gamut.white.y),) + tuple(
-            (p.x, p.y) for p in gamut.primaries
-        )
+        chrm = ((gamut.white.x, gamut.white.y), *((p.x, p.y) for p in gamut.primaries))
 
     # the calling thread calls no public function of the package while the
     # worker deflates: bench/tracer.py keeps one span stack for all threads
@@ -317,10 +310,8 @@ def render_chart(
 
 def patch_pixel_origin(layout: ChartLayout, row: int, col: int) -> tuple[int, int]:
     """Top-left pixel (x, y) of a patch."""
-    return (
-        layout.gap_px + col * (layout.patch_px + layout.gap_px),
-        layout.gap_px + row * (layout.patch_px + layout.gap_px),
-    )
+    step = layout.patch_px + layout.gap_px
+    return layout.gap_px + col * step, layout.gap_px + row * step
 
 
 def load_metadata(path) -> dict:

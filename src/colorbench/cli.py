@@ -18,12 +18,7 @@ import numpy as np
 
 from . import __version__
 from .atlas import (
-    AtlasSpec,
-    DisplayGamut,
-    generate_atlas,
-    read_atlas_rgb,
-    scatter_svg,
-    write_atlas_csv,
+    AtlasSpec, DisplayGamut, generate_atlas, read_atlas_rgb, scatter_svg, write_atlas_csv,
 )
 from .cam16 import Cam16ViewingConditions, d65_white_tristimulus
 from .chart import BT709_TRANSFER, LINEAR_TRANSFER, ChartLayout, render_chart
@@ -91,13 +86,8 @@ class RunConfig:
         return load_observer(self.observer)
 
     def viewing_conditions(self) -> Cam16ViewingConditions:
-        return Cam16ViewingConditions(
-            white=d65_white_tristimulus(self.observer),
-            Y_b=self.yb,
-            L_A=self.la,
-            surround=self.surround,
-            D=self.d,
-        )
+        white = d65_white_tristimulus(self.observer)
+        return Cam16ViewingConditions(white, self.yb, self.la, self.surround, self.d)
 
     def display_gamut(self, white_luminance: float = 100.0) -> DisplayGamut:
         if self.primaries is None:
@@ -165,8 +155,7 @@ def _cmd_solve_optimal(cfg: RunConfig, args) -> int:
             f"genus={p.genus} lambda1={_sig6(p.lambda1_nm)} lambda2={_sig6(p.lambda2_nm)} "
             f"K={_sig6(p.K)} delta_e={_sig6(report.achieved_delta_e)} "
             f"iterations={report.iterations} converged={report.converged}\n",
-            args.out,
-            cfg,
+            args.out, cfg,
         )
     return 0 if report.converged else 1
 
@@ -179,14 +168,13 @@ def _cmd_table1(cfg: RunConfig, args) -> int:
     if args.json:
         _emit(json.dumps(rows, indent=2, sort_keys=True) + "\n", args.out, cfg)
     else:
-        lines = []
-        for row in rows:
-            lines.append(
-                f"{row['name']:4s} {row['genus']:9s} "
-                f"l1={_sig6(row['lambda1_nm']):>8s} l2={_sig6(row['lambda2_nm']):>8s} "
-                f"K={_sig6(row['K']):>12s} dE={_sig6(row['delta_e']):>12s} "
-                f"converged={row['converged']}"
-            )
+        lines = [
+            f"{row['name']:4s} {row['genus']:9s} "
+            f"l1={_sig6(row['lambda1_nm']):>8s} l2={_sig6(row['lambda2_nm']):>8s} "
+            f"K={_sig6(row['K']):>12s} dE={_sig6(row['delta_e']):>12s} "
+            f"converged={row['converged']}"
+            for row in rows
+        ]
         _emit("\n".join(lines) + "\n", args.out, cfg)
     return 0 if all(r.converged for r in reports) else 1
 
@@ -265,17 +253,10 @@ def _cmd_chart(cfg: RunConfig, args) -> int:
     rows = int(np.ceil(len(names) / args.cols)) if args.rows is None else args.rows
     layout = ChartLayout(rows=rows, cols=args.cols, patch_px=args.patch_px, gap_px=args.gap_px)
     transfer = LINEAR_TRANSFER if args.linear else BT709_TRANSFER
+    settings = {k: getattr(cfg, k) for k in ("illuminant", "observer", "la", "yb", "surround")}
     png, pieces = render_chart(
-        names,
-        rgb,
-        layout,
-        transfer=transfer,
-        gamut=gamut,
-        source=source,
-        embed_primaries=args.embed_primaries,
-        settings=dict(
-            illuminant=cfg.illuminant, observer=cfg.observer, la=cfg.la, yb=cfg.yb, surround=cfg.surround
-        ),
+        names, rgb, layout, transfer=transfer, gamut=gamut, source=source,
+        embed_primaries=args.embed_primaries, settings=settings,
     )
     out = cfg.out_path(args.out)
     out.write_bytes(png)

@@ -231,11 +231,8 @@ def _lattice_seed(
     q = p + k - int(_ROW_STARTS[p])
     X, Y, Z = _lattice_xyz(genus, p, q, prefix)
     s = X + Y + Z
-    return _Seed(
-        _xyz_distance((X / s, Y / s, Z / s), (target.x, target.y, target.z)),
-        float(GRID_START_NM + p),
-        float(GRID_START_NM + q),
-    )
+    delta_e = _xyz_distance((X / s, Y / s, Z / s), (target.x, target.y, target.z))
+    return _Seed(delta_e, float(GRID_START_NM + p), float(GRID_START_NM + q))
 
 
 def _seed_simplex(l1: float, l2: float) -> list[tuple[float, float]]:

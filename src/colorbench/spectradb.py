@@ -4,8 +4,10 @@ Two text layouts are accepted, both read by ``spectral.read_csv``.  Wide
 CSV has one record per row: an ``id`` column followed by wavelength
 headers.  Long CSV has columns ``id,wavelength_nm,value``; a record is a
 run of rows with one id.  Each record's wavelengths strictly increase.
-Each record is resampled to the working grid and integrated once at load
-time; a loaded database is one table of the ids and, row for row, their
+A load runs in blocks of records: their resampled spectra are checked as
+one stack, each is integrated once, and one pass projects the block onto
+chromaticity; the first bad record in file order is reported at its line.
+A loaded database is one table of the ids and, row for row, their
 tristimulus and chromaticity.  Spectra are not kept.
 
 Matching is an exhaustive search for the record minimizing the xyz
@@ -14,27 +16,34 @@ chromaticity distance; ties break on the lexicographically smallest id.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, islice
 from operator import ne
 from pathlib import Path
 
 import numpy as np
 
 from .spectral import (
+    GRID_COUNT,
     ObserverTables,
     SpectralDistribution,
+    _built_spectrum,
+    _chromaticities,
+    _first_failure,
+    _resample,
+    _SAMPLE_RULE,
+    _sample_tests,
     check_samples,
     line_error,
     read_csv,
     spd_to_xyz,
-    to_working_grid,
-    xyz_to_chromaticity,
 )
 
 WIDE_CSV = "wide_csv"
 LONG_CSV = "long_csv"
 
 MATCH_CSV_HEADER = "target,x_spectral,y_spectral,color_id,delta_e"
+
+_BLOCK_RECORDS = 64  # a block's resampled spectra take 64 x GRID_COUNT x 8 B, 185 KB
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,23 +94,43 @@ def load_database(
         records = (table.values[a:b].T for a, b in zip(starts, ends))
     else:
         raise ValueError(f"unknown database format {fmt!r}")
-    seen, rows = set(), []
-    # a record whose resampled samples or weighted sums overflow fails a finite check below
+    ids = [table.ids[k] for k in starts]
+    seen = set()  # the records before the first duplicate id load, then its error is raised
+    count = next((k for k, rid in enumerate(ids) if rid in seen or seen.add(rid)), len(ids))
+    rows = np.empty((count, 6))
+    # a record whose resampled samples or weighted sums overflow fails a finite check
     with np.errstate(over="ignore"):
-        for k, (wavelengths, samples) in zip(starts, records):
-            rid, line = table.ids[k], table.lines[k]
-            if rid in seen:
-                raise line_error(path, line, f"duplicate record id {rid!r}")
-            seen.add(rid)
-            try:
-                xyz = spd_to_xyz(to_working_grid(wavelengths, samples), illuminant, obs)
-                xy = xyz_to_chromaticity(xyz)
-            except ValueError as exc:
-                raise line_error(path, line, f"record {rid!r}: {exc}") from None
-            rows.append((*xyz, xy.x, xy.y, xy.z))
-    rows = np.array(rows)
+        for a in range(0, count, _BLOCK_RECORDS):
+            bad, message = _load_block(rows[a : a + _BLOCK_RECORDS], records, illuminant, obs)
+            if message:
+                line = table.lines[starts[a + bad]]
+                raise line_error(path, line, f"record {ids[a + bad]!r}: {message}")
+    if count < len(ids):
+        line = table.lines[starts[count]]
+        raise line_error(path, line, f"duplicate record id {ids[count]!r}")
     rows.flags.writeable = False  # and so are its views
-    return SpectraTable(tuple(table.ids[k] for k in starts), rows[:, :3], rows[:, 3:])
+    return SpectraTable(tuple(ids), rows[:, :3], rows[:, 3:])
+
+
+def _load_block(rows: np.ndarray, records, illuminant, obs) -> tuple[int, str]:
+    """Fill the ``(n, 6)`` ``rows`` with X, Y, Z, x, y, z of the next ``n``
+    ``records``.  Returns the first record that fails a check (samples,
+    tristimulus, chromaticity) and the message of the first it fails, or ``(n, "")``."""
+    spectra = np.empty((len(rows), GRID_COUNT))
+    for k, (wavelengths, samples) in enumerate(islice(records, len(rows))):
+        spectra[k] = _resample(wavelengths, samples)
+    bad, message = _first_failure(_sample_tests(spectra), _SAMPLE_RULE)
+    xyz = []
+    for values in spectra[:bad]:  # checked by the block's sample test
+        try:
+            xyz.append(spd_to_xyz(_built_spectrum(values), illuminant, obs))
+        except ValueError as exc:
+            bad, message = len(xyz), str(exc)
+            break
+    done = rows[: len(xyz)]
+    done[:, :3] = np.reshape(xyz, (-1, 3))
+    done[:, 3:], row, fault = _chromaticities(done[:, :3])
+    return (row, fault) if fault else (bad, message)
 
 
 def match_nearest(targets, table: SpectraTable) -> list[MatchResult]:
@@ -135,10 +164,7 @@ def match_nearest(targets, table: SpectraTable) -> list[MatchResult]:
 
 
 def match_csv(results) -> str:
-    lines = [MATCH_CSV_HEADER]
-    for r in results:
-        lines.append(
-            f"{r.target_name},{r.x_spectral!r},{r.y_spectral!r},{r.record_id},{r.delta_e!r}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = [f"{r.target_name},{r.x_spectral!r},{r.y_spectral!r},{r.record_id},{r.delta_e!r}\n"
+            for r in results]
+    return MATCH_CSV_HEADER + "\n" + "".join(rows)
 

@@ -50,7 +50,8 @@ class SpectralDistribution:
     wavelength from ``GRID_START_NM`` to ``GRID_STOP_NM``.
 
     The constructor checks every sample; the one unchecked wrap is
-    ``_built_spectrum``, for samples built finite and non-negative by construction."""
+    ``_built_spectrum``, for samples built finite and non-negative by construction
+    or checked in a stack by the same rule, ``_sample_tests``."""
 
     values: np.ndarray
 
@@ -65,12 +66,29 @@ class SpectralDistribution:
                 f"{GRID_START_NM}-{GRID_STOP_NM} nm / {GRID_STEP_NM} nm working grid, "
                 f"got shape {vals.shape}"
             )
-        # a NaN anywhere makes the minimum NaN
-        lo, hi = np.minimum.reduce(vals), np.maximum.reduce(vals)
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError("spectral samples must be finite")
-        if lo < 0:
-            raise ValueError("spectral samples must be non-negative")
+        if not all(passed := _sample_tests(vals)):
+            raise ValueError(_SAMPLE_RULE[passed.index(False)])
+
+
+_SAMPLE_RULE = ("spectral samples must be finite", "spectral samples must be non-negative")
+
+
+def _sample_tests(values: np.ndarray) -> tuple:
+    """Whether the samples along the last axis of ``values`` pass each test of
+    ``_SAMPLE_RULE``, in order: bools for one spectrum, masks for a stack."""
+    # a NaN anywhere makes the minimum and the maximum NaN
+    lo, hi = np.minimum.reduce(values, axis=-1), np.maximum.reduce(values, axis=-1)
+    return (-math.inf < lo) & (hi < math.inf), lo >= 0
+
+
+def _first_failure(passed: tuple, rule: tuple) -> tuple[int, str]:
+    """The first row that fails a test of ``rule``, whose masks ``passed`` holds,
+    and the message of the first test it fails; ``(rows, "")`` if none does."""
+    ok = np.logical_and.reduce(passed)
+    if ok.all():
+        return len(ok), ""
+    row = int(ok.argmin())
+    return row, rule[[mask[row] for mask in passed].index(False)]
 
 
 def _built_spectrum(values: np.ndarray) -> SpectralDistribution:
@@ -86,10 +104,13 @@ def _built_spectrum(values: np.ndarray) -> SpectralDistribution:
 def to_working_grid(wavelengths, values) -> SpectralDistribution:
     """Interpolate samples taken at increasing ``wavelengths`` (nm) onto the
     working grid: linear inside the source support, zero outside it."""
-    vals = np.interp(
-        _GRID, np.asarray(wavelengths, float), np.asarray(values, float), left=0.0, right=0.0
-    )
-    return SpectralDistribution(vals)
+    return SpectralDistribution(_resample(wavelengths, values))
+
+
+def _resample(wavelengths, values) -> np.ndarray:
+    """``to_working_grid``'s samples, unchecked."""
+    wavelengths, values = np.asarray(wavelengths, float), np.asarray(values, float)
+    return np.interp(_GRID, wavelengths, values, left=0.0, right=0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,7 +137,7 @@ class ObserverTables:
             raise ValueError(f"y_bar peak at {peak} nm is outside [550, 560]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Chromaticity:
     """Normalized color coordinates x + y + z = 1."""
 
@@ -124,20 +145,14 @@ class Chromaticity:
     y: float
     z: float
 
-    def __post_init__(self):
-        x, y, z = self.x, self.y, self.z
+    def __init__(self, x: float, y: float, z: float, s: float = 1.0):
+        # s, not stored: the sum X + Y + Z the components were projected from
         if not (type(x) is type(y) is type(z) is float):
             x, y, z = float(x), float(y), float(z)
-            object.__setattr__(self, "x", x)
-            object.__setattr__(self, "y", y)
-            object.__setattr__(self, "z", z)
-        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-            raise ValueError("chromaticity components must be finite")
-        lo, hi = -1e-12, 1 + 1e-12
-        if not (lo <= x <= hi and lo <= y <= hi and lo <= z <= hi):
-            raise ValueError("chromaticity components must lie in [0, 1]")
-        if abs(x + y + z - 1.0) > 1e-12:
-            raise ValueError("chromaticity components must sum to 1")
+        if not all(passed := _chromaticity_tests(x, y, z, s)):
+            raise ValueError(_CHROMATICITY_RULE[passed.index(False)])
+        state = self.__dict__  # frozen: the fields are set past its __setattr__
+        state["x"], state["y"], state["z"] = x, y, z
 
     @classmethod
     def from_xy(cls, x: float, y: float) -> "Chromaticity":
@@ -268,7 +283,7 @@ def _parse_lines(path, width: int, skip: int, n: int, lines: list[str]):
     (see ``_parse_body``)."""
     end = n + len(lines)
     rows = range(n + 1, end + 1)
-    if not all(map(str.strip, lines)):  # blank lines are skipped
+    if "" in lines or any(map(str.isspace, lines)):  # blank lines are skipped
         keep = list(map(str.strip, lines))
         rows, lines = list(compress(rows, keep)), list(compress(lines, keep))
     try:
@@ -423,9 +438,40 @@ def xyz_to_chromaticity(xyz) -> Chromaticity:
     """Project an (X, Y, Z) sequence onto the chromaticity plane."""
     X, Y, Z = xyz
     s = X + Y + Z
-    if s <= 0:
-        raise ValueError("cannot normalize a zero-sum tristimulus")
-    return Chromaticity(X / s, Y / s, 1.0 - X / s - Y / s)
+    d = s if s > 0 else math.nan  # a sum that is not positive fails the rule's first test
+    return Chromaticity(X / d, Y / d, 1.0 - X / d - Y / d, s)
+
+
+def _chromaticities(xyz: np.ndarray) -> tuple[np.ndarray, int, str]:
+    """The ``(n, 3)`` chromaticities of ``(n, 3)`` tristimulus rows, each as
+    ``xyz_to_chromaticity`` projects it, and ``_first_failure`` of their rule."""
+    X, Y, Z = xyz.T
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        s = X + Y + Z
+        x, y = X / s, Y / s
+        z = 1.0 - x - y
+        passed = _chromaticity_tests(x, y, z, s)
+    return np.stack([x, y, z], axis=1), *_first_failure(passed, _CHROMATICITY_RULE)
+
+
+_CHROMATICITY_RULE = (
+    "cannot normalize a zero-sum tristimulus",
+    "chromaticity components must be finite",
+    "chromaticity components must lie in [0, 1]",
+    "chromaticity components must sum to 1",
+)
+
+
+def _chromaticity_tests(x, y, z, s=1.0) -> tuple:
+    """Whether components ``x, y, z`` projected from a tristimulus of sum ``s`` pass
+    each test of ``_CHROMATICITY_RULE``, in order: bools for floats, masks for arrays."""
+    lo, hi = -1e-12, 1 + 1e-12
+    return (
+        (s <= 0) ^ True,  # not s <= 0: a NaN sum passes, and its components fail the next test
+        x * 0.0 + y * 0.0 + z * 0.0 == 0.0,  # inf * 0 and NaN * 0 are NaN
+        (lo <= x) & (x <= hi) & (lo <= y) & (y <= hi) & (lo <= z) & (z <= hi),
+        abs(x + y + z - 1.0) <= 1e-12,
+    )
 
 
 def delta_e_xyz(a: Chromaticity, b: Chromaticity) -> float:

@@ -13,12 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import (
-    OBSERVER_2DEG,
-    Chromaticity,
-    illuminant_white,
-    xyz_to_chromaticity,
-)
+from .spectral import OBSERVER_2DEG, Chromaticity, illuminant_white, xyz_to_chromaticity
 
 REC709_RED = Chromaticity.from_xy(0.64, 0.33)
 REC709_GREEN = Chromaticity.from_xy(0.30, 0.60)
@@ -82,9 +77,8 @@ class TargetColor:
 
     def __post_init__(self):
         w = tuple(float(v) for v in self.rgb_weights)
-        object.__setattr__(self, "rgb_weights", w)
-        for name in ("x", "y", "L_C"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        # frozen: the fields are set past its __setattr__
+        self.__dict__.update(rgb_weights=w, x=float(self.x), y=float(self.y), L_C=float(self.L_C))
         if any(v < 0 or not np.isfinite(v) for v in w):
             raise ValueError("rgb weights must be non-negative and finite")
         if not any(w):

@@ -121,6 +121,13 @@ class TestForward:
         app = cam16_forward((0.0, 0.0, 0.0), worked_example_vc)
         assert app.J == 0.0 and app.Q == 0.0 and app.C == 0.0
 
+    @pytest.mark.parametrize("xyz", [(100.0, 10.0, -80.0), (60.0, 5.0, -50.0)])
+    def test_non_physical_stimulus_is_a_value_error(self, xyz):
+        # A > 0, but R'_a + G'_a + 1.05 B'_a + 0.305 < 0 makes the chroma term
+        # t negative, and t ** 0.9 complex
+        with pytest.raises(ValueError, match="^non-physical stimulus: "):
+            cam16_forward(xyz, Cam16ViewingConditions())
+
     def test_lightness_monotonic_in_luminance(self):
         vc = Cam16ViewingConditions(L_A=50.0)
         w = np.array(vc.white)

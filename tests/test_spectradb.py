@@ -1,3 +1,4 @@
+import random
 import re
 import tracemalloc
 from dataclasses import replace
@@ -7,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from colorbench import (
     Chromaticity,
@@ -27,8 +28,8 @@ from colorbench import (
     to_working_grid,
     xyz_to_chromaticity,
 )
-from colorbench import spectral
-from colorbench.spectradb import LONG_CSV, WIDE_CSV, MatchResult, SpectraTable
+from colorbench import spectradb, spectral
+from colorbench.spectradb import _BLOCK_RECORDS, LONG_CSV, WIDE_CSV, MatchResult, SpectraTable
 from colorbench.spectral import _xyz_distance
 from colorbench.targets import REC709_PRIMARIES, point_in_triangle
 
@@ -199,6 +200,8 @@ class TestLoadDatabase:
             (LONG_CSV, "id,wavelength_nm,value\n\n  \n\t\r\n", 5),
             (LONG_CSV, "# c\r\nid,wavelength_nm,value\r\n\r\n\r\n", 5),
             (WIDE_CSV, "id,400,500\n\n\n", 4),
+            (WIDE_CSV, "id,400,500\n \t\x1f\xa0\u3000\n\u2000\u202f\u205f\n", 4),
+            (LONG_CSV, "id,wavelength_nm,value\n\x1f\x1f\r\n\t\u3000 \r\n\n", 5),
         ],
     )
     def test_all_blank_body_names_the_line_after_the_file(
@@ -206,7 +209,7 @@ class TestLoadDatabase:
     ):
         monkeypatch.setattr(spectral, "_BLOCK_CHARS", block_chars)
         p = tmp_path / "db.csv"
-        p.write_text(text, newline="")
+        p.write_text(text, encoding="utf-8", newline="")
         message = f"^{re.escape(str(p))}: line {line}: expected at least one row after the header$"
         with pytest.raises(ValueError, match=message):
             load_database(p, fmt)
@@ -349,6 +352,96 @@ def test_the_earlier_of_two_bad_records_is_named(tmp_path, fmt, first, second):
         load_database(path, fmt)
     with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: line {line}: {message}')}$"):
         reference_load_database(path, fmt)
+
+
+_FAULTS = ("duplicate", "sub-nm overflow", "zero sum", "chromaticity")
+# every sample of the record whose tristimulus is replaced by one whose
+# chromaticity lies outside [0, 1]; the other records' samples stay below it
+_MARK = 0.75
+
+
+def _load_outcome(load, path, fmt):
+    """The ids and the int64 views of the XYZ and chromaticity rows ``load``
+    gives, or the message it raised."""
+    try:
+        ids, rows = load(path, fmt)
+    except ValueError as exc:
+        return str(exc)
+    return ids, rows[:, :3].view(np.int64).tolist(), rows[:, 3:].view(np.int64).tolist()
+
+
+def _table_rows(path, fmt):
+    table = load_database(path, fmt)
+    return table.ids, np.hstack([table.xyz, table.chromaticity])
+
+
+@given(
+    st.sampled_from([WIDE_CSV, LONG_CSV]),
+    st.integers(_BLOCK_RECORDS - 1, 3 * _BLOCK_RECORDS + 1),
+    st.dictionaries(
+        st.sampled_from(_FAULTS),
+        st.tuples(st.integers(0, 3), st.sampled_from(["first", "mid", "last"])),
+    ),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+# two bad records in one block that the same check finds: the first is named
+@example(LONG_CSV, 2 * _BLOCK_RECORDS + 1, {"zero sum": (1, "first"), "chromaticity": (1, "last")}, 0)
+@example(WIDE_CSV, _BLOCK_RECORDS - 1, {"duplicate": (0, "mid"), "sub-nm overflow": (0, "last")}, 1)
+def test_blocks_load_as_the_per_record_loop(tmp_path, monkeypatch, fmt, n, faults, seed):
+    rnd = random.Random(seed)  # the records' values and grids
+    # one bad record of a kind at most, first, mid or last in one of the blocks
+    blocks = -(-n // _BLOCK_RECORDS)
+    at = {}
+    for kind, (block, place) in faults.items():
+        first = block % blocks * _BLOCK_RECORDS
+        last = min(first + _BLOCK_RECORDS, n) - 1
+        at[kind] = {"first": first, "mid": (first + last) // 2, "last": last}[place]
+    grid = sorted(rnd.sample(range(405, 721, 5), 12))
+    if "sub-nm overflow" in at:  # two wavelengths less than 1 nm apart
+        grid = [399.9, 400.1, *grid]
+    records = []
+    for k in range(n):
+        # a long file's records each have their own wavelengths
+        wl = grid if fmt == WIDE_CSV else sorted(rnd.sample(range(360, 721), rnd.randint(2, 30)))
+        records.append([f"r{k}_{rnd.randrange(10**4)}", wl, [rnd.uniform(0.01, 0.6) for _ in wl]])
+    if "sub-nm overflow" in at:
+        k = at["sub-nm overflow"]
+        if fmt == LONG_CSV:
+            records[k][1] = [399.9, 400.1, *(w for w in records[k][1] if w > 400.1)]
+        records[k][2] = [1e308, 0.0, *records[k][2][2 : len(records[k][1])]]
+        records[k][2] += [0.5] * (len(records[k][1]) - len(records[k][2]))
+    if "zero sum" in at:
+        records[at["zero sum"]][2] = [0.0] * len(records[at["zero sum"]][1])
+    if "chromaticity" in at:
+        records[at["chromaticity"]][2] = [_MARK] * len(records[at["chromaticity"]][1])
+    if "duplicate" in at:
+        k = max(at["duplicate"], 1)
+        records[k][0] = records[k - 1][0]
+    if fmt == WIDE_CSV:
+        lines = ["id," + ",".join(map(str, grid))]
+        lines += [",".join([rid, *map(repr, values)]) for rid, _, values in records]
+    else:
+        lines = ["id,wavelength_nm,value"]
+        lines += [f"{rid},{w},{v!r}" for rid, wl, values in records for w, v in zip(wl, values)]
+    path = tmp_path / "db.csv"
+    path.write_text("\n".join(lines) + "\n")
+
+    real = spd_to_xyz
+
+    def faked(spd, illuminant=None, obs=None):
+        # no file reaches a chromaticity out of range through the real,
+        # clamped integration: fake the marked record's tristimulus
+        return (-1.0, 2.0, 1.0) if spd.values.max() == _MARK else real(spd, illuminant, obs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(spectradb, "spd_to_xyz", faked)
+        mp.setitem(globals(), "spd_to_xyz", faked)
+        got = _load_outcome(_table_rows, path, fmt)
+        expected = _load_outcome(reference_load_database, path, fmt)
+    assert got == expected
+    assert isinstance(got, str) == bool(faults)
 
 
 @pytest.mark.parametrize("samples", ["1e308,0", "0,1e308"])

@@ -757,7 +757,8 @@ valid_number = st.tuples(
 # spellings the reader must reject, for the error path
 bad_number = st.sampled_from(["", "abc", "0_5", "\u0661", "nan", "inf", "-inf", "1,2", "# x"])
 row_id = st.sampled_from(["a", "b", " a ", "s1_fine_00001", "\u00e9t\u00e9", "a b"])
-gap_line = st.sampled_from(["", "  ", "\t"])
+# blank lines: empty, or whitespace-only of one or several str.isspace characters
+gap_line = st.sampled_from(["", "  ", "\t", " \t\x1f\xa0\u3000", "\u2000\u202f\u205f\u1680"])
 
 
 @st.composite

@@ -44,6 +44,9 @@ DATABASES = (
     ("db_long_1nm", (360, 720, 1), 40, "long_csv"),
     ("db_wide_5nm", (380, 780, 5), 300, "wide_csv"),
 )
+# a long database of more records than a load's block, each record on its own
+# wavelengths: a 1, 2, 5 or 10 nm step from 360-420 to 660-780 nm
+MIXED_DATABASE, MIXED_RECORDS = "db_long_mixed", 150
 
 # (argv, output files the run writes); "{out}" in an argument is the output
 # directory, so a later run can read what an earlier one wrote
@@ -207,6 +210,11 @@ RUNS = [
             ),
         )
     ),
+    (
+        ["match", "--db", f"{{out}}/{MIXED_DATABASE}.csv", "--format", "long_csv",
+         "--out", f"match_{MIXED_DATABASE}.csv"],
+        [f"match_{MIXED_DATABASE}.csv"],
+    ),
 ]
 
 
@@ -223,11 +231,7 @@ def write_databases(out: Path) -> None:
 
     for name, (first, last, step), n, fmt in DATABASES:
         wl = np.arange(first, last + 1, step)
-        values = np.full((n, wl.size), 0.0) + rng.uniform(0.02, 0.3, (n, 1))
-        for _ in range(3):
-            centre, width = rng.uniform(380, 720, (n, 1)), rng.uniform(15, 80, (n, 1))
-            values += rng.uniform(0.0, 0.8, (n, 1)) * np.exp(-0.5 * ((wl - centre) / width) ** 2)
-        rows = np.clip(values, 0.0, 1.0).tolist()
+        rows = reflectances(rng, wl, n).tolist()
         lines = [f"# {n} synthetic reflectances, {step} nm", "# layout: " + fmt]
         if fmt == "wide_csv":
             lines.append("id," + ",".join(map(str, wl)))
@@ -240,6 +244,29 @@ def write_databases(out: Path) -> None:
                 lines += (f"l{k:03d},{number(int(w))},{number(v)}" for w, v in zip(wl, row))
                 lines.append("")
         (out / f"{name}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_mixed_database(out: Path) -> None:
+    """Write ``MIXED_DATABASE`` into ``out``: ``MIXED_RECORDS`` long-layout
+    records, each on its own seeded wavelengths."""
+    rng = np.random.default_rng(29)
+    lines = ["id,wavelength_nm,value"]
+    for k in range(MIXED_RECORDS):
+        step = int(rng.choice([1, 2, 5, 10]))
+        wl = np.arange(rng.integers(360, 421), rng.integers(660, 781) + 1, step)
+        row = reflectances(rng, wl, 1)[0].tolist()
+        lines += (f"m{k:03d},{w},{v!r}" for w, v in zip(wl.tolist(), row))
+    (out / f"{MIXED_DATABASE}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def reflectances(rng, wl: np.ndarray, n: int) -> np.ndarray:
+    """``n`` smooth reflectances at ``wl``: a base level plus three Gaussian
+    bands, clipped to [0, 1]."""
+    values = np.full((n, wl.size), 0.0) + rng.uniform(0.02, 0.3, (n, 1))
+    for _ in range(3):
+        centre, width = rng.uniform(380, 720, (n, 1)), rng.uniform(15, 80, (n, 1))
+        values += rng.uniform(0.0, 0.8, (n, 1)) * np.exp(-0.5 * ((wl - centre) / width) ** 2)
+    return np.clip(values, 0.0, 1.0)
 
 
 def solve_sweep(count: int = 150) -> str:
@@ -277,6 +304,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         write_databases(out)
+        write_mixed_database(out)
         for argv, names in RUNS:
             code = run([*(a.format(out=out) for a in argv), "--out-dir", str(out)])
             for name in names:
