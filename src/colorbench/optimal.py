@@ -88,6 +88,13 @@ class OptimalSpectrumParams:
             raise ValueError("K must be non-negative and finite")
 
 
+def _unchecked_params(genus: str, l1: float, l2: float) -> OptimalSpectrumParams:
+    """Params, unchecked: the caller ensures genus in _GENERA, 360 <= l1 <= l2 <= 720 (floats)."""
+    params = object.__new__(OptimalSpectrumParams)
+    params.__dict__.update(genus=genus, lambda1_nm=l1, lambda2_nm=l2, K=1.0)
+    return params
+
+
 @dataclass(frozen=True)
 class SolveReport:
     """Outcome of a cut-wavelength solve.
@@ -127,9 +134,9 @@ def synthesize(params: OptimalSpectrumParams) -> SpectralDistribution:
     (clamped to 1).  The last bin, 720 nm, is full in a band stop and in a
     band pass reaching 720 nm; a band pass that ends in [719, 720] fills it
     by lambda2 - 719, so a cut at the end of the spectrum covers the last
-    sample completely.  The spectrum is not checked again: ``params`` has
-    checked the cuts and K, so every sample is a coverage in [0, 1] times a
-    finite K >= 0.
+    sample completely.  The spectrum is not checked again: ``params`` holds
+    checked cuts and K (or the objective's, see ``_unchecked_params``), so every
+    sample is a coverage in [0, 1] times a finite K >= 0.
     """
     l1, l2 = params.lambda1_nm, params.lambda2_nm
     s1, s2 = math.floor(l1), math.floor(l2)
@@ -251,10 +258,16 @@ class _NelderMeadResult(NamedTuple):
 
 def _ranked(sim: list, f: list) -> tuple[list, list]:
     """Vertices and values in ``np.argsort``'s order of the values (scipy's, which
-    matters for tied inf vertices).  Three strictly ordered values have one order,
-    so argsort runs only on a tie or a NaN."""
+    matters for tied inf vertices); the strict orders a loop step leaves are read off."""
+    a, b, c = f
+    if a < b < c:
+        return sim, f
+    if c < a < b:
+        return [sim[2], sim[0], sim[1]], [c, a, b]
+    if a < c < b:
+        return [sim[0], sim[2], sim[1]], [a, c, b]
     order = i, j, k = sorted(range(3), key=f.__getitem__)
-    if not f[i] < f[j] < f[k]:
+    if not f[i] < f[j] < f[k]:  # strict values have one order, argsort's too
         order = np.array(f).argsort().tolist()
     return [sim[i] for i in order], [f[i] for i in order]
 
@@ -273,15 +286,15 @@ def minimize(
     operation order, so every vertex, value and count matches it to the bit.
 
     Without ``initial_simplex`` the simplex is scipy's default: x0, then x0
-    with one coordinate at a time scaled by 1.05 (neither may be zero); with
-    it, x0 is ignored.  The search stops when every vertex lies within
+    with one coordinate at a time scaled by 1.05, or set to 0.00025 if zero;
+    with it, x0 is ignored.  The search stops when every vertex lies within
     ``xatol`` of the best in each coordinate and every value within
     ``fatol`` of its value, or after ``maxiter`` iterations; ``nit`` starts
     at 1 and ``nfev`` counts the calls of ``fun``.
     """
     if initial_simplex is None:
         a, b = map(float, x0)
-        sim = [(a, b), (1.05 * a, b), (a, 1.05 * b)]
+        sim = [(a, b), (1.05 * a if a else 0.00025, b), (a, 1.05 * b if b else 0.00025)]
     else:
         sim = [(float(a), float(b)) for a, b in initial_simplex]
     f = [fun(v) for v in sim]
@@ -345,15 +358,16 @@ def _solve_genus(
     weights, k = tristimulus_weights(illuminant, obs)
 
     def objective(lam: tuple[float, float]) -> float:
-        l1, l2 = a, b = lam
-        penalty = 0.0
-        if not GRID_START_NM <= a <= b <= GRID_STOP_NM:
-            l1 = min(max(a, GRID_START_NM), GRID_STOP_NM)
-            l2 = min(max(b, GRID_START_NM), GRID_STOP_NM)
+        a, b = lam  # floats: minimize's vertices
+        if GRID_START_NM <= a <= b <= GRID_STOP_NM:
+            params, penalty = _unchecked_params(genus, a, b), 0.0
+        else:  # checked, so a NaN cut raises
+            l1, l2 = (min(max(v, GRID_START_NM), GRID_STOP_NM) for v in lam)
             if l1 > l2:
                 return np.inf
             penalty = _OUT_OF_RANGE_SLOPE * (abs(a - l1) + abs(b - l2))
-        X, Y, Z = _integrate(synthesize(OptimalSpectrumParams(genus, l1, l2)).values, weights, k)
+            params = OptimalSpectrumParams(genus, l1, l2)
+        X, Y, Z = _integrate(synthesize(params).values, weights, k)
         s = X + Y + Z
         if s <= 0:
             return np.inf

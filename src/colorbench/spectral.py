@@ -424,7 +424,8 @@ def _integrate(values: np.ndarray, weights: np.ndarray, k: float) -> tuple[float
     """(X, Y, Z) of the grid samples ``values``: the sums weighted by ``weights``
     times ``k``, clamped at 0; ValueError if a component is not finite."""
     X, Y, Z = values.dot(weights).tolist()
-    return _finite_xyz(max(k * X, 0.0), max(k * Y, 0.0), max(k * Z, 0.0))
+    X, Y, Z = k * X, k * Y, k * Z  # a comparison clamps as max(v, 0.0) does, -0.0 and NaN kept
+    return _finite_xyz(0.0 if X < 0.0 else X, 0.0 if Y < 0.0 else Y, 0.0 if Z < 0.0 else Z)
 
 
 def _finite_xyz(X: float, Y: float, Z: float) -> tuple[float, float, float]:

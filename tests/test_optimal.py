@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import functools
+import itertools
 import math
 import sys
 
@@ -507,6 +508,38 @@ class TestObjectiveMatchesTheSpectrumPath:
         )
         assert solver_objective(genus, illuminant_name)(lam).hex() == expected.hex()
 
+    @given(
+        st.sampled_from([BAND_PASS, BAND_STOP]),
+        st.sampled_from(["D65", "E"]),
+        st.tuples(
+            st.one_of(st.floats(360.0, 720.0), st.floats(300.0, 780.0)),
+            st.one_of(st.floats(360.0, 720.0), st.floats(300.0, 780.0)),
+        ),
+    )
+    @example(BAND_PASS, "D65", (400.0, 500.0))  # in range
+    @example(BAND_STOP, "E", (360.0, 720.0))  # the range's ends
+    @example(BAND_STOP, "D65", (350.0, 730.0))  # out of range: clamped
+    @example(BAND_PASS, "E", (600.0, 500.0))  # reversed: inf, no spectrum
+    @settings(max_examples=300, deadline=None)
+    def test_cuts_as_the_constructor_makes_them(self, genus, illuminant_name, lam):
+        objective, seen = solver_objective(genus, illuminant_name), []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimal, "synthesize", lambda params: seen.append(params) or synthesize(params))
+            value = objective(lam)
+        assert len(seen) == 1 or (not seen and value == math.inf)
+        for p in seen:
+            assert p == OptimalSpectrumParams(p.genus, p.lambda1_nm, p.lambda2_nm, p.K)
+            assert (p.genus, p.K) == (genus, 1.0)
+            assert (p.lambda1_nm, p.lambda2_nm) == tuple(
+                min(max(v, GRID_START_NM), GRID_STOP_NM) for v in lam
+            )
+
+    @pytest.mark.parametrize("genus", [BAND_PASS, BAND_STOP])
+    @pytest.mark.parametrize("lam", [(math.nan, 500.0), (500.0, math.nan), (math.nan, math.nan)])
+    def test_nan_cut_raises_the_constructors_error(self, genus, lam):
+        with pytest.raises(ValueError, match="^cuts must satisfy 360 <= lambda1 <= lambda2 <= 720$"):
+            solver_objective(genus, "D65")(lam)
+
 
 class TestScaleToLuminance:
     def test_white_amplitude(self):
@@ -657,7 +690,25 @@ RANKED_POOL = [-math.inf, -1.0, -0.0, 0.0, 5e-324, 0.25, 0.25 + 2**-54, 1.0, mat
                np.float64(math.inf), math.nan, np.float64(0.25)]
 
 
+# every pattern of three values drawn from 1 < 2 < 3 and NaN: the six strict
+# orders, each tie and each NaN placement; then ties of signed zeros and infinities
+RANKED_CASES = [
+    *itertools.product([1.0, 2.0, 3.0, math.nan], repeat=3),
+    (0.0, -0.0, 1.0), (1.0, -0.0, 0.0), (math.inf, 1.0, math.inf),
+    (2.0, math.inf, np.float64(math.inf)),
+]
+
+
 class TestRanked:
+    @pytest.mark.parametrize("values", RANKED_CASES, ids=repr)
+    def test_each_pattern(self, values):
+        f = [v * 1.0 for v in values]  # new objects, so ``is`` tells tied values apart
+        sim = [(float(i), -float(i)) for i in range(3)]
+        order = np.array(f).argsort().tolist()
+        got_sim, got_f = optimal._ranked(list(sim), list(f))
+        assert got_sim == [sim[i] for i in order]
+        assert all(a is b for a, b in zip(got_f, [f[i] for i in order], strict=True))
+
     @given(st.lists(st.one_of(st.sampled_from(RANKED_POOL), st.floats()), min_size=3, max_size=3))
     @settings(max_examples=500, deadline=None)
     def test_argsorts_order(self, f):
@@ -708,6 +759,15 @@ class TestNelderMeadMatchesScipy:
             report = solve_optimal(target_from_weights((0.5, 0.5, 0.0)).chromaticity, BAND_PASS)
         assert report.restarts == 1 and [c[2] is None for c in calls] == [False, True]
         assert_solver_matches_scipy(calls)
+
+    @pytest.mark.parametrize("x0", [(0.0, 1.0), (1.0, 0.0), (0.0, 0.0), (-0.0, 2.0)])
+    def test_default_simplex_steps_a_zero_coordinate(self, x0):
+        # scipy sets a zero coordinate to 0.00025 (1.05 * 0 would flatten the simplex)
+        fun = lambda v: (v[0] - 0.24) ** 2 + 2 * (v[1] - 1.2) ** 2 + v[0] * v[1]  # noqa: E731
+        options = dict(maxiter=200, xatol=1e-8, fatol=1e-12)
+        ours = optimal.minimize(fun, x0, **options)
+        assert_same_run(ours, scipy_nelder_mead(fun, x0, **options))
+        assert ours.nit > 10
 
     def test_tied_inf_vertices(self):
         # a vertex with lambda1 > lambda2 is no rectangle: its value is inf,

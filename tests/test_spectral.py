@@ -2,7 +2,7 @@ import importlib.util
 import math
 import re
 import tracemalloc
-from itertools import repeat
+from itertools import product, repeat
 from pathlib import Path
 from unittest import mock
 
@@ -339,12 +339,16 @@ class TestSpdToXyz:
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
-def reference_spd_to_xyz(spd, illuminant, obs):
-    """``spd_to_xyz``'s body before ``_integrate``: the weighted sums, then
-    the scale, the clamp at 0 and the finite check."""
-    weights, k = tristimulus_weights(illuminant, obs)
-    X, Y, Z = tuple(spd.values.dot(weights).tolist())
+def reference_integrate(values, weights, k):
+    """``_integrate``'s first body: the weighted sums, then the scale, the
+    clamp at 0 by ``max`` and the finite check."""
+    X, Y, Z = tuple(values.dot(weights).tolist())
     return _finite_xyz(max(k * X, 0.0), max(k * Y, 0.0), max(k * Z, 0.0))
+
+
+def reference_spd_to_xyz(spd, illuminant, obs):
+    """``spd_to_xyz``'s body before ``_integrate``."""
+    return reference_integrate(spd.values, *tristimulus_weights(illuminant, obs))
 
 
 def _hexed(result):
@@ -378,6 +382,17 @@ class TestIntegrateAsBefore:
             expected = _hexed(_made(reference_spd_to_xyz, spd, ill, obs))
             assert _hexed(_made(_integrate, spd.values, weights, k)) == expected
             assert _hexed(_made(spd_to_xyz, spd, ill, obs)) == expected
+
+    @pytest.mark.parametrize("k", [1.0, -1.0, 0.5])
+    def test_clamp_of_signed_and_special_sums(self, k):
+        # one sample of weight 1: the sums are the weight row itself (the dot
+        # turns -0.0 into 0.0, which k = -1.0 turns back), so the clamp meets
+        # signed zeros, a negative subnormal, infinities and NaN
+        sums = [-0.0, 0.0, -5e-324, 5e-324, -1.0, 1.0, -math.inf, math.inf, math.nan]
+        for row in product(sums, repeat=3):
+            weights = np.array([row])
+            expected = _hexed(_made(reference_integrate, np.ones(1), weights, k))
+            assert _hexed(_made(_integrate, np.ones(1), weights, k)) == expected, row
 
     def test_overflowing_table_rejected(self, d65, obs2):
         weights, k = tristimulus_weights(d65, obs2)

@@ -3,9 +3,9 @@ the benchmark's settings, and print one digest line per file.
 
 Each line is ``<sha256> <exit code> <name>``.  The outputs are written into a
 temporary directory by ``colorbench.cli.run`` from the ``src/`` tree next to
-this script.  Two last lines, ``solve_sweep`` and ``cam16_sweep``, digest
-solver reports and CAM16 correlates in process (see those functions).  Two
-checkouts can be compared byte for byte with
+this script.  Three last lines, ``solve_sweep``, ``solve_sweep_tables`` and
+``cam16_sweep``, digest solver reports and CAM16 correlates in process (see
+those functions).  Two checkouts can be compared byte for byte with
 
     python tools/output_digest.py > a.txt      # in the first checkout
     python tools/output_digest.py > b.txt      # in the second
@@ -31,6 +31,8 @@ from colorbench import (  # noqa: E402
     Chromaticity,
     cam16_forward,
     d65_white_tristimulus,
+    load_illuminant,
+    load_observer,
     solve_optimal,
     table1_suite,
 )
@@ -269,18 +271,42 @@ def reflectances(rng, wl: np.ndarray, n: int) -> np.ndarray:
     return np.clip(values, 0.0, 1.0)
 
 
+GENERA = ("auto", "band_pass", "band_stop")
+# the (illuminant, observer) pairs of ``solve_sweep_tables``: the solver binds
+# one weight table per pair, and ``solve_sweep`` covers only D65 and 2 degrees
+SWEEP_TABLES = (("E", "degree2"), ("D65", "degree10"), ("E", "degree10"))
+
+
+def sweep_target(rng) -> Chromaticity:
+    """A seeded target spread over the chromaticity diagram, inside and
+    outside the spectral locus."""
+    u, v = rng.random(2)
+    if u + v > 1.0:  # fold onto the triangle u + v <= 1
+        u, v = 1.0 - u, 1.0 - v
+    return Chromaticity.from_xy(0.02 + 0.76 * u, 0.02 + 0.82 * v)
+
+
 def solve_sweep(count: int = 150) -> str:
     """sha256 over ``repr`` of ``table1_suite()`` and of ``count`` solves of
-    seeded targets spread over the chromaticity diagram (inside and outside the
-    spectral locus), the genus cycling through auto, band_pass and band_stop."""
+    ``sweep_target``s, the genus cycling through auto, band_pass and band_stop."""
     rng = np.random.default_rng(7)
     reports = [table1_suite()]
     for k in range(count):
-        u, v = rng.random(2)
-        if u + v > 1.0:  # fold onto the triangle u + v <= 1
-            u, v = 1.0 - u, 1.0 - v
-        target = Chromaticity.from_xy(0.02 + 0.76 * u, 0.02 + 0.82 * v)
-        reports.append(solve_optimal(target, ("auto", "band_pass", "band_stop")[k % 3]))
+        reports.append(solve_optimal(sweep_target(rng), GENERA[k % 3]))
+    return hashlib.sha256(repr(reports).encode()).hexdigest()
+
+
+def solve_sweep_tables(count: int = 36) -> str:
+    """sha256 over ``repr`` of ``table1_suite`` under illuminant E and the 10
+    degree observer, and of ``count`` solves of ``sweep_target``s, the genus
+    cycling as in ``solve_sweep`` and the tables through ``SWEEP_TABLES``
+    every third solve."""
+    rng = np.random.default_rng(30)
+    reports = [table1_suite(illuminant=load_illuminant("E"), obs=load_observer("degree10"))]
+    tables = [(load_illuminant(ill), load_observer(obs)) for ill, obs in SWEEP_TABLES]
+    for k in range(count):
+        ill, obs = tables[k // 3 % len(tables)]
+        reports.append(solve_optimal(sweep_target(rng), GENERA[k % 3], illuminant=ill, obs=obs))
     return hashlib.sha256(repr(reports).encode()).hexdigest()
 
 
@@ -311,6 +337,7 @@ def main() -> int:
                 digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
                 print(f"{digest} {code} {name}")
     print(f"{solve_sweep()} 0 solve_sweep")
+    print(f"{solve_sweep_tables()} 0 solve_sweep_tables")
     print(f"{cam16_sweep()} 0 cam16_sweep")
     return 0
 
