@@ -266,9 +266,7 @@ def _ranked(sim: list, f: list) -> tuple[list, list]:
         return [sim[2], sim[0], sim[1]], [c, a, b]
     if a < c < b:
         return [sim[0], sim[2], sim[1]], [a, c, b]
-    order = i, j, k = sorted(range(3), key=f.__getitem__)
-    if not f[i] < f[j] < f[k]:  # strict values have one order, argsort's too
-        order = np.array(f).argsort().tolist()
+    order = np.array(f).argsort().tolist()
     return [sim[i] for i in order], [f[i] for i in order]
 
 
